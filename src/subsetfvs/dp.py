@@ -25,7 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .graphs import (
     BlockGraph,
@@ -42,7 +52,9 @@ from .graphs import (
     lex_key,
 )
 from .layouts import RootedLayout, mim_cut
-from .nec import NecFamily, compute_reps
+# compute_reps is unused here but stays a name of this module: the tracer in
+# perfbench/tracing.py wraps dp.compute_reps, dp.build_context and dp.mim_cut.
+from .nec import NecFamily, compute_reps, layout_families  # noqa: F401
 
 NEG_INF = float("-inf")
 
@@ -125,14 +137,34 @@ class NodeContext:
         return total * len(self.fam_x1.representatives)
 
 
-def build_context(inst: Instance, layout: RootedLayout, node: int) -> NodeContext:
+# Per-node families for one layout: near d=1, near d=2, far d=1, far d=2,
+# each indexed by node id.
+Families = Tuple[Sequence[NecFamily], Sequence[NecFamily], Sequence[NecFamily], Sequence[NecFamily]]
+
+
+def node_families(g: Graph, layout: RootedLayout) -> Families:
+    """All NEC families `build_context` reads, from one layout pass per d."""
+    near1, far1 = layout_families(g, layout, 1)
+    near2, far2 = layout_families(g, layout, 2)
+    return near1, near2, far1, far2
+
+
+def build_context(
+    inst: Instance,
+    layout: RootedLayout,
+    node: int,
+    families: Optional[Families] = None,
+) -> NodeContext:
+    """Cut data of one layout node.  `families` is `node_families` of the
+    layout, which `solve` builds once; without it this call builds them."""
     g = inst.graph
+    if families is None:
+        families = node_families(g, layout)
+    near1, near2, far1, far2 = families
     vx = layout.below[node]
     cvx = g.vertices & ~vx
-    fam_x1 = compute_reps(g, vx, 1)
-    fam_x2 = compute_reps(g, vx, 2)
-    fam_y1 = compute_reps(g, cvx, 1)
-    fam_y2 = compute_reps(g, cvx, 2)
+    fam_x1 = near1[node]
+    fam_y1 = far1[node]
     xs_pool = tuple(sorted({fam_x1.rep_of(1 << v) for v in bits(vx)}, key=lex_key))
     ys_pool = tuple(sorted({fam_y1.rep_of(1 << u) for u in bits(cvx)}, key=lex_key))
     return NodeContext(
@@ -141,9 +173,9 @@ def build_context(inst: Instance, layout: RootedLayout, node: int) -> NodeContex
         cvx,
         mim_cut(g, vx),
         fam_x1,
-        fam_x2,
+        near2[node],
         fam_y1,
-        fam_y2,
+        far2[node],
         xs_pool,
         ys_pool,
     )
@@ -575,31 +607,27 @@ def solve(
     threads: int = 1,
     trace: Optional[TraceFn] = None,
 ) -> SolveResult:
-    """Maximum-weight induced S-forest and its complement deletion set."""
+    """Maximum-weight induced S-forest and its complement deletion set.
+
+    threads is accepted and ignored: every step is pure Python, and a
+    thread pool under the interpreter lock gave no speedup.
+    """
     g, s = inst.graph, inst.s_set
     if layout.n != g.n:
         raise ValueError("layout does not match the graph")
 
-    internal = [x for x in layout.postorder() if not layout.is_leaf(x)]
-    if threads > 1 and internal:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ctx_list = list(pool.map(lambda x: build_context(inst, layout, x), internal))
-        contexts = dict(zip(internal, ctx_list))
-    else:
-        contexts = {x: build_context(inst, layout, x) for x in internal}
-
+    families = node_families(g, layout)
     tables: Dict[int, SolutionTable] = {}
     for x in layout.postorder():
         if layout.is_leaf(x):
             v = layout.leaf_vertex[x]
             tables[x] = SolutionTable(x, {0: 0, 1 << v: inst.weights[v]})
             continue
+        ctx = build_context(inst, layout, x, families)
         merged = merge_tables(tables[layout.left[x]], tables[layout.right[x]], x)
-        reduced = reduce_table(merged, contexts[x], inst)
+        reduced = reduce_table(merged, ctx, inst)
         if trace is not None:
-            trace(x, contexts[x], merged, reduced)
+            trace(x, ctx, merged, reduced)
         tables[x] = reduced
         del tables[layout.left[x]], tables[layout.right[x]]
 

@@ -10,7 +10,6 @@ crossing bipartite graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, bits, mask_of
@@ -121,29 +120,30 @@ def gf2_rank(rows: List[int]) -> int:
 
 
 def _rational_rank(rows: List[List[int]]) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows if any(row)]
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    After k pivots every remaining entry is a (k+1)-minor of the input, so
+    the division by the previous pivot is exact and entries stay integers.
+    """
+    mat = [list(row) for row in rows if any(row)]
     if not mat:
         return 0
-    cols = len(mat[0])
     rank = 0
-    row_i = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row_i, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+    prev = 1
+    for col in range(len(mat[0])):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[row_i], mat[pivot] = mat[pivot], mat[row_i]
-        pv = mat[row_i][col]
-        for r in range(len(mat)):
-            if r != row_i and mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_i])]
-        row_i += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(mat)):
+            row = mat[r]
+            f = row[col]
+            mat[r] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = pv
         rank += 1
-        if row_i == len(mat):
+        if rank == len(mat):
             break
     return rank
 
@@ -339,17 +339,26 @@ def serialize_layout(layout: RootedLayout, names: Sequence[str]) -> str:
     """Canonical nested-parentheses form with no whitespace."""
     if len(names) != layout.n:
         raise ValueError("name table length mismatch")
-
-    def render(x: int) -> str:
-        if layout.is_leaf(x):
-            return names[layout.leaf_vertex[x]]
-        return f"({render(layout.left[x])},{render(layout.right[x])})"
-
-    return render(layout.root)
+    out: List[str] = []
+    stack: List[object] = [layout.root]  # node ids, and literal text to emit
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif layout.is_leaf(item):
+            out.append(names[layout.leaf_vertex[item]])
+        else:
+            out.append("(")
+            stack += [")", layout.right[item], ",", layout.left[item]]
+    return "".join(out)
 
 
 def parse_layout(text: str, names: Sequence[str]) -> RootedLayout:
-    """Parse the nested-parentheses layout form; leaves are vertex names."""
+    """Parse the nested-parentheses layout form; leaves are vertex names.
+
+    Iterative, so depth is not bounded by the recursion limit; leaves and
+    joins are built in postorder, as node ids require.
+    """
     ids = {name: i for i, name in enumerate(names)}
     if len(ids) != len(names):
         raise ValueError("duplicate vertex names")
@@ -359,20 +368,14 @@ def parse_layout(text: str, names: Sequence[str]) -> RootedLayout:
     pos = 0
     used = set()
     b = _LayoutBuilder()
-
-    def parse_node() -> int:
-        nonlocal pos
+    # One entry per open '(': None until its first child is built, then
+    # that child's node id.
+    open_nodes: List[Optional[int]] = []
+    while True:
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            a = parse_node()
-            if pos >= len(s) or s[pos] != ",":
-                raise ValueError(f"expected ',' at position {pos}")
-            pos += 1
-            c = parse_node()
-            if pos >= len(s) or s[pos] != ")":
-                raise ValueError(f"expected ')' at position {pos}")
-            pos += 1
-            return b.join(a, c)
+            open_nodes.append(None)
+            continue
         start = pos
         while pos < len(s) and s[pos] not in "(),":
             pos += 1
@@ -385,9 +388,18 @@ def parse_layout(text: str, names: Sequence[str]) -> RootedLayout:
         if v in used:
             raise ValueError(f"vertex {name!r} appears twice")
         used.add(v)
-        return b.leaf(v)
-
-    parse_node()
+        node = b.leaf(v)
+        while open_nodes and open_nodes[-1] is not None:
+            if pos >= len(s) or s[pos] != ")":
+                raise ValueError(f"expected ')' at position {pos}")
+            pos += 1
+            node = b.join(open_nodes.pop(), node)
+        if not open_nodes:
+            break
+        if pos >= len(s) or s[pos] != ",":
+            raise ValueError(f"expected ',' at position {pos}")
+        pos += 1
+        open_nodes[-1] = node
     if pos != len(s):
         raise ValueError(f"trailing characters at position {pos}")
     if len(used) != len(names):

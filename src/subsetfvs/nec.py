@@ -3,20 +3,38 @@
 Two subsets X, Y of a side A are d-equivalent when every vertex u outside A
 satisfies min(d, |X & N(u)|) == min(d, |Y & N(u)|).  The canonical
 representative of a class is its smallest member, first by size, then by the
-lexicographic order of the sorted vertex list.  Families are built by a
-best-first search from the empty set that extends each found representative
-by one vertex at a time; the visit order (size, then lex) is what makes the
-first member found in each class canonical, so no post-hoc minimization is
-done.
+lexicographic order of the sorted vertex list.  d is 1 or 2, the two values
+the DP uses.
+
+A class is keyed by neighborhood bitmasks restricted to the outside of A:
+`once` holds the outside vertices with at least one neighbor in X and, for
+d = 2, `twice` those with at least two.  The key is the int
+`once | twice << n`, which is `once` itself when d = 1.  For disjoint parts
+the masks combine in O(1): once = o_a | o_b, twice = t_a | t_b | (o_a & o_b).
+
+Families are built by joins.  For disjoint sides A and B, every canonical
+representative of A | B is r_A | r_B, where r_A and r_B are canonical
+representatives of A and B:
+
+- an equivalence over A still holds over A | B, because V \\ (A | B) lies in
+  V \\ A; so replacing the A-part of a member by its representative stays
+  in the class, and the unions reach every class;
+- replacing a part by a smaller or lex-smaller one never makes the union
+  larger or lex-larger: for equal sizes, X precedes Y exactly when the least
+  vertex of X ^ Y lies in X, and a disjoint common part leaves X ^ Y as it is.
+
+`join` scans these unions and keeps the first per key in (size, lex) order.
+`layout_families` runs it over a layout, near sides bottom-up and far sides
+top-down; `compute_reps` folds it over the singletons of an arbitrary side.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graphs import Graph, bits, lex_key
+from .layouts import RootedLayout
 
 
 def neighbor_counts(g: Graph, a: int, d: int, x: int) -> Tuple[int, ...]:
@@ -30,14 +48,6 @@ def neighbor_counts(g: Graph, a: int, d: int, x: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def pack_counts(counts: Tuple[int, ...], d: int) -> int:
-    """Pack a count vector into one base-(d+1) integer key."""
-    key = 0
-    for c in counts:
-        key = key * (d + 1) + c
-    return key
-
-
 def same_class(g: Graph, a: int, d: int, x: int, y: int) -> bool:
     """Direct d-equivalence test over side a; no family required."""
     return neighbor_counts(g, a, d, x) == neighbor_counts(g, a, d, y)
@@ -47,14 +57,17 @@ def same_class(g: Graph, a: int, d: int, x: int, y: int) -> bool:
 class NecFamily:
     """All canonical representatives for one (side, d) pair.
 
-    lookup maps a packed count key to the index of its representative in
-    discovery order, which is exactly (size, lex) order.
+    lookup maps a class key to the index of its representative; both are in
+    (size, lex) order, so iterating lookup visits the representatives in
+    order.  out is the vertex mask the classes are seen from: the complement
+    of the side, except in the partial families of `compute_reps`, which see
+    only the complement of the whole side.
     """
 
     graph: Graph
     side: int
     d: int
-    outside: Tuple[int, ...]
+    out: int
     representatives: Tuple[int, ...]
     lookup: Dict[int, int]
     _rep_cache: Dict[int, int] = field(default_factory=dict, repr=False)
@@ -67,13 +80,17 @@ class NecFamily:
         if x & ~self.side:
             raise ValueError("x must be a subset of the family side")
         adj = self.graph.adj
-        d = self.d
-        key = 0
-        base = d + 1
-        for u in self.outside:
-            c = (adj[u] & x).bit_count()
-            key = key * base + (c if c < d else d)
-        return key
+        once = twice = 0
+        while x:
+            low = x & -x
+            nb = adj[low.bit_length() - 1]
+            twice |= once & nb
+            once |= nb
+            x ^= low
+        out = self.out
+        if self.d == 1:
+            return once & out
+        return once & out | (twice & out) << self.graph.n
 
     def rep_of(self, x: int) -> int:
         """Canonical representative of the class of x."""
@@ -88,48 +105,101 @@ class NecFamily:
         return rep
 
 
-def compute_reps(g: Graph, a: int, d: int) -> NecFamily:
-    """Build the representative family of side a for the d-equivalence.
+def _check_d(d: int) -> None:
+    if d not in (1, 2):
+        raise ValueError("d must be 1 or 2")
 
-    Search states carry clamped per-probe counts so a child key is derived
-    in O(|outside|) from its parent.
-    """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+
+def _empty_family(g: Graph, d: int, out: int) -> NecFamily:
+    return NecFamily(g, 0, d, out, (0,), {0: 0})
+
+
+def _singleton_family(g: Graph, v: int, d: int) -> NecFamily:
+    side = 1 << v
+    out = g.vertices & ~side
+    once = g.adj[v] & out
+    if not once:
+        return NecFamily(g, side, d, out, (0,), {0: 0})
+    return NecFamily(g, side, d, out, (0, side), {0: 0, once: 1})
+
+
+def _parts(fam: NecFamily, out: int, tout: int) -> List[Tuple[int, int, int]]:
+    """(rep, once, twice) with the masks cut down to out, first rep per
+    cut-down key only: the others give the same keys with later unions."""
+    shift = fam.graph.n
+    reps = fam.representatives
+    seen: Dict[int, Tuple[int, int, int]] = {}
+    for key, idx in fam.lookup.items():
+        once = key & out
+        twice = key >> shift & tout
+        k = once | twice << shift
+        if k not in seen:
+            seen[k] = (reps[idx], once, twice)
+    return list(seen.values())
+
+
+def join(fa: NecFamily, fb: NecFamily) -> NecFamily:
+    """Family of the union of two disjoint sides, from their families."""
+    if fa.graph is not fb.graph or fa.d != fb.d:
+        raise ValueError("families of different graphs or d")
+    if fa.side & fb.side:
+        raise ValueError("sides overlap")
+    g, d = fa.graph, fa.d
+    shift = g.n
+    side = fa.side | fb.side
+    out = fa.out & fb.out
+    tout = out if d == 2 else 0
+    b_parts = _parts(fb, out, tout)
+    best: Dict[int, int] = {}
+    for ra, oa, ta in _parts(fa, out, tout):
+        for rb, ob, tb in b_parts:
+            key = oa | ob | (ta | tb | (oa & ob & tout)) << shift
+            r = ra | rb
+            cur = best.get(key)
+            if cur is None:
+                best[key] = r
+                continue
+            cr, cc = r.bit_count(), cur.bit_count()
+            if cr < cc or (cr == cc and (r ^ cur) & -(r ^ cur) & r):
+                best[key] = r
+    ordered = sorted(best.items(), key=lambda kv: (kv[1].bit_count(), lex_key(kv[1])))
+    reps = tuple(r for _, r in ordered)
+    lookup = {key: i for i, (key, _) in enumerate(ordered)}
+    return NecFamily(g, side, d, out, reps, lookup)
+
+
+def compute_reps(g: Graph, a: int, d: int) -> NecFamily:
+    """Build the representative family of side a for the d-equivalence."""
+    _check_d(d)
     if a & ~g.vertices:
         raise ValueError("side out of range")
-    outside = tuple(bits(g.vertices & ~a))
-    probe_adj = [g.adj[u] for u in outside]
-    base = d + 1
+    # Seen from the final outside only, each partial family has at most as
+    # many classes as the result.
+    fam = _empty_family(g, d, g.vertices & ~a)
+    for v in bits(a):
+        fam = join(fam, _singleton_family(g, v, d))
+    return fam
 
-    def packed(counts) -> int:
-        key = 0
-        for c in counts:
-            key = key * base + c
-        return key
 
-    empty_counts = (0,) * len(outside)
-    reps = []
-    lookup: Dict[int, int] = {}
-    heap = [(0, (), 0, empty_counts)]
-    pushed = {0}
-    while heap:
-        size, _, mask, counts = heapq.heappop(heap)
-        key = packed(counts)
-        if key in lookup:
-            continue
-        lookup[key] = len(reps)
-        reps.append(mask)
-        rest = a & ~mask
-        for v in bits(rest):
-            child = mask | (1 << v)
-            if child in pushed:
-                continue
-            pushed.add(child)
-            vbit = 1 << v
-            child_counts = tuple(
-                c + 1 if (c < d and probe_adj[i] & vbit) else c
-                for i, c in enumerate(counts)
-            )
-            heapq.heappush(heap, (size + 1, lex_key(child), child, child_counts))
-    return NecFamily(g, a, d, outside, tuple(reps), lookup)
+def layout_families(
+    g: Graph, layout: RootedLayout, d: int
+) -> Tuple[List[NecFamily], List[NecFamily]]:
+    """Families of every layout node, indexed by node id: near
+    sides (the vertices below the node) and far sides (the rest)."""
+    _check_d(d)
+    if layout.n != g.n:
+        raise ValueError("layout does not match the graph")
+    near: List[NecFamily] = []
+    for x in layout.postorder():
+        if layout.is_leaf(x):
+            near.append(_singleton_family(g, layout.leaf_vertex[x], d))
+        else:
+            near.append(join(near[layout.left[x]], near[layout.right[x]]))
+    far: List[Optional[NecFamily]] = [None] * layout.node_count
+    far[layout.root] = _empty_family(g, d, g.vertices)
+    for x in reversed(layout.postorder()):
+        if not layout.is_leaf(x):
+            left, right = layout.left[x], layout.right[x]
+            far[left] = join(far[x], near[right])
+            far[right] = join(far[x], near[left])
+    return near, far

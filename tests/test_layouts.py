@@ -9,6 +9,7 @@ import pytest
 from subsetfvs.graphs import Graph, bits, mask_of
 from subsetfvs.layouts import (
     RootedLayout,
+    _rational_rank,
     cut_rank,
     distinct_external_neighborhoods,
     gf2_rank,
@@ -117,6 +118,31 @@ def test_cut_rank_all_ones_minus_identity():
     assert gf2_rank([0b011, 0b101, 0b110]) == 2
     with pytest.raises(ValueError):
         cut_rank(g, a, "real")
+
+
+def test_rational_rank_matches_fraction_reference():
+    # GF(2) and rational ranks differ on the first two
+    fixed = [
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+        [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]],
+        [[1, 2], [2, 4]],
+        [[0, 0], [0, 0]],
+        [[0, 3, -1], [0, 0, 0], [0, -6, 2], [5, 1, 1]],
+    ]
+    assert gf2_rank([0b011, 0b110, 0b101]) == 2
+    assert _rational_rank(fixed[0]) == fraction_rank(fixed[0]) == 3
+    for rows in fixed:
+        assert _rational_rank(rows) == fraction_rank(rows)
+    rng = random.Random(404)
+    for _ in range(300):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        lo, hi = rng.choice([(0, 1), (-3, 3)])
+        rows = [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3 and r > 1:
+            # force a dependent row
+            k = rng.randint(-2, 2)
+            rows[-1] = [a + k * b for a, b in zip(rows[0], rows[1])]
+        assert _rational_rank(rows) == fraction_rank(rows)
 
 
 def test_cut_rank_symmetry_random():
@@ -278,3 +304,28 @@ def test_random_roundtrip():
         text = render(rand_tree(perm))
         lay = parse_layout(text, names)
         assert serialize_layout(lay, names) == text
+
+
+@pytest.mark.parametrize("shape", ["caterpillar", "balanced"])
+def test_roundtrip_deep_and_large_layouts(shape):
+    """5000 leaves: a caterpillar nests 4999 levels deep, past the default
+    recursion limit."""
+    n = 5000
+    names = [f"v{i}" for i in range(n)]
+    if shape == "caterpillar":
+        text = names[0]
+        for name in names[1:]:
+            text = f"({text},{name})"
+    else:
+        level = list(names)
+        while len(level) > 1:
+            paired = [f"({a},{b})" for a, b in zip(level[::2], level[1::2])]
+            level = paired + level[len(paired) * 2:]
+        text = level[0]
+    lay = parse_layout(text, names)
+    assert lay.node_count == 2 * n - 1
+    assert lay.below[lay.root] == (1 << n) - 1
+    assert all(lay.left[x] < x and lay.right[x] < x for x in lay.postorder() if not lay.is_leaf(x))
+    assert serialize_layout(lay, names) == text
+    if shape == "caterpillar":
+        assert lay.below == layout_from_order(range(n)).below

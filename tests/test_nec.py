@@ -6,8 +6,15 @@ import random
 import pytest
 
 from subsetfvs.graphs import Graph, bits, lex_key, mask_of
-from subsetfvs.layouts import cut_rank, mim_cut
-from subsetfvs.nec import compute_reps, neighbor_counts, pack_counts, same_class
+from subsetfvs.layouts import (
+    cut_rank,
+    interval_layout,
+    intervals_intersect,
+    layout_from_order,
+    mim_cut,
+    parse_layout,
+)
+from subsetfvs.nec import compute_reps, join, layout_families, neighbor_counts, same_class
 
 
 def classes_by_definition(g, a, d):
@@ -29,12 +36,6 @@ def test_neighbor_counts_basics():
     assert neighbor_counts(g, 0b101, 2, 0) == (0,)
     with pytest.raises(ValueError):
         neighbor_counts(g, 0b101, 1, 0b010)
-
-
-def test_pack_counts():
-    # first entry is the most significant base-(d+1) digit
-    assert pack_counts((2, 0, 1), 2) == 2 * 9 + 0 * 3 + 1
-    assert pack_counts((), 1) == 0
 
 
 def test_same_class_clamping():
@@ -156,3 +157,83 @@ def test_class_count_bounds():
                     assert cnt <= size + 1
                 else:
                     assert cnt <= size ** (d * m)
+
+
+def test_compute_reps_rejects_other_d():
+    g = Graph(3, [(0, 1), (1, 2)])
+    for d in (0, 3):
+        with pytest.raises(ValueError):
+            compute_reps(g, 0b011, d)
+
+
+def test_join_rejects_overlapping_sides():
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        join(compute_reps(g, 0b011, 1), compute_reps(g, 0b110, 1))
+    with pytest.raises(ValueError):
+        join(compute_reps(g, 0b001, 1), compute_reps(g, 0b110, 2))
+
+
+def split_layout(order, rng=None):
+    """Layout parsed from a nested split of order: halves when rng is None,
+    random cut points otherwise."""
+    names = [f"v{i}" for i in range(len(order))]
+
+    def render(vs):
+        if len(vs) == 1:
+            return names[vs[0]]
+        cut = len(vs) // 2 if rng is None else rng.randint(1, len(vs) - 1)
+        return f"({render(vs[:cut])},{render(vs[cut:])})"
+
+    return parse_layout(render(list(order)), names)
+
+
+def random_subsets(rng, side, count):
+    members = list(bits(side))
+    yield 0
+    yield side
+    for _ in range(count):
+        yield mask_of(v for v in members if rng.random() < 0.5)
+
+
+def assert_layout_pass_matches(g, lay, rng):
+    """At every node, near and far side, d in {1, 2}: the layout pass gives
+    the representatives of compute_reps, in order, and the same rep_of."""
+    for d in (1, 2):
+        near, far = layout_families(g, lay, d)
+        for x in lay.postorder():
+            for fam, side in ((near[x], lay.below[x]), (far[x], g.vertices & ~lay.below[x])):
+                ref = compute_reps(g, side, d)
+                assert fam.side == side
+                assert fam.representatives == ref.representatives
+                for sub in random_subsets(rng, side, 8):
+                    assert fam.rep_of(sub) == ref.rep_of(sub)
+
+
+def test_layout_pass_matches_compute_reps_on_random_graphs():
+    rng = random.Random(515)
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g = Graph(n, edges)
+        order = list(range(n))
+        rng.shuffle(order)
+        for lay in (layout_from_order(range(n)), split_layout(order), split_layout(order, rng)):
+            assert_layout_pass_matches(g, lay, rng)
+
+
+def test_layout_pass_matches_compute_reps_on_interval_graphs():
+    rng = random.Random(77)
+    for n in (38, 42):
+        intervals = []
+        for _ in range(n):
+            left = rng.randint(0, 3 * n)
+            intervals.append((left, left + rng.randint(1, n // 6)))
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if intervals_intersect(intervals[i], intervals[j])
+        ]
+        g = Graph(n, edges)
+        assert_layout_pass_matches(g, interval_layout(intervals, g), rng)

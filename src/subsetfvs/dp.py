@@ -2,11 +2,12 @@
 
 Each layout node keeps a table of partial solutions (vertex subsets of the
 side below the node).  After merging child tables, `reduce_table` keeps one
-maximum-weight member per behavior class: two solutions behave alike when
-they admit the same index (a bounded description of how a solution and a
-hypothetical completion on the other side can interact through the cut) with
-the same connection signature.  Keeping one winner per class preserves the
-best completion for every subset of the other side.
+maximum-weight member per bucket, ties going to the lexicographically
+smallest vertex set.  Two solutions share a bucket when they admit the same
+index (a bounded description of how a solution and a hypothetical
+completion on the other side can interact through the cut) with the same
+connection signature.  One winner per bucket preserves the best completion
+for every subset of the other side.
 
 The full index family is astronomically large, so `reduce_table` enumerates,
 per solution, only the indices that can actually arise from a vertex cover
@@ -18,6 +19,15 @@ and each side of the cover holds at most twice the cut's induced matching
 value.  Indices outside this family never decide a completion, so the
 trimmed table represents the merged one; the exhaustive index stream is
 still available through `enumerate_indices` for cross-checking.
+
+Buckets are plain tuples of ints.  Every candidate set an index can name
+(a matched component or S-vertex on the near side, a far-side set or
+singleton) is a label, and each label met during one `reduce_table` call
+gets one bit.  A signature group is the OR of its label bits, and a bucket
+key is the class of the unmatched rest followed by the sorted group masks.
+The keep rule is best first: solutions are visited by (-weight, lex_key),
+and a solution stays exactly when one of its keys is not yet seen.  That is
+the minimum entry of each bucket, without holding the buckets.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -390,16 +401,33 @@ def merge_tables(a: SolutionTable, b: SolutionTable, node: int = -1) -> Solution
     return SolutionTable(node, merged)
 
 
+# Candidate labels: a representative set shifted left by two, with its kind
+# (matched component, matched S-vertex, far-side set, far-side singleton) in
+# the low bits.  `reduce_table` gives each label it meets one bit.
+_XN, _XS, _YN, _YS = range(4)
+
+
+def _label_bit(labels: Dict[int, int], label: int) -> int:
+    bit = labels.get(label)
+    if bit is None:
+        bit = labels[label] = 1 << len(labels)
+    return bit
+
+
 class _Profile(NamedTuple):
     blocks: Tuple[int, ...]
     tree_of: Tuple[int, ...]
-    x_cands: Tuple[Tuple[str, int, int], ...]  # kind, rep set, block index
-    y_cands: Tuple[Tuple[str, int, Tuple[int, ...], Tuple[int, ...]], ...]
+    x_cands: Tuple[Tuple[int, int], ...]  # label bit, block index
+    # label bit, attached blocks (bitmask), the trees of those blocks
+    y_cands: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
 
 
-def _profile_solution(inst: Instance, ctx: NodeContext, x: int) -> Optional[_Profile]:
+def _profile_solution(
+    inst: Instance, ctx: NodeContext, x: int, labels: Dict[int, int]
+) -> Optional[_Profile]:
     """Block structure of a solution, or None when it can never be extended
-    (its own contraction already has a forbidden cycle or degree)."""
+    (its own contraction already has a forbidden cycle or degree).  Candidate
+    labels get their bits from `labels`."""
     g, s = inst.graph, inst.s_set
     comps = components_masks(g, x & ~s)
     singles = list(bits(x & s))
@@ -435,149 +463,164 @@ def _profile_solution(inst: Instance, ctx: NodeContext, x: int) -> Optional[_Pro
     fam1, fam2 = ctx.fam_x1, ctx.fam_x2
     comp_reps = [fam2.rep_of(c) for c in comps]
     single_reps = [fam1.rep_of(1 << v) for v in singles]
-    x_cands: List[Tuple[str, int, int]] = []
+    x_cands: List[Tuple[int, int]] = []
     for bi, rep in enumerate(comp_reps):
         if rep and comp_reps.count(rep) == 1:
-            x_cands.append(("xn", rep, bi))
+            x_cands.append((_label_bit(labels, rep << 2 | _XN), bi))
     for si, rep in enumerate(single_reps):
         if rep and single_reps.count(rep) == 1:
-            x_cands.append(("xs", rep, nc + si))
+            x_cands.append((_label_bit(labels, rep << 2 | _XS), nc + si))
 
     xs_mask = x & s
-    y_cands: List[Tuple[str, int, Tuple[int, ...], Tuple[int, ...]]] = []
+    y_cands: List[Tuple[int, int, Tuple[int, ...]]] = []
 
-    def attach_of(u_set: int) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        ext = ctx.ext_of(u_set)
-        if not ext & x:
-            return None
-        att = tuple(bj for bj in range(nb) if ext & blocks[bj])
-        trees = tuple(sorted({tree_of[bj] for bj in att}))
-        if len(trees) != len(att):
-            return None  # two hooks into one tree always closes a cycle
-        return att, trees
+    def add_hook(label: int, u_set: int) -> None:
+        hit = ctx.ext_of(u_set) & x
+        att = 0
+        trees = set()
+        for bj, block in enumerate(blocks):
+            if not hit:
+                break
+            if hit & block:
+                hit &= ~block
+                att |= 1 << bj
+                trees.add(tree_of[bj])
+        if att and len(trees) == att.bit_count():  # two hooks into one tree close a cycle
+            y_cands.append((_label_bit(labels, label), att, tuple(trees)))
 
     for u_set in ctx.fam_y2.representatives:
-        if not u_set or ctx.e_bad(u_set) & xs_mask:
-            continue
-        hook = attach_of(u_set)
-        if hook:
-            y_cands.append(("yn", u_set, hook[0], hook[1]))
+        if u_set and not ctx.e_bad(u_set) & xs_mask:
+            add_hook(u_set << 2 | _YN, u_set)
     for u_set in ctx.ys_pool:
         if not u_set:
             continue
         au = g.adj[u_set.bit_length() - 1]
-        if any((au & c).bit_count() > 1 for c in comps):
-            continue
-        hook = attach_of(u_set)
-        if hook:
-            y_cands.append(("ys", u_set, hook[0], hook[1]))
+        if not any((au & c).bit_count() > 1 for c in comps):
+            add_hook(u_set << 2 | _YS, u_set)
 
     return _Profile(tuple(blocks), tree_of, tuple(x_cands), tuple(y_cands))
 
 
-def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile) -> Iterator[Tuple[int, Signature]]:
-    """All (x_rest, signature) bucket keys of cover-realizable indices."""
+BucketKey = Tuple[int, ...]  # x_rest, then the sorted label masks of the groups
+
+
+def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile) -> Set[BucketKey]:
+    """Bucket keys of every cover-realizable index of a solution.
+
+    The far-side choice (q) grows one candidate at a time over a flat
+    union-find of the solution's trees: `root[t]` is the root of tree t, and
+    `groups[r]` is the OR of the labels joined to root r so far.  `allowed`
+    holds the candidates that may still join, as a bitmask: choosing one
+    strikes every candidate that clashes with it.  The matched near-side
+    subsets (p) do not depend on q and are built once.  Each side holds at
+    most 2 * mim sets, so the two never exceed the joint bound of 4 * mim.
+    """
     cap_side = 2 * ctx.mim
-    cap_total = 4 * ctx.mim
     fam1 = ctx.fam_x1
-    blocks = prof.blocks
-    tree_of = prof.tree_of
-    y_cands = prof.y_cands
+    blocks, tree_of, x_cands, y_cands = prof
+    nb = len(blocks)
 
-    q_combos: List[Tuple[Tuple[int, ...], Dict[int, int], FrozenSet[int]]] = []
+    # (matched blocks, class of the unmatched rest, (tree, label) per member)
+    p_subs: List[Tuple[int, int, Tuple[Tuple[int, int], ...]]] = []
+    for size in range(min(cap_side, len(x_cands)) + 1):
+        for sub in combinations(x_cands, size):
+            used = vc_mask = 0
+            for _, bi in sub:
+                used |= 1 << bi
+                vc_mask |= blocks[bi]
+            members = tuple((tree_of[bi], bit) for bit, bi in sub)
+            p_subs.append((used, fam1.rep_of(x & ~vc_mask), members))
+    # A block hooked by a lone far-side set stays unmatched, so each set of
+    # lone-hooked blocks keeps the p-subsets that avoid it.
+    p_pools = {0: p_subs}
 
-    def grow_q(
-        start: int,
-        chosen: Tuple[int, ...],
-        used_attach: FrozenSet[Tuple[int, ...]],
-        attached_blocks: FrozenSet[int],
-        lone_blocks: FrozenSet[int],
-        uf: Dict[int, int],
-    ):
-        q_combos.append((chosen, uf, lone_blocks))
-        if len(chosen) >= cap_side:
+    # Far-side candidates that exclude each other: equal attachment sets, or
+    # one hooks a single block that the other hooks too.
+    same_att: Dict[int, int] = {}
+    hooks_on = [0] * nb
+    lone_on = [0] * nb
+    for j, (_, att, _) in enumerate(y_cands):
+        same_att[att] = same_att.get(att, 0) | 1 << j
+        for b in bits(att):
+            hooks_on[b] |= 1 << j
+        if att.bit_count() == 1:
+            lone_on[att.bit_length() - 1] |= 1 << j
+    q_cands: List[Tuple[int, int, Tuple[int, ...], int]] = []
+    for bit, att, trees in y_cands:
+        clash = same_att[att]
+        if att.bit_count() == 1:
+            clash |= hooks_on[att.bit_length() - 1]
+        else:
+            for b in bits(att):
+                clash |= lone_on[b]
+        q_cands.append((bit, att, trees, clash))
+
+    keys: Set[BucketKey] = set()
+    add = keys.add
+
+    def grow_q(allowed: int, size: int, lone: int, root: List[int], groups: List[int]) -> None:
+        pool = p_pools.get(lone)
+        if pool is None:
+            pool = p_pools[lone] = [p for p in p_subs if not p[0] & lone]
+        for _, x_rest, members in pool:
+            if members:
+                grp = groups.copy()
+                for t, bit in members:
+                    grp[root[t]] |= bit
+                add((x_rest, *sorted(filter(None, grp))))
+            else:
+                add((x_rest, *sorted(filter(None, groups))))
+        if size == cap_side:
             return
-        for j in range(start, len(y_cands)):
-            _, _, att, trees = y_cands[j]
-            if att in used_attach:
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            bit, att, trees, clash = q_cands[low.bit_length() - 1]
+            if len(trees) == 1:
+                grp = groups.copy()
+                grp[root[trees[0]]] |= bit
+                grow_q(allowed & ~clash, size + 1, lone | att, root, grp)
                 continue
-            if len(att) == 1:
-                if att[0] in attached_blocks:
-                    continue
-            elif lone_blocks & set(att):
-                continue
-            roots = set()
-            ok = True
-            for t in trees:
-                r = t
-                while uf.get(r, r) != r:
-                    r = uf.get(r, r)
-                if r in roots:
-                    ok = False
-                    break
-                roots.add(r)
-            if not ok:
-                continue
-            new_uf = dict(uf)
-            anchor = min(roots)
-            for r in roots:
-                new_uf[r] = anchor
-            new_uf[("q", j)] = anchor
-            grow_q(
-                j + 1,
-                chosen + (j,),
-                used_attach | {att},
-                attached_blocks | set(att),
-                lone_blocks | ({att[0]} if len(att) == 1 else frozenset()),
-                new_uf,
-            )
+            rs = {root[t] for t in trees}
+            if len(rs) < len(trees):
+                continue  # two of its trees are joined already: a cycle
+            anchor = min(rs)
+            grp = groups.copy()
+            for r in rs:
+                bit |= grp[r]
+                grp[r] = 0
+            grp[anchor] = bit
+            grow_q(allowed & ~clash, size + 1, lone, [anchor if r in rs else r for r in root], grp)
 
-    grow_q(0, (), frozenset(), frozenset(), frozenset(), {})
-
-    def resolve(uf: Dict[int, int], key) -> int:
-        r = key
-        while uf.get(r, r) != r:
-            r = uf.get(r, r)
-        return r
-
-    for chosen_q, uf, lone_blocks in q_combos:
-        q_size = len(chosen_q)
-        p_pool = [c for c in prof.x_cands if c[2] not in lone_blocks]
-        p_cap = min(cap_side, cap_total - q_size, len(p_pool))
-        for p_size in range(p_cap + 1):
-            for p_sub in combinations(p_pool, p_size):
-                vc_mask = 0
-                for _, _, bi in p_sub:
-                    vc_mask |= blocks[bi]
-                x_rest = fam1.rep_of(x & ~vc_mask)
-                groups: Dict[int, List[Tuple[str, int]]] = {}
-                for kind, rep, bi in p_sub:
-                    groups.setdefault(resolve(uf, tree_of[bi]), []).append((kind, rep))
-                for j in chosen_q:
-                    kind, u_set, _, _ = y_cands[j]
-                    groups.setdefault(resolve(uf, ("q", j)), []).append((kind, u_set))
-                yield x_rest, _encode_groups(list(groups.values()))
+    grow_q((1 << len(q_cands)) - 1, 0, 0, list(range(nb)), [0] * nb)
+    return keys
 
 
 def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> SolutionTable:
-    """Keep one maximum-weight solution per (index, signature) bucket over
-    the cover-realizable index family; ties fall to the lexicographically
-    smallest vertex set.  The result is a subset of the input that preserves
-    the best completion for every far-side set."""
-    buckets: Dict[Tuple[int, Signature], Tuple[int, Tuple[int, ...], int]] = {}
-    for mask in sorted(table.solutions, key=lex_key):
-        w = table.solutions[mask]
-        prof = _profile_solution(inst, ctx, mask)
+    """Keep one maximum-weight solution per bucket of the cover-realizable
+    index family; ties fall to the lexicographically smallest vertex set.
+
+    A bucket key is the class of the unmatched rest followed by the sorted
+    label masks of the signature's groups, with one bit per candidate label
+    numbered for this call.  Solutions are visited best first, by (-weight,
+    lex_key); each bucket's winner is the first solution that has its key,
+    so a solution stays exactly when one of its keys is new.  The result is
+    a subset of the input that preserves the best completion for every
+    far-side set.
+    """
+    sols = table.solutions
+    labels: Dict[int, int] = {}
+    seen: Set[BucketKey] = set()
+    keep: List[int] = []
+    for mask in sorted(sols, key=lambda m: (-sols[m], lex_key(m))):
+        prof = _profile_solution(inst, ctx, mask, labels)
         if prof is None:
             continue
-        entry = (-w, lex_key(mask), mask)
-        for key in _bucket_keys(ctx, mask, prof):
-            cur = buckets.get(key)
-            if cur is None or entry < cur:
-                buckets[key] = entry
-    keep = {entry[2] for entry in buckets.values()}
-    out = {m: table.solutions[m] for m in sorted(keep, key=lex_key)}
-    return SolutionTable(table.node, out)
+        keys = _bucket_keys(ctx, mask, prof)
+        if not keys <= seen:
+            keep.append(mask)
+            seen |= keys
+    return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_key)})
 
 
 def best(inst: Instance, table: SolutionTable, y: int):

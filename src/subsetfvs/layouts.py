@@ -152,14 +152,9 @@ def cut_rank(g: Graph, a: int, field: str = "gf2") -> int:
     """Rank of the cross-adjacency matrix rows(a) x cols(complement)."""
     comp = g.vertices & ~a
     if field == "gf2":
-        rows = []
-        for v in bits(a):
-            packed = 0
-            for j, u in enumerate(bits(comp)):
-                if g.adj[v] >> u & 1:
-                    packed |= 1 << j
-            rows.append(packed)
-        return gf2_rank(rows)
+        # The rows keep the complement's vertex ids as column positions:
+        # packing them densely would only relabel columns in order.
+        return gf2_rank([g.adj[v] & comp for v in bits(a)])
     if field == "rational":
         cols = list(bits(comp))
         rows = [[g.adj[v] >> u & 1 for u in cols] for v in bits(a)]

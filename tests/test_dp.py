@@ -1,12 +1,13 @@
 """Table dynamics: index enumeration, admissibility, signatures, reduction,
 merging and the full bottom-up solve."""
 
+import hashlib
 import random
 
 import pytest
 
 from subsetfvs.graphs import Graph, Instance, is_s_forest, mask_of
-from subsetfvs.layouts import layout_from_order
+from subsetfvs.layouts import layout_from_order, mim_cut
 from subsetfvs.dp import (
     IndexTuple,
     NEG_INF,
@@ -21,6 +22,7 @@ from subsetfvs.dp import (
     reduce_table,
     solve,
 )
+from subsetfvs.multiway import NmcInstance, extend_layout, reduce_to_sfvs
 from subsetfvs.oracles import check_represents
 
 EMPTY_INDEX = IndexTuple(frozenset(), frozenset(), 0, frozenset(), frozenset())
@@ -303,6 +305,100 @@ def test_reduce_agrees_with_index_by_index_route():
 
         assert check_represents(inst, 0b0011, untrimmed, fast)
         assert check_represents(inst, 0b0011, untrimmed, literal)
+
+
+def test_reduce_ignores_insertion_order():
+    rng = random.Random(31)
+    for _ in range(6):
+        n = rng.randint(6, 8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+        weights = tuple(rng.randint(1, 3) for _ in range(n))
+        inst = Instance(Graph(n, edges), rng.randrange(1 << n), weights)
+        order = list(range(n))
+        rng.shuffle(order)
+        calls = []
+        solve(inst, layout_from_order(order), trace=lambda node, ctx, m, r: calls.append((ctx, m, r)))
+        for ctx, merged, reduced in calls:
+            items = list(merged.solutions.items())
+            for _ in range(3):
+                rng.shuffle(items)
+                again = reduce_table(SolutionTable(merged.node, dict(items)), ctx, inst)
+                assert list(again.solutions.items()) == list(reduced.solutions.items())
+
+
+def test_reduce_tie_keeps_lexicographically_smallest_twin():
+    # 0..3 all see only the far vertex 4 and nothing else, so {0,3} and
+    # {1,2} fall in the same buckets.  At equal weight the lexicographically
+    # smaller {0,3} survives, although its mask (9) is the larger integer (6).
+    g = Graph(5, [(v, 4) for v in range(4)])
+    inst = Instance(g, 0b10000, (1, 1, 1, 1, 1))
+    lay = layout_from_order([0, 1, 2, 3, 4])
+    node = node_for(lay, 0b01111)
+    ctx = build_context(inst, lay, node)
+    for items in ([(0b0110, 2), (0b1001, 2)], [(0b1001, 2), (0b0110, 2)]):
+        assert reduce_table(SolutionTable(node, dict(items)), ctx, inst).solutions == {0b1001: 2}
+    # a heavier twin beats a lexicographically smaller one
+    heavier = SolutionTable(node, {0b0110: 3, 0b1001: 2})
+    assert reduce_table(heavier, ctx, inst).solutions == {0b0110: 3}
+
+
+def _golden_layout(seed, n):
+    """G(n, 2n) on a shuffled caterpillar whose widest cut has mim >= 3."""
+    rng = random.Random(f"golden:{seed}:{n}")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        g = Graph(n, rng.sample(pairs, 2 * n))
+        order = list(range(n))
+        rng.shuffle(order)
+        lay = layout_from_order(order)
+        if max(mim_cut(g, lay.below[x]) for x in lay.postorder()) >= 3:
+            return rng, g, lay
+
+
+def _golden_cases():
+    for seed, n in ((1, 10), (2, 11), (3, 12)):
+        rng, g, lay = _golden_layout(seed, n)
+        s = mask_of(rng.sample(range(n), n // 3))
+        yield f"sfvs-n{n}", Instance(g, s, tuple(rng.choice((1, 1, 2)) for _ in range(n))), lay
+    _, g, lay = _golden_layout(4, 11)
+    yield "fvs-n11", Instance(g, g.vertices, (1,) * 11), lay
+    rng, g, lay = _golden_layout(5, 11)
+    terminals = []
+    for v in rng.sample(range(11), 11):
+        if len(terminals) < 3 and not any(g.has_edge(v, t) for t in terminals):
+            terminals.append(v)
+    nmc = NmcInstance(g, tuple(sorted(terminals)), tuple(rng.randint(1, 5) for _ in range(11)))
+    inst, hub = reduce_to_sfvs(nmc)
+    yield "nmc-n11", inst, extend_layout(lay, hub)
+
+
+# sha256 over repr((node, sorted merged items, sorted reduced items)) at every
+# internal node, in solve order; recorded with the per-bucket minimum-entry
+# reduction that preceded the best-first one.
+GOLDEN_TABLES = {
+    "sfvs-n10": "a1ea0bbb1daa6aa0512f19a37cc087eb73af36ae3d3b20bbae86169fe6dc68a9",
+    "sfvs-n11": "2b71af2b52ec5c7b5b348ed2a56d1f38c19bbd1dd752e2c973579855c7bb948c",
+    "sfvs-n12": "d5c1879aa4a67f7b880fd3000b6fc3172df2e2c750c91fd5ade13a2eea96fe1f",
+    "fvs-n11": "d10bcd7448d83f6ac5ec994f6d1e378b3ee33929b8e969876aa5d412aa05f3a5",
+    "nmc-n11": "d484cc2de91e431780f1a843bbfd2a26a6552d5f421c469508cd7e1c26d547f0",
+}
+
+
+def test_reduced_tables_match_golden_digests():
+    got = {}
+    for name, inst, lay in _golden_cases():
+        h = hashlib.sha256()
+
+        def watch(node, ctx, merged, reduced):
+            h.update(repr((
+                node,
+                sorted(merged.solutions.items()),
+                sorted(reduced.solutions.items()),
+            )).encode())
+
+        solve(inst, lay, trace=watch)
+        got[name] = h.hexdigest()
+    assert got == GOLDEN_TABLES
 
 
 # ------------------------------------------------------------------- best

@@ -156,6 +156,46 @@ def test_cut_rank_symmetry_random():
             assert cut_rank(g, a, kind) == cut_rank(g, g.vertices & ~a, kind)
 
 
+def packed_gf2_cut_rank(g, a):
+    """GF(2) cut rank with the complement's columns packed densely, one bit
+    at a time, and a textbook XOR basis keyed by each row's highest bit."""
+    comp = g.vertices & ~a
+    basis = {}
+    for v in bits(a):
+        row = 0
+        for j, u in enumerate(bits(comp)):
+            if g.adj[v] >> u & 1:
+                row |= 1 << j
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def test_gf2_cut_rank_matches_packed_reference():
+    rng = random.Random(77)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        a = rng.randrange(1 << n)
+        assert cut_rank(g, a, "gf2") == packed_gf2_cut_rank(g, a)
+    for n in (12, 30):
+        iv = []
+        for _ in range(n):
+            left = rng.randint(0, 3 * n)
+            iv.append((left, left + rng.randint(1, n // 2)))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if intervals_intersect(iv[i], iv[j])]
+        g = Graph(n, edges)
+        lay = interval_layout(iv, g)
+        for x in lay.nodes():
+            assert cut_rank(g, lay.below[x], "gf2") == packed_gf2_cut_rank(g, lay.below[x])
+
+
 def test_mim_examples():
     pm = Graph(6, [(0, 3), (1, 4), (2, 5)])
     assert mim_cut(pm, 0b000111) == 3

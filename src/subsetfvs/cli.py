@@ -148,7 +148,10 @@ def _run_solve(args) -> int:
 
     w_gf2, _ = width(g, layout, "gf2")
     w_rat, _ = width(g, layout, "rational")
-    w_mim, _ = width(g, layout, "mim")
+    if args.problem == "nmc":
+        # The nmc solve runs on this layout extended by a hub vertex, so its
+        # node cuts are not the ones reported here.
+        w_mim, _ = width(g, layout, "mim")
 
     started = time.perf_counter()
     oracle_checked = False
@@ -172,7 +175,11 @@ def _run_solve(args) -> int:
         if args.problem == "sfvs" and args.s:
             s_set = mask_of(_name_list(args.s, ids))
         inst = Instance(g, s_set, tuple(weights))
-        res = solve(inst, layout, threads=threads)
+        # The solve works out the mim of every internal node's cut; a leaf's
+        # cut has mim 1 exactly when its vertex has a neighbor.
+        cut_mims = [int(g.edge_count > 0)]
+        res = solve(inst, layout, threads=threads, trace=lambda x, ctx, m, r: cut_mims.append(ctx.mim))
+        w_mim = max(cut_mims)
         deletion = res.deletion
         objective = res.weight
         if args.oracle:

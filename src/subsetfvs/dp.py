@@ -11,34 +11,45 @@ for every subset of the other side.
 
 The full index family is astronomically large, so `reduce_table` enumerates,
 per solution, only the indices that can actually arise from a vertex cover
-of a crossing forest: every chosen far-side block must see at least one
-block of the solution, chosen far-side blocks have pairwise distinct
-attachment sets, a far-side block attached to a single solution block can
-only stem from an isolated crossing edge (so that block stays unmatched),
-and each side of the cover holds at most twice the cut's induced matching
-value.  Indices outside this family never decide a completion, so the
-trimmed table represents the merged one; the exhaustive index stream is
-still available through `enumerate_indices` for cross-checking.
+of a crossing forest.  The far side of such an index is organised by
+attachment type.  A far-side candidate's attachment is the set of solution
+blocks it sees, and every chosen candidate must see one.  Candidates with
+one attachment set exclude each other, so a far-side choice is a set of
+attachment types plus one candidate label per type.  A type attached to a
+single block can only stem from an isolated crossing edge, so that block
+stays unmatched and no other type may hook it.  A type that hooks two
+blocks of one tree, or two trees already joined, would close a cycle.  Each
+side of the cover holds at most twice the cut's induced matching value.
+Indices outside this family never decide a completion, so the trimmed table
+represents the merged one.  The exhaustive index stream is still available
+through `enumerate_indices` for cross-checking, and
+`oracles.bucket_keys_by_candidate` grows the same keys one candidate at a
+time.
 
 Buckets are plain tuples of ints.  Every candidate set an index can name
 (a matched component or S-vertex on the near side, a far-side set or
-singleton) is a label, and each label met during one `reduce_table` call
-gets one bit.  A signature group is the OR of its label bits, and a bucket
-key is the class of the unmatched rest followed by the sorted group masks.
-The keep rule is best first: solutions are visited by (-weight, lex_key),
-and a solution stays exactly when one of its keys is not yet seen.  That is
-the minimum entry of each bucket, without holding the buckets.
+singleton) is a label with one bit: far-side candidate j of the node has
+bit j, and the matched near-side labels met during one `reduce_table` call
+get the bits above those.  A signature group is the OR of its label bits,
+and a bucket key is the class of the unmatched rest followed by the group
+masks in an order fixed by the set of groups.  The keep rule is best first:
+solutions are visited by (-weight, lex_key), and a solution stays exactly
+when one of its keys is not yet seen.  That is the minimum entry of each
+bucket, without holding the buckets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product, starmap
+from operator import add
 from typing import (
     Callable,
+    Collection,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -68,6 +79,11 @@ from .layouts import RootedLayout, mim_cut
 from .nec import NecFamily, compute_reps, layout_families  # noqa: F401
 
 NEG_INF = float("-inf")
+
+# Candidate labels: a representative set shifted left by two, with its kind
+# (matched component, matched S-vertex, far-side set, far-side singleton) in
+# the low bits.
+_XN, _XS, _YN, _YS = range(4)
 
 
 class IndexTuple(NamedTuple):
@@ -100,6 +116,9 @@ class NodeContext:
     fam_y2: NecFamily
     xs_pool: Tuple[int, ...]
     ys_pool: Tuple[int, ...]
+    # (label, ext_of, e_bad) of every far-side candidate a cover can name:
+    # the nonempty sets of fam_y2, then the nonempty singletons of ys_pool
+    far_cands: Tuple[Tuple[int, int, int], ...] = ()
     _ext_cache: Dict[int, int] = field(default_factory=dict, repr=False)
     _ebad_cache: Dict[int, int] = field(default_factory=dict, repr=False)
 
@@ -178,7 +197,7 @@ def build_context(
     fam_y1 = far1[node]
     xs_pool = tuple(sorted({fam_x1.rep_of(1 << v) for v in bits(vx)}, key=lex_key))
     ys_pool = tuple(sorted({fam_y1.rep_of(1 << u) for u in bits(cvx)}, key=lex_key))
-    return NodeContext(
+    ctx = NodeContext(
         node,
         vx,
         cvx,
@@ -190,6 +209,13 @@ def build_context(
         xs_pool,
         ys_pool,
     )
+    ctx.far_cands = tuple(
+        (u_set << 2 | kind, ctx.ext_of(u_set), ctx.e_bad(u_set))
+        for kind, pool in ((_YN, ctx.fam_y2.representatives), (_YS, ys_pool))
+        for u_set in pool
+        if u_set
+    )
+    return ctx
 
 
 def enumerate_indices(ctx: NodeContext) -> Iterator[IndexTuple]:
@@ -401,16 +427,10 @@ def merge_tables(a: SolutionTable, b: SolutionTable, node: int = -1) -> Solution
     return SolutionTable(node, merged)
 
 
-# Candidate labels: a representative set shifted left by two, with its kind
-# (matched component, matched S-vertex, far-side set, far-side singleton) in
-# the low bits.  `reduce_table` gives each label it meets one bit.
-_XN, _XS, _YN, _YS = range(4)
-
-
-def _label_bit(labels: Dict[int, int], label: int) -> int:
+def _label_bit(labels: Dict[int, int], label: int, base: int) -> int:
     bit = labels.get(label)
     if bit is None:
-        bit = labels[label] = 1 << len(labels)
+        bit = labels[label] = 1 << (base + len(labels))
     return bit
 
 
@@ -418,16 +438,25 @@ class _Profile(NamedTuple):
     blocks: Tuple[int, ...]
     tree_of: Tuple[int, ...]
     x_cands: Tuple[Tuple[int, int], ...]  # label bit, block index
-    # label bit, attached blocks (bitmask), the trees of those blocks
-    y_cands: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    # attachment types: attached blocks (bitmask), the trees of those
+    # blocks, the label bits of the far-side candidates with that attachment
+    types: Tuple[Tuple[int, Tuple[int, ...], List[int]], ...]
 
 
 def _profile_solution(
     inst: Instance, ctx: NodeContext, x: int, labels: Dict[int, int]
 ) -> Optional[_Profile]:
     """Block structure of a solution, or None when it can never be extended
-    (its own contraction already has a forbidden cycle or degree).  Candidate
-    labels get their bits from `labels`."""
+    (its own contraction already has a forbidden cycle or degree).
+
+    Far-side candidate j of `ctx.far_cands` has label bit 1 << j; matched
+    near-side labels get the bits above them from `labels`.  The surviving
+    far-side candidates are grouped by the set they hit in x, so their
+    attachment (the blocks they see) and its trees are worked out once per
+    distinct hit, and candidates with one attachment set form one
+    attachment type.  A type that hooks one tree twice would close a cycle
+    and is dropped.
+    """
     g, s = inst.graph, inst.s_set
     comps = components_masks(g, x & ~s)
     singles = list(bits(x & s))
@@ -461,138 +490,206 @@ def _profile_solution(
     tree_of = tuple(find(b) for b in range(nb))
 
     fam1, fam2 = ctx.fam_x1, ctx.fam_x2
+    base = len(ctx.far_cands)
     comp_reps = [fam2.rep_of(c) for c in comps]
     single_reps = [fam1.rep_of(1 << v) for v in singles]
     x_cands: List[Tuple[int, int]] = []
     for bi, rep in enumerate(comp_reps):
         if rep and comp_reps.count(rep) == 1:
-            x_cands.append((_label_bit(labels, rep << 2 | _XN), bi))
+            x_cands.append((_label_bit(labels, rep << 2 | _XN, base), bi))
     for si, rep in enumerate(single_reps):
         if rep and single_reps.count(rep) == 1:
-            x_cands.append((_label_bit(labels, rep << 2 | _XS), nc + si))
+            x_cands.append((_label_bit(labels, rep << 2 | _XS, base), nc + si))
 
+    # hit << 1 | singleton flag -> label bits.  A far set is out when a
+    # matched S-vertex sees it twice; a far singleton when it sees a
+    # component twice, which depends on its hit alone.
     xs_mask = x & s
-    y_cands: List[Tuple[int, int, Tuple[int, ...]]] = []
+    by_hit: Dict[int, List[int]] = {}
+    for j, (label, ext, bad) in enumerate(ctx.far_cands):
+        hit = ext & x
+        if hit and not bad & xs_mask:
+            key = hit << 1 | (label & 3 == _YS)
+            bucket = by_hit.get(key)
+            if bucket is None:
+                by_hit[key] = [1 << j]
+            else:
+                bucket.append(1 << j)
 
-    def add_hook(label: int, u_set: int) -> None:
-        hit = ctx.ext_of(u_set) & x
+    by_att: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
+    for key, label_bits in by_hit.items():
+        hit = key >> 1
+        if key & 1 and any((hit & c).bit_count() > 1 for c in comps):
+            continue
         att = 0
         trees = set()
         for bj, block in enumerate(blocks):
-            if not hit:
-                break
             if hit & block:
-                hit &= ~block
                 att |= 1 << bj
                 trees.add(tree_of[bj])
-        if att and len(trees) == att.bit_count():  # two hooks into one tree close a cycle
-            y_cands.append((_label_bit(labels, label), att, tuple(trees)))
+        if len(trees) < att.bit_count():
+            continue  # two hooks into one tree close a cycle
+        known = by_att.get(att)
+        if known is None:
+            by_att[att] = (tuple(trees), label_bits)
+        else:
+            known[1].extend(label_bits)
 
-    for u_set in ctx.fam_y2.representatives:
-        if u_set and not ctx.e_bad(u_set) & xs_mask:
-            add_hook(u_set << 2 | _YN, u_set)
-    for u_set in ctx.ys_pool:
-        if not u_set:
-            continue
-        au = g.adj[u_set.bit_length() - 1]
-        if not any((au & c).bit_count() > 1 for c in comps):
-            add_hook(u_set << 2 | _YS, u_set)
-
-    return _Profile(tuple(blocks), tree_of, tuple(x_cands), tuple(y_cands))
+    types = tuple((att, trees, label_bits) for att, (trees, label_bits) in by_att.items())
+    return _Profile(tuple(blocks), tree_of, tuple(x_cands), types)
 
 
-BucketKey = Tuple[int, ...]  # x_rest, then the sorted label masks of the groups
+BucketKey = Tuple[int, ...]  # x_rest, then the label masks of the groups
+
+
+def _sorted_choices(cols: Collection[List[int]]) -> List[Tuple[int, ...]]:
+    """One sorted tuple per choice of one mask from each column."""
+    if len(cols) < 2:
+        return list(zip(*cols)) if cols else [()]
+    return list(map(tuple, map(sorted, product(*cols))))
 
 
 def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile) -> Set[BucketKey]:
     """Bucket keys of every cover-realizable index of a solution.
 
-    The far-side choice (q) grows one candidate at a time over a flat
-    union-find of the solution's trees: `root[t]` is the root of tree t, and
-    `groups[r]` is the OR of the labels joined to root r so far.  `allowed`
-    holds the candidates that may still join, as a bitmask: choosing one
-    strikes every candidate that clashes with it.  The matched near-side
-    subsets (p) do not depend on q and are built once.  Each side holds at
-    most 2 * mim sets, so the two never exceed the joint bound of 4 * mim.
+    Candidates with one attachment set exclude each other, so a far-side
+    choice (q) is a set of attachment types plus one label per type.  The
+    search runs over type sets, one state per set: `allowed` holds the types
+    that may still join, as a bitmask, and choosing one strikes the types it
+    clashes with (a lone hook on a block excludes every other type hooking
+    that block).  A state keeps `root[t]`, the root of tree t in a flat
+    union-find of the solution's trees, and `opts[r]`, one label mask per
+    label choice of the types joined to root r.  A type that hooks two trees
+    already joined would close a cycle.  Roots only merge deeper, so such a
+    type is struck from `allowed` in the state where that check fails, and
+    no deeper state checks it again.
+
+    The matched near-side subsets (p) do not depend on q and are built once.
+    Each state expands its label choices with `itertools.product`, one
+    column per group, instead of one step per choice.  A key is x_rest, then
+    the groups holding matched labels sorted by those labels, then the other
+    groups sorted.  That order is a function of the set of groups, so the
+    keys are in bijection with (x_rest, *sorted group masks).  Each side
+    holds at most 2 * mim sets, so the two never exceed the joint bound of
+    4 * mim.
     """
     cap_side = 2 * ctx.mim
     fam1 = ctx.fam_x1
-    blocks, tree_of, x_cands, y_cands = prof
-    nb = len(blocks)
+    blocks, tree_of, x_cands, types = prof
 
-    # (matched blocks, class of the unmatched rest, (tree, label) per member)
-    p_subs: List[Tuple[int, int, Tuple[Tuple[int, int], ...]]] = []
+    # The p-subsets: the blocks each one matches, its trees (bitmask), its
+    # label mask per tree, and its key while none of its trees has a type:
+    # x_rest, then those masks in sorted order.
+    p_used: List[int] = []
+    p_tmask: List[int] = []
+    p_trees: List[Dict[int, int]] = []
+    p_heads: List[BucketKey] = []
     for size in range(min(cap_side, len(x_cands)) + 1):
         for sub in combinations(x_cands, size):
-            used = vc_mask = 0
-            for _, bi in sub:
+            used = vc_mask = tmask = 0
+            by_tree: Dict[int, int] = {}
+            for bit, bi in sub:
                 used |= 1 << bi
                 vc_mask |= blocks[bi]
-            members = tuple((tree_of[bi], bit) for bit, bi in sub)
-            p_subs.append((used, fam1.rep_of(x & ~vc_mask), members))
-    # A block hooked by a lone far-side set stays unmatched, so each set of
+                t = tree_of[bi]
+                tmask |= 1 << t
+                by_tree[t] = by_tree.get(t, 0) | bit
+            p_used.append(used)
+            p_tmask.append(tmask)
+            p_trees.append(by_tree)
+            p_heads.append((fam1.rep_of(x & ~vc_mask), *sorted(by_tree.values())))
+    # A block hooked by a lone type stays unmatched, so each set of
     # lone-hooked blocks keeps the p-subsets that avoid it.
-    p_pools = {0: p_subs}
+    p_pools: Dict[int, List[int]] = {}
 
-    # Far-side candidates that exclude each other: equal attachment sets, or
-    # one hooks a single block that the other hooks too.
-    same_att: Dict[int, int] = {}
+    nb = len(blocks)
     hooks_on = [0] * nb
     lone_on = [0] * nb
-    for j, (_, att, _) in enumerate(y_cands):
-        same_att[att] = same_att.get(att, 0) | 1 << j
+    multi = 0
+    for j, (att, trees, _) in enumerate(types):
         for b in bits(att):
             hooks_on[b] |= 1 << j
-        if att.bit_count() == 1:
+        if len(trees) == 1:
             lone_on[att.bit_length() - 1] |= 1 << j
-    q_cands: List[Tuple[int, int, Tuple[int, ...], int]] = []
-    for bit, att, trees in y_cands:
-        clash = same_att[att]
-        if att.bit_count() == 1:
-            clash |= hooks_on[att.bit_length() - 1]
+        else:
+            multi |= 1 << j
+    clashes: List[int] = []
+    for att, trees, _ in types:
+        clash = 0
+        if len(trees) == 1:
+            clash = hooks_on[att.bit_length() - 1]
         else:
             for b in bits(att):
                 clash |= lone_on[b]
-        q_cands.append((bit, att, trees, clash))
+        clashes.append(clash)
 
     keys: Set[BucketKey] = set()
-    add = keys.add
+    update = keys.update
 
-    def grow_q(allowed: int, size: int, lone: int, root: List[int], groups: List[int]) -> None:
+    def emit(lone: int, root: List[int], opts: Dict[int, List[int]]) -> None:
         pool = p_pools.get(lone)
         if pool is None:
-            pool = p_pools[lone] = [p for p in p_subs if not p[0] & lone]
-        for _, x_rest, members in pool:
-            if members:
-                grp = groups.copy()
-                for t, bit in members:
-                    grp[root[t]] |= bit
-                add((x_rest, *sorted(filter(None, grp))))
-            else:
-                add((x_rest, *sorted(filter(None, groups))))
+            pool = p_pools[lone] = [i for i, used in enumerate(p_used) if not used & lone]
+        # Trees under a root with types.  A p-subset that avoids them keeps
+        # its head, since only a type can join two trees.
+        typed = 0
+        for t, r in enumerate(root):
+            if r in opts:
+                typed |= 1 << t
+        heads = []
+        for i in pool:
+            if not p_tmask[i] & typed:
+                heads.append(p_heads[i])
+                continue
+            by_root: Dict[int, int] = {}
+            for t, f in p_trees[i].items():
+                r = root[t]
+                by_root[r] = by_root.get(r, 0) | f
+            cols: List[Iterable[int]] = [(p_heads[i][0],)]
+            free = opts.copy()
+            for f, r in sorted(zip(by_root.values(), by_root)):
+                col = free.pop(r, None)
+                cols.append(map(f.__or__, col) if col else (f,))
+            update(starmap(add, product(product(*cols), _sorted_choices(free.values()))))
+        update(starmap(add, product(heads, _sorted_choices(opts.values()))))
+
+    def grow(
+        allowed: int,
+        size: int,
+        lone: int,
+        root: List[int],
+        opts: Dict[int, List[int]],
+    ) -> None:
+        emit(lone, root, opts)
         if size == cap_side:
             return
+        for j in bits(allowed & multi):
+            trees = types[j][1]
+            if len({root[t] for t in trees}) < len(trees):
+                allowed &= ~(1 << j)
         while allowed:
             low = allowed & -allowed
             allowed ^= low
-            bit, att, trees, clash = q_cands[low.bit_length() - 1]
+            j = low.bit_length() - 1
+            att, trees, label_bits = types[j]
+            nxt = opts.copy()
             if len(trees) == 1:
-                grp = groups.copy()
-                grp[root[trees[0]]] |= bit
-                grow_q(allowed & ~clash, size + 1, lone | att, root, grp)
+                r = root[trees[0]]
+                col = opts.get(r)
+                nxt[r] = [o | b for o in col for b in label_bits] if col else label_bits
+                grow(allowed & ~clashes[j], size + 1, lone | att, root, nxt)
                 continue
             rs = {root[t] for t in trees}
-            if len(rs) < len(trees):
-                continue  # two of its trees are joined already: a cycle
             anchor = min(rs)
-            grp = groups.copy()
+            col = label_bits
             for r in rs:
-                bit |= grp[r]
-                grp[r] = 0
-            grp[anchor] = bit
-            grow_q(allowed & ~clash, size + 1, lone, [anchor if r in rs else r for r in root], grp)
+                other = nxt.pop(r, None)
+                if other:
+                    col = [o | b for o in other for b in col]
+            nxt[anchor] = col
+            grow(allowed & ~clashes[j], size + 1, lone, [anchor if r in rs else r for r in root], nxt)
 
-    grow_q((1 << len(q_cands)) - 1, 0, 0, list(range(nb)), [0] * nb)
+    grow((1 << len(types)) - 1, 0, 0, list(range(nb)), {})
     return keys
 
 
@@ -600,9 +697,9 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     """Keep one maximum-weight solution per bucket of the cover-realizable
     index family; ties fall to the lexicographically smallest vertex set.
 
-    A bucket key is the class of the unmatched rest followed by the sorted
-    label masks of the signature's groups, with one bit per candidate label
-    numbered for this call.  Solutions are visited best first, by (-weight,
+    A bucket key is the class of the unmatched rest followed by the label
+    masks of the signature's groups, in an order fixed by the set of groups
+    (see `_bucket_keys`).  Solutions are visited best first, by (-weight,
     lex_key); each bucket's winner is the first solution that has its key,
     so a solution stays exactly when one of its keys is new.  The result is
     a subset of the input that preserves the best completion for every

@@ -8,7 +8,8 @@ check that compares tables against every possible far side.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .graphs import (
     is_forest,
     lex_key,
 )
-from .dp import IndexTuple, NodeContext, SolutionTable
+from .dp import _XN, _XS, _YN, _YS, IndexTuple, NodeContext, SolutionTable
 from .layouts import mim_bipartite
 
 BRUTE_LIMIT = 20
@@ -425,3 +426,140 @@ def is_complement_solution(
     for v in bits(i.x_rest):
         rest_ext |= g.adj[v]
     return not rest_ext & (y & ~matched)
+
+
+def bucket_keys_by_candidate(
+    inst: Instance, ctx: NodeContext, x: int, labels: Dict[int, int]
+) -> Optional[Set[Tuple[int, ...]]]:
+    """Reference for `dp._bucket_keys`: the bucket keys of one solution,
+    grown one far-side candidate at a time, or None when the solution can
+    never be extended.
+
+    Each candidate label (a representative set shifted left by two, with
+    its kind in the low bits, as in `dp`) gets the next free bit from
+    `labels`.  A key is the class of the unmatched rest followed by the
+    sorted label masks of the groups.  Candidates with equal attachment sets
+    exclude each other, a lone hook on a block excludes every other hook on
+    it, and a candidate hooking two blocks of one tree closes a cycle.
+    """
+    g, s = inst.graph, inst.s_set
+    comps = components_masks(g, x & ~s)
+    singles = list(bits(x & s))
+    nc = len(comps)
+    blocks = comps + [1 << v for v in singles]
+    nb = len(blocks)
+
+    def label_bit(label: int) -> int:
+        bit = labels.get(label)
+        if bit is None:
+            bit = labels[label] = 1 << len(labels)
+        return bit
+
+    parent = list(range(nb))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for si, v in enumerate(singles):
+        av = g.adj[v]
+        bi = nc + si
+        for bj in range(nb):
+            if bj == bi or not av & blocks[bj]:
+                continue
+            if bj < nc and (av & blocks[bj]).bit_count() > 1:
+                return None
+            if nc <= bj < bi:
+                continue
+            ra, rb = find(bi), find(bj)
+            if ra == rb:
+                return None
+            parent[ra] = rb
+    tree_of = [find(b) for b in range(nb)]
+
+    comp_reps = [ctx.fam_x2.rep_of(c) for c in comps]
+    single_reps = [ctx.fam_x1.rep_of(1 << v) for v in singles]
+    x_cands: List[Tuple[int, int]] = []  # label bit, block index
+    for bi, rep in enumerate(comp_reps):
+        if rep and comp_reps.count(rep) == 1:
+            x_cands.append((label_bit(rep << 2 | _XN), bi))
+    for si, rep in enumerate(single_reps):
+        if rep and single_reps.count(rep) == 1:
+            x_cands.append((label_bit(rep << 2 | _XS), nc + si))
+
+    y_cands: List[Tuple[int, int, Tuple[int, ...]]] = []  # label bit, attachment, trees
+
+    def add_hook(label: int, u_set: int) -> None:
+        hit = ctx.ext_of(u_set) & x
+        att = 0
+        trees = set()
+        for bj, block in enumerate(blocks):
+            if hit & block:
+                att |= 1 << bj
+                trees.add(tree_of[bj])
+        if att and len(trees) == att.bit_count():
+            y_cands.append((label_bit(label), att, tuple(trees)))
+
+    for u_set in ctx.fam_y2.representatives:
+        if u_set and not ctx.e_bad(u_set) & x & s:
+            add_hook(u_set << 2 | _YN, u_set)
+    for u_set in ctx.ys_pool:
+        au = g.adj[u_set.bit_length() - 1] if u_set else 0
+        if u_set and not any((au & c).bit_count() > 1 for c in comps):
+            add_hook(u_set << 2 | _YS, u_set)
+
+    cap_side = 2 * ctx.mim
+    p_subs = []  # matched blocks, class of the unmatched rest, (tree, label) per member
+    for size in range(min(cap_side, len(x_cands)) + 1):
+        for sub in combinations(x_cands, size):
+            used = vc_mask = 0
+            for _, bi in sub:
+                used |= 1 << bi
+                vc_mask |= blocks[bi]
+            members = tuple((tree_of[bi], bit) for bit, bi in sub)
+            p_subs.append((used, ctx.fam_x1.rep_of(x & ~vc_mask), members))
+
+    keys: Set[Tuple[int, ...]] = set()
+
+    def grow(start: int, chosen: List[int], lone: int, root: List[int], groups: List[int]):
+        for used, x_rest, members in p_subs:
+            if used & lone:
+                continue
+            grp = groups.copy()
+            for t, bit in members:
+                grp[root[t]] |= bit
+            keys.add((x_rest, *sorted(filter(None, grp))))
+        if len(chosen) == cap_side:
+            return
+        for j in range(start, len(y_cands)):
+            bit, att, trees = y_cands[j]
+            clash = False
+            for k in chosen:
+                other = y_cands[k][1]
+                if other == att:
+                    clash = True
+                elif att.bit_count() == 1 and other & att:
+                    clash = True
+                elif other.bit_count() == 1 and other & att:
+                    clash = True
+            rs = {root[t] for t in trees}
+            if clash or len(rs) < len(trees):
+                continue
+            anchor = min(rs)
+            grp = groups.copy()
+            for r in rs:
+                bit |= grp[r]
+                grp[r] = 0
+            grp[anchor] = bit
+            grow(
+                j + 1,
+                chosen + [j],
+                lone | att if att.bit_count() == 1 else lone,
+                [anchor if r in rs else r for r in root],
+                grp,
+            )
+
+    grow(0, [], 0, list(range(nb)), [0] * nb)
+    return keys

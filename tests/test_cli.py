@@ -1,10 +1,11 @@
 """Command line front end: file formats, exit codes, reports, generation."""
 
 import json
+import random
 
 import pytest
 
-from subsetfvs import cli
+from subsetfvs import cli, dp, layouts
 from subsetfvs.cli import CliError, main, parse_graph_file, write_graph_file
 from subsetfvs.graphs import Graph
 from subsetfvs.layouts import layout_from_order, parse_layout, serialize_layout, width
@@ -112,6 +113,39 @@ def test_solve_nmc_path(tmp_path, capsys):
     assert report["deletion_set"] == ["a"]
     # the kept side still reports its own weight
     assert report["sforest_weight"] == 2
+
+
+def test_mim_width_is_computed_once_per_node(tmp_path, capsys, monkeypatch):
+    """The reported mim width equals `width(..., "mim")`.  On sfvs and fvs
+    it comes from the solve, which computes mim once per internal node; nmc
+    solves on a layout with a hub added, so it keeps its own width pass."""
+    calls = []
+    for mod in (dp, layouts):
+        orig = mod.mim_cut
+        monkeypatch.setattr(mod, "mim_cut", lambda g, a, orig=orig: calls.append(a) or orig(g, a))
+    rng = random.Random(41)
+    graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])]
+    for n in (5, 7, 9):
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]))
+    for g in graphs:
+        names = [f"v{i}" for i in range(g.n)]
+        gr = write(tmp_path, "g.gr", write_graph_file(g, [1] * g.n, 1, names))
+        order = list(range(g.n))
+        rng.shuffle(order)
+        lay = layout_from_order(order)
+        lf = write(tmp_path, "g.layout", serialize_layout(lay, names) + "\n")
+        want = width(g, lay, "mim")[0]
+        runs = [["--problem", "sfvs"], ["--problem", "fvs"]]
+        apart = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        if apart:
+            runs.append(["--problem", "nmc", "--terminals", ",".join(names[v] for v in apart[0])])
+        for extra in runs:
+            calls.clear()
+            code, report = run_json(tmp_path, capsys, ["solve", "--graph", gr, "--layout", lf] + extra)
+            assert code == 0
+            assert report["width"]["mim"] == want, (g.n, extra)
+            if extra[1] != "nmc":
+                assert len(calls) == g.n - 1
 
 
 def test_solve_with_oracle_and_layout_file(tmp_path, capsys):

@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from subsetfvs.graphs import Graph, Instance, is_s_forest, mask_of
+from subsetfvs.graphs import Graph, Instance, bits, is_s_forest, mask_of
 from subsetfvs.layouts import layout_from_order, mim_cut
 from subsetfvs.dp import (
     IndexTuple,
     NEG_INF,
     SolutionTable,
+    _bucket_keys,
+    _profile_solution,
     aux_graph,
     best,
     build_context,
@@ -23,7 +25,7 @@ from subsetfvs.dp import (
     solve,
 )
 from subsetfvs.multiway import NmcInstance, extend_layout, reduce_to_sfvs
-from subsetfvs.oracles import check_represents
+from subsetfvs.oracles import bucket_keys_by_candidate, check_represents
 
 EMPTY_INDEX = IndexTuple(frozenset(), frozenset(), 0, frozenset(), frozenset())
 
@@ -399,6 +401,135 @@ def test_reduced_tables_match_golden_digests():
         solve(inst, lay, trace=watch)
         got[name] = h.hexdigest()
     assert got == GOLDEN_TABLES
+
+
+# -------------------------------------------------------------- bucket keys
+
+
+def _label_names(ctx, labels):
+    """Label of each bit `_profile_solution` hands out: far-side candidate j
+    has bit j, matched near-side labels the bits `labels` gave them."""
+    names = {1 << j: cand[0] for j, cand in enumerate(ctx.far_cands)}
+    names.update({bit: label for label, bit in labels.items()})
+    return names
+
+
+def _decode(keys, names):
+    """Keys as (x_rest, set of label sets): free of bit numbering and of
+    the order of the groups.  Decoding must not merge two keys."""
+    out = {
+        (key[0], frozenset(frozenset(names[1 << b] for b in bits(grp)) for grp in key[1:]))
+        for key in keys
+    }
+    assert len(out) == len(keys)
+    return out
+
+
+def _keys_by_type(inst, ctx, x, labels):
+    """Decoded keys of `_bucket_keys`, or None for a dead solution."""
+    prof = _profile_solution(inst, ctx, x, labels)
+    if prof is None:
+        return None
+    return _decode(_bucket_keys(ctx, x, prof), _label_names(ctx, labels))
+
+
+def _keys_by_candidate(inst, ctx, x, labels):
+    keys = bucket_keys_by_candidate(inst, ctx, x, labels)
+    if keys is None:
+        return None
+    return _decode(keys, {bit: label for label, bit in labels.items()})
+
+
+def test_bucket_keys_match_per_candidate_reference():
+    """At every internal node of the golden cases (G(n, 2n) with n <= 12 on
+    shuffled caterpillars of mim >= 3, an fvs case and an nmc hub case),
+    every merged solution gets the same keys from the search over
+    attachment types as from the per-candidate reference, label for label.
+    Label numbering is shared across the solutions of a node, as in
+    `reduce_table`."""
+    checked = 0
+    for name, inst, lay in _golden_cases():
+        calls = []
+        solve(inst, lay, trace=lambda node, ctx, merged, reduced: calls.append((ctx, merged)))
+        for ctx, merged in calls:
+            labels, ref_labels = {}, {}
+            for x in merged.solutions:
+                got = _keys_by_type(inst, ctx, x, labels)
+                assert got == _keys_by_candidate(inst, ctx, x, ref_labels), (name, ctx.node, x)
+                checked += got is not None
+    assert checked > 3000
+
+
+def _show(label):
+    kind = ("xn", "xs", "yn", "ys")[label & 3]
+    return kind + "".join(str(v) for v in bits(label >> 2))
+
+
+def test_bucket_keys_pinned_small_profile():
+    # a=0 and b=1 are two components of the solution {a, b}; u=2 sees both
+    # and w=3 sees a.  Far side {2, 3}, mim 1, so at most two sets a side.
+    # Attachment {a, b} carries three labels (yn2, yn23, ys2), attachment
+    # {a} is a lone hook with two (yn3, ys3): it keeps a unmatched and
+    # excludes the {a, b} type.  One label per type at most.
+    g = Graph(4, [(0, 2), (1, 2), (0, 3)])
+    inst = Instance(g, 0, (1,) * 4)
+    lay = layout_from_order([0, 1, 2, 3])
+    ctx = build_context(inst, lay, node_for(lay, 0b0011))
+    assert ctx.mim == 1
+    labels = {}
+    prof = _profile_solution(inst, ctx, 0b0011, labels)
+    names = _label_names(ctx, labels)
+    assert sorted(
+        (att, sorted(_show(names[bit]) for bit in label_bits)) for att, _, label_bits in prof.types
+    ) == [(0b01, ["yn3", "ys3"]), (0b11, ["yn2", "yn23", "ys2"])]
+    got = {
+        (x_rest, frozenset(frozenset(map(_show, grp)) for grp in groups))
+        for x_rest, groups in _keys_by_type(inst, ctx, 0b0011, {})
+    }
+
+    def key(x_rest, *groups):
+        return x_rest, frozenset(frozenset(grp.split()) for grp in groups)
+
+    assert got == {
+        # both blocks matched: nothing else, or one label of the {a, b} type
+        key(0, "xn0", "xn1"),
+        key(0, "xn0 xn1 yn2"), key(0, "xn0 xn1 yn23"), key(0, "xn0 xn1 ys2"),
+        # nothing matched: no far set, or one label of either type
+        key(1),
+        key(1, "yn2"), key(1, "yn23"), key(1, "ys2"), key(1, "yn3"), key(1, "ys3"),
+        # b matched: its own group, the lone hook on a beside it
+        key(1, "xn1"), key(1, "xn1", "yn3"), key(1, "xn1", "ys3"),
+        key(1, "xn1 yn2"), key(1, "xn1 yn23"), key(1, "xn1 ys2"),
+        # a matched: the lone hook on a is out
+        key(2, "xn0"),
+        key(2, "xn0 yn2"), key(2, "xn0 yn23"), key(2, "xn0 ys2"),
+    }
+
+
+def test_bucket_keys_pinned_many_labels_and_groups():
+    # Solution {a, b, d} = {0, 1, 2}: three components and three trees.
+    # Far vertices 6..8 see a, b and one of 3..5 each, so many far sets hit
+    # exactly {a, b}; 9, 10 and 11 hook a, b and d alone; 12 sees d and 3.
+    # With d in S it is a matched S-vertex instead of a component.
+    edges = [(6 + i, v) for i in range(3) for v in (0, 1, 3 + i)]
+    edges += [(9, 0), (10, 1), (11, 2), (12, 2), (12, 3)]
+    g = Graph(13, edges)
+    lay = layout_from_order(list(range(13)))
+    for s, n_keys, per_att in (
+        (0, 2176, {0b011: 20, 0b001: 2, 0b010: 2, 0b100: 5, 0b111: 47, 0b101: 3, 0b110: 3}),
+        (0b100, 1552, {0b011: 20, 0b001: 2, 0b010: 2, 0b100: 4, 0b111: 30, 0b101: 2, 0b110: 2}),
+    ):
+        inst = Instance(g, s, (1,) * 13)
+        ctx = build_context(inst, lay, node_for(lay, 0b111111))
+        assert ctx.mim == 4
+        prof = _profile_solution(inst, ctx, 0b111, {})
+        assert {att: len(label_bits) for att, _, label_bits in prof.types} == per_att
+        got = _keys_by_type(inst, ctx, 0b111, {})
+        assert got == _keys_by_candidate(inst, ctx, 0b111, {})
+        assert len(got) == n_keys
+        # three lone hooks at once: three groups without a matched label
+        assert any(len(groups) == 3 and not any(l & 3 < 2 for grp in groups for l in grp)
+                   for _, groups in got)
 
 
 # ------------------------------------------------------------------- best

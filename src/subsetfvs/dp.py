@@ -28,11 +28,10 @@ time.
 
 Buckets are plain tuples of ints.  Every candidate set an index can name
 (a matched component or S-vertex on the near side, a far-side set or
-singleton) is a label with one bit: far-side candidate j of the node has
-bit j, and the matched near-side labels met during one `reduce_table` call
-get the bits above those.  A signature group is the OR of its label bits,
-and a bucket key is the class of the unmatched rest followed by the group
-masks in an order fixed by the set of groups.  The keep rule is best first:
+singleton) is a label, and each label met during one `reduce_table` call
+gets one bit.  A signature group is the OR of its label bits, and a bucket
+key is the class of the unmatched rest followed by the group masks in an
+order fixed by the set of groups.  The keep rule is best first:
 solutions are visited by (-weight, lex_key), and a solution stays exactly
 when one of its keys is not yet seen.  That is the minimum entry of each
 bucket, without holding the buckets.
@@ -427,10 +426,10 @@ def merge_tables(a: SolutionTable, b: SolutionTable, node: int = -1) -> Solution
     return SolutionTable(node, merged)
 
 
-def _label_bit(labels: Dict[int, int], label: int, base: int) -> int:
+def _label_bit(labels: Dict[int, int], label: int) -> int:
     bit = labels.get(label)
     if bit is None:
-        bit = labels[label] = 1 << (base + len(labels))
+        bit = labels[label] = 1 << len(labels)
     return bit
 
 
@@ -449,11 +448,10 @@ def _profile_solution(
     """Block structure of a solution, or None when it can never be extended
     (its own contraction already has a forbidden cycle or degree).
 
-    Far-side candidate j of `ctx.far_cands` has label bit 1 << j; matched
-    near-side labels get the bits above them from `labels`.  The surviving
-    far-side candidates are grouped by the set they hit in x, so their
-    attachment (the blocks they see) and its trees are worked out once per
-    distinct hit, and candidates with one attachment set form one
+    Candidate labels get their bits from `labels`.  The surviving far-side
+    candidates of `ctx.far_cands` are grouped by the set they hit in x, so
+    their attachment (the blocks they see) and its trees are worked out once
+    per distinct hit, and candidates with one attachment set form one
     attachment type.  A type that hooks one tree twice would close a cycle
     and is dropped.
     """
@@ -490,34 +488,33 @@ def _profile_solution(
     tree_of = tuple(find(b) for b in range(nb))
 
     fam1, fam2 = ctx.fam_x1, ctx.fam_x2
-    base = len(ctx.far_cands)
     comp_reps = [fam2.rep_of(c) for c in comps]
     single_reps = [fam1.rep_of(1 << v) for v in singles]
     x_cands: List[Tuple[int, int]] = []
     for bi, rep in enumerate(comp_reps):
         if rep and comp_reps.count(rep) == 1:
-            x_cands.append((_label_bit(labels, rep << 2 | _XN, base), bi))
+            x_cands.append((_label_bit(labels, rep << 2 | _XN), bi))
     for si, rep in enumerate(single_reps):
         if rep and single_reps.count(rep) == 1:
-            x_cands.append((_label_bit(labels, rep << 2 | _XS, base), nc + si))
+            x_cands.append((_label_bit(labels, rep << 2 | _XS), nc + si))
 
-    # hit << 1 | singleton flag -> label bits.  A far set is out when a
-    # matched S-vertex sees it twice; a far singleton when it sees a
-    # component twice, which depends on its hit alone.
+    # hit << 1 | singleton flag -> labels.  A far set is out when a matched
+    # S-vertex sees it twice; a far singleton when it sees a component
+    # twice, which depends on its hit alone.
     xs_mask = x & s
     by_hit: Dict[int, List[int]] = {}
-    for j, (label, ext, bad) in enumerate(ctx.far_cands):
+    for label, ext, bad in ctx.far_cands:
         hit = ext & x
         if hit and not bad & xs_mask:
             key = hit << 1 | (label & 3 == _YS)
             bucket = by_hit.get(key)
             if bucket is None:
-                by_hit[key] = [1 << j]
+                by_hit[key] = [label]
             else:
-                bucket.append(1 << j)
+                bucket.append(label)
 
     by_att: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
-    for key, label_bits in by_hit.items():
+    for key, hooks in by_hit.items():
         hit = key >> 1
         if key & 1 and any((hit & c).bit_count() > 1 for c in comps):
             continue
@@ -529,6 +526,7 @@ def _profile_solution(
                 trees.add(tree_of[bj])
         if len(trees) < att.bit_count():
             continue  # two hooks into one tree close a cycle
+        label_bits = [_label_bit(labels, label) for label in hooks]
         known = by_att.get(att)
         if known is None:
             by_att[att] = (tuple(trees), label_bits)

@@ -406,17 +406,11 @@ def test_reduced_tables_match_golden_digests():
 # -------------------------------------------------------------- bucket keys
 
 
-def _label_names(ctx, labels):
-    """Label of each bit `_profile_solution` hands out: far-side candidate j
-    has bit j, matched near-side labels the bits `labels` gave them."""
-    names = {1 << j: cand[0] for j, cand in enumerate(ctx.far_cands)}
-    names.update({bit: label for label, bit in labels.items()})
-    return names
-
-
-def _decode(keys, names):
-    """Keys as (x_rest, set of label sets): free of bit numbering and of
-    the order of the groups.  Decoding must not merge two keys."""
+def _decode(keys, labels):
+    """Keys as (x_rest, set of label sets), with each label bit mapped back
+    to the label `labels` gave it: free of bit numbering and of the order of
+    the groups.  Decoding must not merge two keys."""
+    names = {bit: label for label, bit in labels.items()}
     out = {
         (key[0], frozenset(frozenset(names[1 << b] for b in bits(grp)) for grp in key[1:]))
         for key in keys
@@ -430,14 +424,14 @@ def _keys_by_type(inst, ctx, x, labels):
     prof = _profile_solution(inst, ctx, x, labels)
     if prof is None:
         return None
-    return _decode(_bucket_keys(ctx, x, prof), _label_names(ctx, labels))
+    return _decode(_bucket_keys(ctx, x, prof), labels)
 
 
 def _keys_by_candidate(inst, ctx, x, labels):
     keys = bucket_keys_by_candidate(inst, ctx, x, labels)
     if keys is None:
         return None
-    return _decode(keys, {bit: label for label, bit in labels.items()})
+    return _decode(keys, labels)
 
 
 def test_bucket_keys_match_per_candidate_reference():
@@ -478,7 +472,7 @@ def test_bucket_keys_pinned_small_profile():
     assert ctx.mim == 1
     labels = {}
     prof = _profile_solution(inst, ctx, 0b0011, labels)
-    names = _label_names(ctx, labels)
+    names = {bit: label for label, bit in labels.items()}
     assert sorted(
         (att, sorted(_show(names[bit]) for bit in label_bits)) for att, _, label_bits in prof.types
     ) == [(0b01, ["yn3", "ys3"]), (0b11, ["yn2", "yn23", "ys2"])]

@@ -547,8 +547,9 @@ def _sorted_choices(cols: Collection[List[int]]) -> List[Tuple[int, ...]]:
     return list(map(tuple, map(sorted, product(*cols))))
 
 
-def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile) -> Set[BucketKey]:
-    """Bucket keys of every cover-realizable index of a solution.
+def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey]) -> None:
+    """Add to `keys` the bucket keys of every cover-realizable index of a
+    solution.
 
     Candidates with one attachment set exclude each other, so a far-side
     choice (q) is a set of attachment types plus one label per type.  The
@@ -621,7 +622,6 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile) -> Set[BucketKey]:
                 clash |= lone_on[b]
         clashes.append(clash)
 
-    keys: Set[BucketKey] = set()
     update = keys.update
 
     def emit(lone: int, root: List[int], opts: Dict[int, List[int]]) -> None:
@@ -651,16 +651,15 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile) -> Set[BucketKey]:
             update(starmap(add, product(product(*cols), _sorted_choices(free.values()))))
         update(starmap(add, product(heads, _sorted_choices(opts.values()))))
 
-    def grow(
-        allowed: int,
-        size: int,
-        lone: int,
-        root: List[int],
-        opts: Dict[int, List[int]],
-    ) -> None:
+    # Depth first over the type sets, with an explicit stack: a recursive
+    # closure would be a reference cycle that keeps `keys` alive until the
+    # cycle collector runs.
+    stack = [((1 << len(types)) - 1, 0, 0, list(range(nb)), {})]
+    while stack:
+        allowed, size, lone, root, opts = stack.pop()
         emit(lone, root, opts)
         if size == cap_side:
-            return
+            continue
         for j in bits(allowed & multi):
             trees = types[j][1]
             if len({root[t] for t in trees}) < len(trees):
@@ -675,7 +674,7 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile) -> Set[BucketKey]:
                 r = root[trees[0]]
                 col = opts.get(r)
                 nxt[r] = [o | b for o in col for b in label_bits] if col else label_bits
-                grow(allowed & ~clashes[j], size + 1, lone | att, root, nxt)
+                stack.append((allowed & ~clashes[j], size + 1, lone | att, root, nxt))
                 continue
             rs = {root[t] for t in trees}
             anchor = min(rs)
@@ -685,10 +684,7 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile) -> Set[BucketKey]:
                 if other:
                     col = [o | b for o in other for b in col]
             nxt[anchor] = col
-            grow(allowed & ~clashes[j], size + 1, lone, [anchor if r in rs else r for r in root], nxt)
-
-    grow((1 << len(types)) - 1, 0, 0, list(range(nb)), {})
-    return keys
+            stack.append((allowed & ~clashes[j], size + 1, lone, [anchor if r in rs else r for r in root], nxt))
 
 
 def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> SolutionTable:
@@ -699,7 +695,8 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     masks of the signature's groups, in an order fixed by the set of groups
     (see `_bucket_keys`).  Solutions are visited best first, by (-weight,
     lex_key); each bucket's winner is the first solution that has its key,
-    so a solution stays exactly when one of its keys is new.  The result is
+    so a solution stays exactly when one of its keys is new, that is when
+    adding its keys to the ones seen so far grows that set.  The result is
     a subset of the input that preserves the best completion for every
     far-side set.
     """
@@ -711,10 +708,10 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
         prof = _profile_solution(inst, ctx, mask, labels)
         if prof is None:
             continue
-        keys = _bucket_keys(ctx, mask, prof)
-        if not keys <= seen:
+        before = len(seen)
+        _bucket_keys(ctx, mask, prof, seen)
+        if len(seen) > before:
             keep.append(mask)
-            seen |= keys
     return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_key)})
 
 

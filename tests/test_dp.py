@@ -424,7 +424,9 @@ def _keys_by_type(inst, ctx, x, labels):
     prof = _profile_solution(inst, ctx, x, labels)
     if prof is None:
         return None
-    return _decode(_bucket_keys(ctx, x, prof), labels)
+    keys = set()
+    _bucket_keys(ctx, x, prof, keys)
+    return _decode(keys, labels)
 
 
 def _keys_by_candidate(inst, ctx, x, labels):

@@ -651,9 +651,9 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
             update(starmap(add, product(product(*cols), _sorted_choices(free.values()))))
         update(starmap(add, product(heads, _sorted_choices(opts.values()))))
 
-    # Depth first over the type sets, with an explicit stack: a recursive
-    # closure would be a reference cycle that keeps `keys` alive until the
-    # cycle collector runs.
+    # Depth first over the type sets, with an explicit stack.  A recursive
+    # closure is a reference cycle: everything it reaches, `keys` included,
+    # would outlive the call until the cycle collector runs.
     stack = [((1 << len(types)) - 1, 0, 0, list(range(nb)), {})]
     while stack:
         allowed, size, lone, root, opts = stack.pop()

@@ -21,7 +21,7 @@ from .layouts import (
     width,
 )
 from .nec import NecFamily, compute_reps, same_class
-from .dp import IndexTuple, SolutionTable, SolveResult, solve
+from .dp import SolutionTable, SolveResult, solve
 from .multiway import NmcInstance, NmcResult, brute_force_nmc, solve_nmc
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "BlockPartition",
     "Graph",
     "Instance",
-    "IndexTuple",
     "NecFamily",
     "NmcInstance",
     "NmcResult",

@@ -28,7 +28,6 @@ from .layouts import (
 )
 from .dp import solve
 from .multiway import NmcInstance, brute_force_nmc, solve_nmc
-from .oracles import BRUTE_LIMIT, brute_force_fvs, brute_force_sfvs
 
 
 class CliError(Exception):
@@ -134,17 +133,18 @@ def _run_solve(args) -> int:
     else:
         layout = layout_from_order(range(g.n))
 
-    threads = args.threads
-    if threads == 0:
-        import os
-
-        threads = os.cpu_count() or 1
-    if threads < 1:
+    # The solve always runs in one thread; --threads is only validated.
+    if args.threads < 0:
         raise CliError("--threads must be >= 0")
 
-    if args.oracle and g.n > BRUTE_LIMIT:
-        print(f"error: n={g.n} exceeds the oracle limit {BRUTE_LIMIT}", file=sys.stderr)
-        return 3
+    if args.oracle:
+        # numpy and the reference route load only when a check is asked for.
+        from . import oracles
+
+        limit = oracles.BRUTE_LIMIT
+        if g.n > limit:
+            print(f"error: n={g.n} exceeds the oracle limit {limit}", file=sys.stderr)
+            return 3
 
     w_gf2, _ = width(g, layout, "gf2")
     w_rat, _ = width(g, layout, "rational")
@@ -161,7 +161,7 @@ def _run_solve(args) -> int:
         else:
             terms = tuple(bits(s_mask))
         nmc = NmcInstance(g, terms, tuple(weights))
-        res = solve_nmc(nmc, layout, threads=threads)
+        res = solve_nmc(nmc, layout)
         deletion = res.cut
         objective = res.weight
         if args.oracle:
@@ -178,15 +178,15 @@ def _run_solve(args) -> int:
         # The solve works out the mim of every internal node's cut; a leaf's
         # cut has mim 1 exactly when its vertex has a neighbor.
         cut_mims = [int(g.edge_count > 0)]
-        res = solve(inst, layout, threads=threads, trace=lambda x, ctx, m, r: cut_mims.append(ctx.mim))
+        res = solve(inst, layout, trace=lambda x, ctx, m, r: cut_mims.append(ctx.mim))
         w_mim = max(cut_mims)
         deletion = res.deletion
         objective = res.weight
         if args.oracle:
             if args.problem == "fvs":
-                ref_w, _ = brute_force_fvs(g, weights)
+                ref_w, _ = oracles.brute_force_fvs(g, weights)
             else:
-                ref_w, _ = brute_force_sfvs(inst)
+                ref_w, _ = oracles.brute_force_sfvs(inst)
             if ref_w != res.weight:
                 print("error: oracle disagrees with the solver", file=sys.stderr)
                 return 2

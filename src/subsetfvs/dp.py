@@ -21,10 +21,11 @@ stays unmatched and no other type may hook it.  A type that hooks two
 blocks of one tree, or two trees already joined, would close a cycle.  Each
 side of the cover holds at most twice the cut's induced matching value.
 Indices outside this family never decide a completion, so the trimmed table
-represents the merged one.  The exhaustive index stream is still available
-through `enumerate_indices` for cross-checking, and
-`oracles.bucket_keys_by_candidate` grows the same keys one candidate at a
-time.
+represents the merged one.  The literal route lives with the test
+oracles: `oracles.enumerate_indices` streams the full index family,
+`oracles.is_partial_solution` and `oracles.cc_signature` are the definitions
+the keys are checked against, and `oracles.bucket_keys_by_candidate` grows
+the same keys one candidate at a time.
 
 Buckets are plain tuples of ints.  Every candidate set an index can name
 (a matched component or S-vertex on the near side, a far-side set or
@@ -39,7 +40,6 @@ bucket, without holding the buckets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations, product, starmap
 from operator import add
@@ -47,9 +47,7 @@ from typing import (
     Callable,
     Collection,
     Dict,
-    FrozenSet,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -58,46 +56,16 @@ from typing import (
     Tuple,
 )
 
-from .graphs import (
-    BlockGraph,
-    BlockPartition,
-    Graph,
-    Instance,
-    bits,
-    components_masks,
-    connected_components,
-    contract_partial,
-    contracted,
-    is_forest,
-    is_s_forest,
-    lex_key,
-)
+from .graphs import Graph, Instance, bits, components_masks, is_s_forest, lex_key
 from .layouts import RootedLayout, mim_cut
 # compute_reps is unused here but stays a name of this module: the tracer in
 # perfbench/tracing.py wraps dp.compute_reps, dp.build_context and dp.mim_cut.
 from .nec import NecFamily, compute_reps, layout_families  # noqa: F401
 
-NEG_INF = float("-inf")
-
 # Candidate labels: a representative set shifted left by two, with its kind
 # (matched component, matched S-vertex, far-side set, far-side singleton) in
 # the low bits.
 _XN, _XS, _YN, _YS = range(4)
-
-
-class IndexTuple(NamedTuple):
-    """Cut-side description a partial solution can be attached to.
-
-    xvc_ns / xvc_s: representative sets matched to solution components /
-    S-singletons; x_rest: representative of the unmatched remainder;
-    yvc_ns / yvc_s: far-side representative sets the completion may expose.
-    """
-
-    xvc_ns: FrozenSet[int]
-    xvc_s: FrozenSet[int]
-    x_rest: int
-    yvc_ns: FrozenSet[int]
-    yvc_s: FrozenSet[int]
 
 
 @dataclass
@@ -144,26 +112,6 @@ class NodeContext:
                     bad |= 1 << v
             self._ebad_cache[u_set] = bad
         return bad
-
-    def index_count(self) -> int:
-        """Closed-form size of the full index stream."""
-        budget = 4 * self.mim
-        pools = (
-            len(self.fam_x2.representatives),
-            len(self.xs_pool),
-            len(self.fam_y2.representatives),
-            len(self.ys_pool),
-        )
-        total = 0
-        for k1 in range(min(budget, pools[0]) + 1):
-            c1 = math.comb(pools[0], k1)
-            for k2 in range(min(budget - k1, pools[1]) + 1):
-                c2 = c1 * math.comb(pools[1], k2)
-                for k3 in range(min(budget - k1 - k2, pools[2]) + 1):
-                    c3 = c2 * math.comb(pools[2], k3)
-                    for k4 in range(min(budget - k1 - k2 - k3, pools[3]) + 1):
-                        total += c3 * math.comb(pools[3], k4)
-        return total * len(self.fam_x1.representatives)
 
 
 # Per-node families for one layout: near d=1, near d=2, far d=1, far d=2,
@@ -215,185 +163,6 @@ def build_context(
         if u_set
     )
     return ctx
-
-
-def enumerate_indices(ctx: NodeContext) -> Iterator[IndexTuple]:
-    """Stream every index tuple of the node, lazily.
-
-    The four cover components are drawn from the full representative pools
-    and only the joint size bound of 4 * mim applies.
-    """
-    budget = 4 * ctx.mim
-    p_ns = ctx.fam_x2.representatives
-    p_s = ctx.xs_pool
-    q_ns = ctx.fam_y2.representatives
-    q_s = ctx.ys_pool
-    for x_rest in ctx.fam_x1.representatives:
-        for k1 in range(min(budget, len(p_ns)) + 1):
-            for c1 in combinations(p_ns, k1):
-                for k2 in range(min(budget - k1, len(p_s)) + 1):
-                    for c2 in combinations(p_s, k2):
-                        for k3 in range(min(budget - k1 - k2, len(q_ns)) + 1):
-                            for c3 in combinations(q_ns, k3):
-                                rem = budget - k1 - k2 - k3
-                                for k4 in range(min(rem, len(q_s)) + 1):
-                                    for c4 in combinations(q_s, k4):
-                                        yield IndexTuple(
-                                            frozenset(c1),
-                                            frozenset(c2),
-                                            x_rest,
-                                            frozenset(c3),
-                                            frozenset(c4),
-                                        )
-
-
-def aux_graph(inst: Instance, x: int, i: IndexTuple) -> BlockGraph:
-    """Block graph joining the solution's contraction with the index's
-    far-side sets; no edges among far-side blocks (mixed contraction).
-
-    Empty far-side sets would be isolated blocks; they are omitted here and
-    handled as singleton groups by `cc_signature`.
-    """
-    g, s = inst.graph, inst.s_set
-    a = contract_partial(x, connected_components(g, x & ~s), s)
-    b_blocks = [u for u in sorted(i.yvc_ns, key=lex_key) if u]
-    b_flags = [False] * len(b_blocks)
-    for u in sorted(i.yvc_s, key=lex_key):
-        if u:
-            b_blocks.append(u)
-            b_flags.append(True)
-    b = BlockPartition(tuple(b_blocks), tuple(b_flags)) if b_blocks else ()
-    return contracted(g, a, b, "mixed")
-
-
-def _match_unique(keys: List[int], target_key: int) -> Optional[int]:
-    found = None
-    for idx, k in enumerate(keys):
-        if k == target_key:
-            if found is not None:
-                return None
-            found = idx
-    return found
-
-
-def is_partial_solution(inst: Instance, ctx: NodeContext, x: int, i: IndexTuple) -> bool:
-    """Literal admissibility test of a solution against an index."""
-    g, s = inst.graph, inst.s_set
-    if x & ~ctx.vx:
-        raise ValueError("solution not within the node side")
-    comps = components_masks(g, x & ~s)
-    singles = list(bits(x & s))
-    fam1, fam2 = ctx.fam_x1, ctx.fam_x2
-    single_keys = [fam1.key_of(1 << v) for v in singles]
-    comp_keys = [fam2.key_of(c) for c in comps]
-
-    matched = 0
-    for r in i.xvc_s:
-        hit = _match_unique(single_keys, fam1.key_of(r))
-        if hit is None:
-            return False
-        matched |= 1 << singles[hit]
-    for r in i.xvc_ns:
-        hit = _match_unique(comp_keys, fam2.key_of(r))
-        if hit is None:
-            return False
-        matched |= comps[hit]
-
-    bg = aux_graph(inst, x, i)
-    if not is_forest(bg.graph, bg.graph.vertices):
-        return False
-
-    for u_set in i.yvc_s:
-        if u_set == 0:
-            continue
-        if u_set.bit_count() != 1:
-            raise ValueError("yvc_s members must be empty or singleton sets")
-        au = g.adj[u_set.bit_length() - 1]
-        for c in comps:
-            if (au & c).bit_count() > 1:
-                return False
-    for v in singles:
-        av = g.adj[v]
-        for u_set in i.yvc_ns:
-            if (av & u_set).bit_count() > 1:
-                return False
-        for c in comps:
-            if (av & c).bit_count() > 1:
-                return False
-
-    return fam1.key_of(x & ~matched) == fam1.key_of(i.x_rest)
-
-
-Signature = Tuple[Tuple[Tuple[str, int], ...], ...]
-
-
-def _encode_groups(groups: List[List[Tuple[str, int]]]) -> Signature:
-    return tuple(sorted(tuple(sorted(grp)) for grp in groups if grp))
-
-
-def cc_signature(inst: Instance, ctx: NodeContext, x: int, i: IndexTuple) -> Signature:
-    """Connection signature: how the index's sets are grouped by the
-    components of the solution/index block graph.
-
-    Requires x to be a partial solution for i.
-    """
-    g, s = inst.graph, inst.s_set
-    comps = components_masks(g, x & ~s)
-    singles = list(bits(x & s))
-    fam1, fam2 = ctx.fam_x1, ctx.fam_x2
-    blocks = comps + [1 << v for v in singles]
-    nb = len(blocks)
-
-    chosen: List[Tuple[str, int, int]] = []  # (kind, set, ext inside vx)
-    for u_set in sorted(i.yvc_ns, key=lex_key):
-        chosen.append(("yn", u_set, ctx.ext_of(u_set) if u_set else 0))
-    for u_set in sorted(i.yvc_s, key=lex_key):
-        chosen.append(("ys", u_set, ctx.ext_of(u_set) if u_set else 0))
-
-    parent = list(range(nb + len(chosen)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for bi in range(len(comps), nb):
-        av = g.adj[blocks[bi].bit_length() - 1]
-        for bj in range(nb):
-            if bj != bi and av & blocks[bj]:
-                union(bi, bj)
-    for ci, (_, u_set, ext) in enumerate(chosen):
-        for bj in range(nb):
-            if ext & blocks[bj]:
-                union(nb + ci, bj)
-
-    single_keys = [fam1.key_of(1 << v) for v in singles]
-    comp_keys = [fam2.key_of(c) for c in comps]
-    groups: Dict[int, List[Tuple[str, int]]] = {}
-    for r in sorted(i.xvc_ns, key=lex_key):
-        hit = _match_unique(comp_keys, fam2.key_of(r))
-        if hit is None:
-            raise ValueError("x is not a partial solution for the index")
-        groups.setdefault(find(hit), []).append(("xn", r))
-    for r in sorted(i.xvc_s, key=lex_key):
-        hit = _match_unique(single_keys, fam1.key_of(r))
-        if hit is None:
-            raise ValueError("x is not a partial solution for the index")
-        groups.setdefault(find(len(comps) + hit), []).append(("xs", r))
-    for ci, (kind, u_set, _) in enumerate(chosen):
-        if u_set:
-            groups.setdefault(find(nb + ci), []).append((kind, u_set))
-    out = list(groups.values())
-    for kind, u_set, _ in chosen:
-        if u_set == 0:
-            out.append([(kind, 0)])
-    return _encode_groups(out)
 
 
 @dataclass
@@ -715,17 +484,6 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_key)})
 
 
-def best(inst: Instance, table: SolutionTable, y: int):
-    """Best weight of a table member that stays an S-forest with y; -inf
-    when no member does."""
-    g, s = inst.graph, inst.s_set
-    top = NEG_INF
-    for mask, w in table.solutions.items():
-        if w > top and is_s_forest(g, mask | y, s):
-            top = w
-    return top
-
-
 @dataclass(frozen=True)
 class SolveResult:
     weight: int
@@ -739,14 +497,9 @@ TraceFn = Callable[[int, NodeContext, SolutionTable, SolutionTable], None]
 def solve(
     inst: Instance,
     layout: RootedLayout,
-    threads: int = 1,
     trace: Optional[TraceFn] = None,
 ) -> SolveResult:
-    """Maximum-weight induced S-forest and its complement deletion set.
-
-    threads is accepted and ignored: every step is pure Python, and a
-    thread pool under the interpreter lock gave no speedup.
-    """
+    """Maximum-weight induced S-forest and its complement deletion set."""
     g, s = inst.graph, inst.s_set
     if layout.n != g.n:
         raise ValueError("layout does not match the graph")

@@ -175,9 +175,6 @@ class BlockGraph:
     s_flags: Tuple[bool, ...]
     a_count: int
 
-    def s_mask(self) -> int:
-        return mask_of(i for i, f in enumerate(self.s_flags) if f)
-
 
 def _coerce_blocks(side) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
     if isinstance(side, BlockPartition):
@@ -190,7 +187,6 @@ def contracted(g: Graph, a, b=(), mode: str = "full") -> BlockGraph:
     """Contract blocks into single vertices.
 
     mode 'full': every pair of blocks is adjacent iff one sees the other.
-    mode 'bipartite': only a-side/b-side adjacencies are kept.
     mode 'mixed': a-side internal edges plus a/b edges, none within b.
     Two blocks A, B are adjacent when N(A) meets B.  Blocks within a side
     must be disjoint (for 'full', across sides too); empty blocks rejected.
@@ -199,7 +195,7 @@ def contracted(g: Graph, a, b=(), mode: str = "full") -> BlockGraph:
     bb, bf = _coerce_blocks(b)
     blocks = ab + bb
     flags = af + bf
-    if mode not in ("full", "bipartite", "mixed"):
+    if mode not in ("full", "mixed"):
         raise ValueError(f"unknown mode {mode!r}")
     for blk in blocks:
         if blk == 0:
@@ -219,8 +215,6 @@ def contracted(g: Graph, a, b=(), mode: str = "full") -> BlockGraph:
     edges = []
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            if mode == "bipartite" and (j < na or i >= na):
-                continue
             if mode == "mixed" and i >= na:
                 continue
             if nbhd[i] & blocks[j]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class RootedLayout:
 
     def is_leaf(self, x: int) -> bool:
         return self.left[x] < 0
-
-    def nodes(self) -> range:
-        return range(len(self.left))
 
     def postorder(self) -> range:
         return range(len(self.left))
@@ -80,12 +77,6 @@ class _LayoutBuilder:
         if lay.below[lay.root] != (1 << n) - 1:
             raise ValueError("layout leaves do not cover the vertex set")
         return lay
-
-
-def vertex_set_below(layout: RootedLayout, x: int) -> int:
-    if not 0 <= x < layout.node_count:
-        raise ValueError(f"unknown node id {x}")
-    return layout.below[x]
 
 
 def layout_from_order(order: Sequence[int]) -> RootedLayout:
@@ -170,21 +161,36 @@ def _matching_number(edges: List[Tuple[int, int]], available: int) -> int:
         if available >> i & 1:
             right_of.setdefault(u, []).append(v)
     match: Dict[int, int] = {}
-
-    def try_augment(u: int, seen: set) -> bool:
-        for v in right_of.get(u, ()):
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match or try_augment(match[v], seen):
-                match[v] = u
-                return True
-        return False
-
     size = 0
-    for u in right_of:
-        if try_augment(u, set()):
+    for start in right_of:
+        # Depth-first search for an augmenting path with an explicit stack of
+        # (left vertex, its untried right neighbors); taken[k] is the right
+        # vertex tried from stack[k].  Augmenting paths can be longer than
+        # the recursion limit allows, and a self-calling closure would leave
+        # a reference cycle behind every call.
+        seen = set()
+        stack = [(start, iter(right_of[start]))]
+        taken: List[int] = []
+        while stack:
+            u, untried = stack[-1]
+            for v in untried:
+                if v not in seen:
+                    seen.add(v)
+                    break
+            else:
+                stack.pop()
+                if taken:
+                    taken.pop()
+                continue
+            taken.append(v)
+            if v in match:
+                w = match[v]
+                stack.append((w, iter(right_of[w])))
+                continue
+            for (left, _), right in zip(stack, taken):
+                match[right] = left
             size += 1
+            break
     return size
 
 
@@ -209,12 +215,16 @@ def _mim_exact(edges: List[Tuple[int, int]], conflict: List[int]) -> int:
 
     ceiling = bound((1 << len(edges)) - 1)
 
-    def walk(avail: int, count: int):
-        nonlocal best
+    # Depth first with an explicit stack, the include branch popped first,
+    # so states are visited in the same order as by recursion.  A
+    # self-calling closure would leave a reference cycle behind every call.
+    stack = [((1 << len(edges)) - 1, 0)]
+    while stack:
+        avail, count = stack.pop()
         if count > best:
             best = count
         if not avail or best == ceiling:
-            return
+            continue
         free = True
         rest = avail
         while rest:
@@ -228,15 +238,13 @@ def _mim_exact(edges: List[Tuple[int, int]], conflict: List[int]) -> int:
             total = count + avail.bit_count()
             if total > best:
                 best = total
-            return
+            continue
         if count + bound(avail) <= best:
-            return
+            continue
         low = avail & -avail
         i = low.bit_length() - 1
-        walk(avail & ~(conflict[i] | low), count + 1)
-        walk(avail ^ low, count)
-
-    walk((1 << len(edges)) - 1, 0)
+        stack.append((avail ^ low, count))
+        stack.append((avail & ~(conflict[i] | low), count + 1))
     return best
 
 
@@ -282,7 +290,7 @@ def width(g: Graph, layout: RootedLayout, kind: str = "gf2") -> Tuple[int, CutRe
     if layout.n != g.n:
         raise ValueError("layout and graph disagree on the vertex count")
     values = []
-    for x in layout.nodes():
+    for x in layout.postorder():
         a = layout.below[x]
         if kind == "mim":
             values.append(mim_cut(g, a))
@@ -324,7 +332,7 @@ def interval_layout(intervals: Sequence[Tuple[int, int]], g: Graph) -> RootedLay
                 )
     order = sorted(range(g.n), key=lambda v: (intervals[v][0], intervals[v][1], v))
     layout = layout_from_order(order)
-    for x in layout.nodes():
+    for x in layout.postorder():
         if mim_cut(g, layout.below[x]) > 1:
             raise AssertionError("interval layout produced a cut above width 1")
     return layout

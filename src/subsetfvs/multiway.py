@@ -92,7 +92,6 @@ class NmcResult:
 def solve_nmc(
     nmc: NmcInstance,
     layout: RootedLayout,
-    threads: int = 1,
     deletable_terminals: bool = False,
 ) -> NmcResult:
     g = nmc.graph
@@ -104,7 +103,7 @@ def solve_nmc(
                 if g.has_edge(t, u):
                     raise ValueError("adjacent terminals cannot be separated")
     inst, hub = reduce_to_sfvs(nmc, deletable_terminals)
-    res = solve(inst, extend_layout(layout, hub), threads=threads)
+    res = solve(inst, extend_layout(layout, hub))
     assert (res.sforest >> hub) & 1, "hub dropped from the optimum"
     cut = g.vertices & ~res.sforest
     if not deletable_terminals:

@@ -4,16 +4,24 @@ Everything here reaches the answer by a route independent of the dynamic
 program: subset enumeration with a connectivity-based cycle test, a direct
 contraction construction for crossing forests, and a semantic completion
 check that compares tables against every possible far side.
+
+The literal index route is here too: `enumerate_indices` streams the full
+index family of a layout node, `is_partial_solution` and `cc_signature` are
+the admissibility test and the connection signature the bucket keys of
+`dp.reduce_table` stand for, and `best` reads a table's best completion.
+None of it runs in `dp.solve`.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .graphs import (
+    BlockGraph,
     BlockPartition,
     Graph,
     Instance,
@@ -23,12 +31,14 @@ from .graphs import (
     contract_partial,
     contracted,
     is_forest,
+    is_s_forest,
     lex_key,
 )
-from .dp import _XN, _XS, _YN, _YS, IndexTuple, NodeContext, SolutionTable
+from .dp import _XN, _XS, _YN, _YS, NodeContext, SolutionTable
 from .layouts import mim_bipartite
 
 BRUTE_LIMIT = 20
+NEG_INF = float("-inf")
 
 
 def _connected(g: Graph, inside: int, a: int, b: int) -> bool:
@@ -121,8 +131,6 @@ def brute_force_fvs(g: Graph, weights: Sequence[int]) -> Tuple[int, int]:
 def sforest_table(inst: Instance) -> np.ndarray:
     """Boolean table over all vertex masks: entry m is True when the graph
     induced on m is an S-forest.  Sized 2**n, so only for small n."""
-    from .graphs import is_s_forest
-
     g, s = inst.graph, inst.s_set
     if g.n > 22:
         raise ValueError("graph too large for a full subset table")
@@ -169,6 +177,232 @@ def check_represents(
         return vals.max(axis=0)
 
     return bool(np.array_equal(best_per_y(untrimmed), best_per_y(reduced)))
+
+
+def best(inst: Instance, table: SolutionTable, y: int):
+    """Best weight of a table member that stays an S-forest with y; -inf
+    when no member does."""
+    g, s = inst.graph, inst.s_set
+    top = NEG_INF
+    for mask, w in table.solutions.items():
+        if w > top and is_s_forest(g, mask | y, s):
+            top = w
+    return top
+
+
+class IndexTuple(NamedTuple):
+    """Cut-side description a partial solution can be attached to.
+
+    xvc_ns / xvc_s: representative sets matched to solution components /
+    S-singletons; x_rest: representative of the unmatched remainder;
+    yvc_ns / yvc_s: far-side representative sets the completion may expose.
+    """
+
+    xvc_ns: FrozenSet[int]
+    xvc_s: FrozenSet[int]
+    x_rest: int
+    yvc_ns: FrozenSet[int]
+    yvc_s: FrozenSet[int]
+
+
+def index_count(ctx: NodeContext) -> int:
+    """Closed-form size of the full index stream."""
+    budget = 4 * ctx.mim
+    pools = (
+        len(ctx.fam_x2.representatives),
+        len(ctx.xs_pool),
+        len(ctx.fam_y2.representatives),
+        len(ctx.ys_pool),
+    )
+    total = 0
+    for k1 in range(min(budget, pools[0]) + 1):
+        c1 = math.comb(pools[0], k1)
+        for k2 in range(min(budget - k1, pools[1]) + 1):
+            c2 = c1 * math.comb(pools[1], k2)
+            for k3 in range(min(budget - k1 - k2, pools[2]) + 1):
+                c3 = c2 * math.comb(pools[2], k3)
+                for k4 in range(min(budget - k1 - k2 - k3, pools[3]) + 1):
+                    total += c3 * math.comb(pools[3], k4)
+    return total * len(ctx.fam_x1.representatives)
+
+
+def enumerate_indices(ctx: NodeContext) -> Iterator[IndexTuple]:
+    """Stream every index tuple of the node, lazily.
+
+    The four cover components are drawn from the full representative pools
+    and only the joint size bound of 4 * mim applies.
+    """
+    budget = 4 * ctx.mim
+    p_ns = ctx.fam_x2.representatives
+    p_s = ctx.xs_pool
+    q_ns = ctx.fam_y2.representatives
+    q_s = ctx.ys_pool
+    for x_rest in ctx.fam_x1.representatives:
+        for k1 in range(min(budget, len(p_ns)) + 1):
+            for c1 in combinations(p_ns, k1):
+                for k2 in range(min(budget - k1, len(p_s)) + 1):
+                    for c2 in combinations(p_s, k2):
+                        for k3 in range(min(budget - k1 - k2, len(q_ns)) + 1):
+                            for c3 in combinations(q_ns, k3):
+                                rem = budget - k1 - k2 - k3
+                                for k4 in range(min(rem, len(q_s)) + 1):
+                                    for c4 in combinations(q_s, k4):
+                                        yield IndexTuple(
+                                            frozenset(c1),
+                                            frozenset(c2),
+                                            x_rest,
+                                            frozenset(c3),
+                                            frozenset(c4),
+                                        )
+
+
+def aux_graph(inst: Instance, x: int, i: IndexTuple) -> BlockGraph:
+    """Block graph joining the solution's contraction with the index's
+    far-side sets; no edges among far-side blocks (mixed contraction).
+
+    Empty far-side sets would be isolated blocks; they are omitted here and
+    handled as singleton groups by `cc_signature`.
+    """
+    g, s = inst.graph, inst.s_set
+    a = contract_partial(x, connected_components(g, x & ~s), s)
+    b_blocks = [u for u in sorted(i.yvc_ns, key=lex_key) if u]
+    b_flags = [False] * len(b_blocks)
+    for u in sorted(i.yvc_s, key=lex_key):
+        if u:
+            b_blocks.append(u)
+            b_flags.append(True)
+    b = BlockPartition(tuple(b_blocks), tuple(b_flags)) if b_blocks else ()
+    return contracted(g, a, b, "mixed")
+
+
+def _match_unique(keys: List[int], target_key: int) -> Optional[int]:
+    found = None
+    for idx, k in enumerate(keys):
+        if k == target_key:
+            if found is not None:
+                return None
+            found = idx
+    return found
+
+
+def is_partial_solution(inst: Instance, ctx: NodeContext, x: int, i: IndexTuple) -> bool:
+    """Literal admissibility test of a solution against an index."""
+    g, s = inst.graph, inst.s_set
+    if x & ~ctx.vx:
+        raise ValueError("solution not within the node side")
+    comps = components_masks(g, x & ~s)
+    singles = list(bits(x & s))
+    fam1, fam2 = ctx.fam_x1, ctx.fam_x2
+    single_keys = [fam1.key_of(1 << v) for v in singles]
+    comp_keys = [fam2.key_of(c) for c in comps]
+
+    matched = 0
+    for r in i.xvc_s:
+        hit = _match_unique(single_keys, fam1.key_of(r))
+        if hit is None:
+            return False
+        matched |= 1 << singles[hit]
+    for r in i.xvc_ns:
+        hit = _match_unique(comp_keys, fam2.key_of(r))
+        if hit is None:
+            return False
+        matched |= comps[hit]
+
+    bg = aux_graph(inst, x, i)
+    if not is_forest(bg.graph, bg.graph.vertices):
+        return False
+
+    for u_set in i.yvc_s:
+        if u_set == 0:
+            continue
+        if u_set.bit_count() != 1:
+            raise ValueError("yvc_s members must be empty or singleton sets")
+        au = g.adj[u_set.bit_length() - 1]
+        for c in comps:
+            if (au & c).bit_count() > 1:
+                return False
+    for v in singles:
+        av = g.adj[v]
+        for u_set in i.yvc_ns:
+            if (av & u_set).bit_count() > 1:
+                return False
+        for c in comps:
+            if (av & c).bit_count() > 1:
+                return False
+
+    return fam1.key_of(x & ~matched) == fam1.key_of(i.x_rest)
+
+
+Signature = Tuple[Tuple[Tuple[str, int], ...], ...]
+
+
+def _encode_groups(groups: List[List[Tuple[str, int]]]) -> Signature:
+    return tuple(sorted(tuple(sorted(grp)) for grp in groups if grp))
+
+
+def cc_signature(inst: Instance, ctx: NodeContext, x: int, i: IndexTuple) -> Signature:
+    """Connection signature: how the index's sets are grouped by the
+    components of the solution/index block graph.
+
+    Requires x to be a partial solution for i.
+    """
+    g, s = inst.graph, inst.s_set
+    comps = components_masks(g, x & ~s)
+    singles = list(bits(x & s))
+    fam1, fam2 = ctx.fam_x1, ctx.fam_x2
+    blocks = comps + [1 << v for v in singles]
+    nb = len(blocks)
+
+    chosen: List[Tuple[str, int, int]] = []  # (kind, set, ext inside vx)
+    for u_set in sorted(i.yvc_ns, key=lex_key):
+        chosen.append(("yn", u_set, ctx.ext_of(u_set) if u_set else 0))
+    for u_set in sorted(i.yvc_s, key=lex_key):
+        chosen.append(("ys", u_set, ctx.ext_of(u_set) if u_set else 0))
+
+    parent = list(range(nb + len(chosen)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for bi in range(len(comps), nb):
+        av = g.adj[blocks[bi].bit_length() - 1]
+        for bj in range(nb):
+            if bj != bi and av & blocks[bj]:
+                union(bi, bj)
+    for ci, (_, u_set, ext) in enumerate(chosen):
+        for bj in range(nb):
+            if ext & blocks[bj]:
+                union(nb + ci, bj)
+
+    single_keys = [fam1.key_of(1 << v) for v in singles]
+    comp_keys = [fam2.key_of(c) for c in comps]
+    groups: Dict[int, List[Tuple[str, int]]] = {}
+    for r in sorted(i.xvc_ns, key=lex_key):
+        hit = _match_unique(comp_keys, fam2.key_of(r))
+        if hit is None:
+            raise ValueError("x is not a partial solution for the index")
+        groups.setdefault(find(hit), []).append(("xn", r))
+    for r in sorted(i.xvc_s, key=lex_key):
+        hit = _match_unique(single_keys, fam1.key_of(r))
+        if hit is None:
+            raise ValueError("x is not a partial solution for the index")
+        groups.setdefault(find(len(comps) + hit), []).append(("xs", r))
+    for ci, (kind, u_set, _) in enumerate(chosen):
+        if u_set:
+            groups.setdefault(find(nb + ci), []).append((kind, u_set))
+    out = list(groups.values())
+    for kind, u_set, _ in chosen:
+        if u_set == 0:
+            out.append([(kind, 0)])
+    return _encode_groups(out)
 
 
 def check_x2plus(g: Graph, x: int, y: int) -> bool:

@@ -15,7 +15,7 @@ from subsetfvs.graphs import Graph, Instance, bits, is_forest, is_s_forest, mask
 from subsetfvs.layouts import cut_rank, layout_from_order, mim_bipartite, mim_cut
 from subsetfvs.multiway import NmcInstance, brute_force_nmc, separates, solve_nmc
 from subsetfvs.nec import compute_reps
-from subsetfvs.dp import build_context, is_partial_solution, solve
+from subsetfvs.dp import build_context, solve
 from subsetfvs.oracles import (
     brute_force_fvs,
     brute_force_sfvs,
@@ -24,7 +24,9 @@ from subsetfvs.oracles import (
     check_x2plus,
     extract_vertex_cover,
     find_scontraction,
+    index_count,
     is_complement_solution,
+    is_partial_solution,
     s_forest_by_cycles,
     scontraction_conditions,
     sforest_table,
@@ -215,7 +217,7 @@ def test_criterion_7_representativity_and_table_sizes(capsys):
             def audit(node, ctx, merged, reduced):
                 nonlocal audited
                 m = ctx.mim
-                assert len(reduced) <= ctx.index_count() * (4 * m) ** (4 * m)
+                assert len(reduced) <= index_count(ctx) * (4 * m) ** (4 * m)
                 if ctx.cvx.bit_count() <= far_limit:
                     assert check_represents(inst, ctx.vx, merged, reduced, flags)
                     audited += 1

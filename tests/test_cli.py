@@ -1,7 +1,12 @@
 """Command line front end: file formats, exit codes, reports, generation."""
 
+import importlib
+import importlib.util
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,9 +187,33 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
 
 def test_exit_code_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
     gr = write(tmp_path, "tri.gr", TRIANGLE)
-    monkeypatch.setattr(cli, "brute_force_sfvs", lambda inst: (99, 0))
+    monkeypatch.setattr("subsetfvs.oracles.brute_force_sfvs", lambda inst: (99, 0))
     assert main(["solve", "--graph", gr, "--s", "v1", "--oracle"]) == 2
     assert "oracle" in capsys.readouterr().err
+
+
+def test_exit_code_on_fvs_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    gr = write(tmp_path, "tri.gr", TRIANGLE)
+    monkeypatch.setattr("subsetfvs.oracles.brute_force_fvs", lambda g, weights: (99, 0))
+    assert main(["solve", "--graph", gr, "--problem", "fvs", "--oracle"]) == 2
+    assert "oracle" in capsys.readouterr().err
+
+
+def test_oracle_checks_fvs_and_nmc(tmp_path, capsys):
+    tri = write(tmp_path, "tri.gr", TRIANGLE)
+    code, report = run_json(tmp_path, capsys, ["solve", "--graph", tri, "--problem", "fvs", "--oracle"])
+    assert code == 0
+    assert report["objective_weight"] == 2
+    assert report["oracle_checked"] is True
+    path = write(tmp_path, "path.gr", PATH_T)
+    code, report = run_json(
+        tmp_path,
+        capsys,
+        ["solve", "--graph", path, "--problem", "nmc", "--terminals", "t1,t2", "--oracle"],
+    )
+    assert code == 0
+    assert report["objective_weight"] == 1
+    assert report["oracle_checked"] is True
 
 
 def test_exit_code_on_oracle_size_guard(tmp_path, capsys):
@@ -192,6 +221,37 @@ def test_exit_code_on_oracle_size_guard(tmp_path, capsys):
     gr = write(tmp_path, "big.gr", write_graph_file(big, [1] * 21, 0, [f"v{i}" for i in range(21)]))
     assert main(["solve", "--graph", gr, "--oracle"]) == 3
     capsys.readouterr()
+
+
+# ---------------------------------------------------------- module surface
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_plain_import_leaves_oracles_and_numpy_unloaded():
+    probe = (
+        "import sys; import subsetfvs.cli; "
+        "print(sorted({'numpy', 'subsetfvs.oracles'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); {probe}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_targets_exist():
+    """perfbench/tracing.py wraps module attributes by name; each one must
+    still exist, or a traced benchmark run breaks."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for mod_name, attr, _, _ in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
 
 
 # --------------------------------------------------------------- generate

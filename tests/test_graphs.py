@@ -73,14 +73,6 @@ def test_contracted_full_triangle_of_blocks():
     assert sorted(bg.graph.edges()) == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_contracted_bipartite_drops_internal_edges():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    a = BlockPartition((0b0011,), (False,))
-    b = BlockPartition((0b0100, 0b1000), (False, False))
-    bg = contracted(g, a, b, "bipartite")
-    assert sorted(bg.graph.edges()) == [(0, 1), (0, 2)]  # no v3-v4 edge
-
-
 def test_contracted_mixed_empty_near_side():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     b = BlockPartition((0b0011, 0b1100), (False, False))

@@ -1,5 +1,6 @@
 """Layouts, cut functions and their width; serialization; interval layouts."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from subsetfvs.graphs import Graph, bits, mask_of
 from subsetfvs.layouts import (
     RootedLayout,
+    _matching_number,
     _rational_rank,
     cut_rank,
     distinct_external_neighborhoods,
@@ -20,7 +22,6 @@ from subsetfvs.layouts import (
     mim_cut,
     parse_layout,
     serialize_layout,
-    vertex_set_below,
     width,
 )
 
@@ -77,13 +78,10 @@ def brute_mim(g, a, b):
 
 def test_layout_below():
     lay = layout_from_order([0, 1, 2])
-    assert vertex_set_below(lay, lay.root) == 0b111
-    leaves = [x for x in lay.nodes() if lay.is_leaf(x)]
+    leaves = [x for x in lay.postorder() if lay.is_leaf(x)]
     assert sorted(lay.below[x] for x in leaves) == [0b001, 0b010, 0b100]
-    internal = [x for x in lay.nodes() if not lay.is_leaf(x)]
+    internal = [x for x in lay.postorder() if not lay.is_leaf(x)]
     assert 0b011 in [lay.below[x] for x in internal]  # deepest join holds {v0,v1}
-    with pytest.raises(ValueError):
-        vertex_set_below(lay, 99)
 
 
 def test_layout_from_order_shapes():
@@ -192,7 +190,7 @@ def test_gf2_cut_rank_matches_packed_reference():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if intervals_intersect(iv[i], iv[j])]
         g = Graph(n, edges)
         lay = interval_layout(iv, g)
-        for x in lay.nodes():
+        for x in lay.postorder():
             assert cut_rank(g, lay.below[x], "gf2") == packed_gf2_cut_rank(g, lay.below[x])
 
 
@@ -217,11 +215,39 @@ def test_mim_against_exhaustive():
         assert mim_cut(g, a) == brute_mim(g, a, g.vertices & ~a)
 
 
+def test_mim_cut_leaves_no_cyclic_garbage():
+    rng = random.Random(12)
+    g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.3])
+    gc.collect()
+    gc.disable()
+    try:
+        values = {mim_cut(g, 0b000000111111) for _ in range(50)}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(values) == 1
+
+
+def test_matching_number_on_a_long_alternating_chain():
+    # The chain w, u0, v0, u1, v1, ..., u1199, v1199 with its 2400 edges
+    # listed from the far end.  Every left vertex first takes the right
+    # vertex before it, so u0 needs an augmenting path through all 1200
+    # links, deeper than the default recursion limit.
+    links = 1200
+    w = 2 * links
+    edges = []
+    for i in range(links - 1, 0, -1):
+        edges += [(2 * i, 2 * i - 1), (2 * i, 2 * i + 1)]
+    edges += [(0, 1), (0, w)]
+    assert len(edges) == 2 * links
+    assert _matching_number(edges, (1 << len(edges)) - 1) == links
+
+
 def test_width_p4_caterpillar():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     lay = layout_from_order([0, 1, 2, 3])
     # reference: rank every one of the layout's cuts directly
-    expected = max(cut_rank(g, lay.below[x], "gf2") for x in lay.nodes())
+    expected = max(cut_rank(g, lay.below[x], "gf2") for x in lay.postorder())
     w, report = width(g, lay, "gf2")
     assert w == expected == 1
     assert len(report.values) == lay.node_count
@@ -265,9 +291,9 @@ def test_interval_layout_nested():
     iv = [(1, 10), (2, 3), (4, 5)]
     g = Graph(3, [(0, 1), (0, 2)])
     lay = interval_layout(iv, g)
-    assert all(mim_cut(g, lay.below[x]) <= 1 for x in lay.nodes())
+    assert all(mim_cut(g, lay.below[x]) <= 1 for x in lay.postorder())
     # sorted by left endpoint: the deepest join pairs the two leftmost
-    internal = [x for x in lay.nodes() if not lay.is_leaf(x)]
+    internal = [x for x in lay.postorder() if not lay.is_leaf(x)]
     assert 0b011 in [lay.below[x] for x in internal]
 
 
@@ -285,7 +311,7 @@ def test_interval_layout_random_width_one():
     ]
     g = Graph(20, edges)
     lay = interval_layout(iv, g)
-    assert max(mim_cut(g, lay.below[x]) for x in lay.nodes()) <= 1
+    assert max(mim_cut(g, lay.below[x]) for x in lay.postorder()) <= 1
 
 
 def test_interval_layout_validates_model():

@@ -15,8 +15,9 @@ from subsetfvs.graphs import (
     is_s_forest,
 )
 from subsetfvs.layouts import layout_from_order, mim_bipartite
-from subsetfvs.dp import IndexTuple, SolutionTable, build_context, is_partial_solution
+from subsetfvs.dp import SolutionTable, build_context
 from subsetfvs.oracles import (
+    IndexTuple,
     brute_force_fvs,
     brute_force_sfvs,
     build_index_from_cover,
@@ -25,6 +26,7 @@ from subsetfvs.oracles import (
     extract_vertex_cover,
     find_scontraction,
     is_complement_solution,
+    is_partial_solution,
     lies_on_cycle,
     s_forest_by_cycles,
     scontraction_conditions,

@@ -139,7 +139,12 @@ def _run_solve(args) -> int:
 
     if args.oracle:
         # numpy and the reference route load only when a check is asked for.
-        from . import oracles
+        try:
+            from . import oracles
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            raise CliError("--oracle needs numpy, the 'oracle' extra: pip install 'subsetfvs[oracle]'")
 
         limit = oracles.BRUTE_LIMIT
         if g.n > limit:
@@ -274,7 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--s", help="comma-separated S vertices (sfvs; overrides file flags)")
     run_p.add_argument("--terminals", help="comma-separated terminals (nmc)")
     run_p.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads, 0 = auto")
+    run_p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and checked to be >= 0; the solve runs in one thread",
+    )
     run_p.add_argument("--json", help="write a JSON report to PATH, or - for stdout")
     run_p.set_defaults(fn=_run_solve)
 

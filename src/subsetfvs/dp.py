@@ -33,9 +33,18 @@ singleton) is a label, and each label met during one `reduce_table` call
 gets one bit.  A signature group is the OR of its label bits, and a bucket
 key is the class of the unmatched rest followed by the group masks in an
 order fixed by the set of groups.  The keep rule is best first:
-solutions are visited by (-weight, lex_key), and a solution stays exactly
-when one of its keys is not yet seen.  That is the minimum entry of each
-bucket, without holding the buckets.
+solutions are visited by (-weight, lexicographic order), and a solution
+stays exactly when one of its keys is not yet seen.  That is the minimum
+entry of each bucket, without holding the buckets.
+
+The work per node and per row follows the cut's boundary (the side's
+vertices with a neighbor across the cut), not the number of vertices.
+Only boundary vertices decide a class, so representatives are looked up
+from the boundary part of a set, and the far-side singleton pool is built
+from the far boundary.  A row's block structure (its components, its
+trees, and the count that tells whether it can still be extended) is
+carried from the child rows through `BlockStore`, which joins two rows
+along the edges between them and keeps only the pieces on the boundary.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from typing import (
     Tuple,
 )
 
-from .graphs import Graph, Instance, bits, components_masks, is_s_forest, lex_key
+from .graphs import Graph, Instance, bits, is_s_forest, lex_order
 from .layouts import RootedLayout, mim_cut
 # compute_reps is unused here but stays a name of this module: the tracer in
 # perfbench/tracing.py wraps dp.compute_reps, dp.build_context and dp.mim_cut.
@@ -68,10 +77,157 @@ from .nec import NecFamily, compute_reps, layout_families  # noqa: F401
 _XN, _XS, _YN, _YS = range(4)
 
 
+class Structure(NamedTuple):
+    """Block structure of a vertex set x below a layout node, as far as a
+    merge further up can still change it.
+
+    The pieces listed are those with a vertex on the node's boundary (a
+    vertex with a neighbor outside the node): no later edge reaches the
+    others.  The counts are over all pieces."""
+
+    comps: Tuple[int, ...]  # components of x \\ S on the boundary
+    trees: Tuple[int, ...]  # components of x on the boundary
+    n_comps: int
+    n_trees: int
+    s_edges: int  # edges inside x with an end in S
+
+
+class BlockStore:
+    """Block structures of vertex sets below the nodes of one layout.
+
+    A leaf's set is one vertex or none.  An internal node's set is joined
+    from its parts below the two children.  Each part's components are
+    maximal on its own side, so only an edge from the right part to the
+    left one joins two of them, and only those edges add to `s_edges`.  The
+    structure of a set is kept by set alone: asked at an ancestor of the
+    node it was built at, it may list pieces that have left the boundary
+    since, and readers filter by their own boundary.  `solve` asks for the
+    rows of each merged table, whose parts are rows of the child tables and
+    already known, and then forgets the rows no live table holds.  A set
+    with unknown parts is built the same way, from the leaves up.
+    """
+
+    def __init__(self, inst: Instance, layout: RootedLayout):
+        adj = inst.graph.adj
+        self.adj = adj
+        self.s = inst.s_set
+        self.layout = layout
+        # boundary[y]: the vertices below y with a neighbor outside.  A
+        # vertex that leaves a boundary never comes back to one above.
+        # crossing[y]: the vertices below y's right child with a neighbor
+        # below its left child.
+        self.boundary: List[int] = []
+        self.crossing: List[int] = []
+        for y in layout.postorder():
+            below = layout.below[y]
+            crossing = 0
+            if layout.is_leaf(y):
+                cand = below
+            else:
+                cand = self.boundary[layout.left[y]] | self.boundary[layout.right[y]]
+                for u in bits(self.boundary[layout.right[y]]):
+                    if adj[u] & layout.below[layout.left[y]]:
+                        crossing |= 1 << u
+            bnd = 0
+            for v in bits(cand):
+                if adj[v] & ~below:
+                    bnd |= 1 << v
+            self.boundary.append(bnd)
+            self.crossing.append(crossing)
+        self.known: Dict[int, Structure] = {0: Structure((), (), 0, 0, 0)}
+        self._reach: Dict[int, int] = {}  # neighbors of a set of right-side vertices
+
+    def of(self, node: int, x: int) -> Structure:
+        """Block structure of a vertex set x below `node`."""
+        got = self.known.get(x)
+        if got is not None:
+            return got
+        lay, known = self.layout, self.known
+        # Preorder down to the nodes whose part of x is known, then join
+        # those parts children first.
+        walk = []
+        todo = [node]
+        while todo:
+            y = todo.pop()
+            if x & lay.below[y] not in known:
+                walk.append(y)
+                if not lay.is_leaf(y):
+                    todo += (lay.left[y], lay.right[y])
+        for y in reversed(walk):
+            part = x & lay.below[y]
+            if part in known:
+                continue
+            if lay.is_leaf(y):
+                listed = (part,) if part & self.boundary[y] else ()
+                if part & self.s:
+                    known[part] = Structure((), listed, 0, 1, 0)
+                else:
+                    known[part] = Structure(listed, listed, 1, 1, 0)
+            else:
+                known[part] = self._join(y, part)
+        return known[x]
+
+    def _join(self, node: int, x: int) -> Structure:
+        adj, s, crossing = self.adj, self.s, self.crossing[node]
+        left = x & self.layout.below[self.layout.left[node]]
+        a, b = self.known[left], self.known[x ^ left]
+        s_edges = a.s_edges + b.s_edges
+        for u in bits(x & crossing):
+            seen = adj[u] & left
+            s_edges += (seen if s >> u & 1 else seen & s).bit_count()
+        comps = self._glue(a.comps, b.comps, crossing)
+        trees = self._glue(a.trees, b.trees, crossing)
+        bnd = self.boundary[node]
+        return Structure(
+            tuple(c for c in comps if c & bnd),
+            tuple(t for t in trees if t & bnd),
+            a.n_comps + b.n_comps - (len(a.comps) + len(b.comps) - len(comps)),
+            a.n_trees + b.n_trees - (len(a.trees) + len(b.trees) - len(trees)),
+            s_edges,
+        )
+
+    def _glue(self, out: Sequence[int], pieces: Sequence[int], crossing: int) -> List[int]:
+        """Left pieces `out` joined with right pieces `pieces`; only the
+        vertices of `crossing` reach the left side."""
+        out = list(out)
+        for piece in pieces:
+            hook = piece & crossing
+            reach = self._reach.get(hook)
+            if reach is None:
+                reach = 0
+                for v in bits(hook):
+                    reach |= self.adj[v]
+                self._reach[hook] = reach
+            grown = piece
+            rest = []
+            for comp in out:
+                if comp & reach:
+                    grown |= comp
+                else:
+                    rest.append(comp)
+            rest.append(grown)
+            out = rest
+        return out
+
+    def forget(self, masks: Iterable[int]) -> None:
+        """Drop the structures of these sets, and the neighbor cache."""
+        known = self.known
+        for m in masks:
+            if m:
+                known.pop(m, None)
+        self._reach.clear()
+
+
 @dataclass
 class NodeContext:
-    """Per-node cut data: equivalence families on both sides and the pools
-    the index components are drawn from."""
+    """Per-node cut data: equivalence families on both sides, the far-side
+    candidates an index can name, and the store of row structures.
+
+    `near_bnd` holds the side's vertices with a neighbor across the cut.
+    Only they decide a class of either near family, so a set and its part
+    in `near_bnd` have one representative.  `ys_pool` holds the d=1
+    representatives of the far side's singletons; the near side's pool is
+    read only by the oracles (`oracles.xs_pool`)."""
 
     node: int
     vx: int
@@ -81,8 +237,9 @@ class NodeContext:
     fam_x2: NecFamily
     fam_y1: NecFamily
     fam_y2: NecFamily
-    xs_pool: Tuple[int, ...]
+    near_bnd: int
     ys_pool: Tuple[int, ...]
+    blocks: BlockStore
     # (label, ext_of, e_bad) of every far-side candidate a cover can name:
     # the nonempty sets of fam_y2, then the nonempty singletons of ys_pool
     far_cands: Tuple[Tuple[int, int, int], ...] = ()
@@ -126,39 +283,54 @@ def node_families(g: Graph, layout: RootedLayout) -> Families:
     return near1, near2, far1, far2
 
 
+def singleton_pool(fam: NecFamily, bnd: int) -> Tuple[int, ...]:
+    """Sorted d=1 representatives of the side's singletons.  Only the
+    vertices of `bnd`, those with a neighbor across the cut, leave the
+    class of the empty set."""
+    reps = {fam.rep_of(1 << v) for v in bits(bnd)}
+    if fam.side & ~bnd:
+        reps.add(0)
+    return tuple(sorted(reps, key=lex_order))
+
+
 def build_context(
     inst: Instance,
     layout: RootedLayout,
     node: int,
     families: Optional[Families] = None,
+    blocks: Optional[BlockStore] = None,
 ) -> NodeContext:
     """Cut data of one layout node.  `families` is `node_families` of the
-    layout, which `solve` builds once; without it this call builds them."""
+    layout and `blocks` the store of row structures, which `solve` builds
+    once and shares; without them this call builds its own."""
     g = inst.graph
     if families is None:
         families = node_families(g, layout)
+    if blocks is None:
+        blocks = BlockStore(inst, layout)
     near1, near2, far1, far2 = families
     vx = layout.below[node]
     cvx = g.vertices & ~vx
-    fam_x1 = near1[node]
-    fam_y1 = far1[node]
-    xs_pool = tuple(sorted({fam_x1.rep_of(1 << v) for v in bits(vx)}, key=lex_key))
-    ys_pool = tuple(sorted({fam_y1.rep_of(1 << u) for u in bits(cvx)}, key=lex_key))
+    near_bnd = blocks.boundary[node]
+    far_bnd = 0
+    for v in bits(near_bnd):
+        far_bnd |= g.adj[v]
     ctx = NodeContext(
         node,
         vx,
         cvx,
         mim_cut(g, vx),
-        fam_x1,
+        near1[node],
         near2[node],
-        fam_y1,
+        far1[node],
         far2[node],
-        xs_pool,
-        ys_pool,
+        near_bnd,
+        singleton_pool(far1[node], far_bnd & cvx),
+        blocks,
     )
     ctx.far_cands = tuple(
         (u_set << 2 | kind, ctx.ext_of(u_set), ctx.e_bad(u_set))
-        for kind, pool in ((_YN, ctx.fam_y2.representatives), (_YS, ys_pool))
+        for kind, pool in ((_YN, ctx.fam_y2.representatives), (_YS, ctx.ys_pool))
         for u_set in pool
         if u_set
     )
@@ -203,6 +375,8 @@ def _label_bit(labels: Dict[int, int], label: int) -> int:
 
 
 class _Profile(NamedTuple):
+    # the blocks of a solution with a vertex on the boundary: components of
+    # x \\ S, then S-vertices; tree_of numbers their trees
     blocks: Tuple[int, ...]
     tree_of: Tuple[int, ...]
     x_cands: Tuple[Tuple[int, int], ...]  # label bit, block index
@@ -217,54 +391,45 @@ def _profile_solution(
     """Block structure of a solution, or None when it can never be extended
     (its own contraction already has a forbidden cycle or degree).
 
-    Candidate labels get their bits from `labels`.  The surviving far-side
-    candidates of `ctx.far_cands` are grouped by the set they hit in x, so
-    their attachment (the blocks they see) and its trees are worked out once
-    per distinct hit, and candidates with one attachment set form one
-    attachment type.  A type that hooks one tree twice would close a cycle
-    and is dropped.
+    The structure of x comes from `ctx.blocks`, joined from those of its
+    parts below the two children.  Its contraction has a node per component
+    of x \\ S and per S-vertex, and an edge per edge of x with an end in S;
+    it is a forest exactly when its edges number its nodes minus its trees.
+    Only the blocks on the boundary enter the profile: no index can match
+    or hook the others.  Candidate labels get their bits from `labels`.
+    The surviving far-side candidates of `ctx.far_cands` are grouped by the
+    set they hit in x, so their attachment (the blocks they see) and its
+    trees are worked out once per distinct hit, and candidates with one
+    attachment set form one attachment type.  A type that hooks one tree
+    twice would close a cycle and is dropped.
     """
-    g, s = inst.graph, inst.s_set
-    comps = components_masks(g, x & ~s)
-    singles = list(bits(x & s))
+    s = inst.s_set
+    st = ctx.blocks.of(ctx.node, x)
+    if st.s_edges != st.n_comps + (x & s).bit_count() - st.n_trees:
+        return None
+    bnd = ctx.near_bnd
+    comps = [c for c in st.comps if c & bnd]
+    singles = list(bits(x & s & bnd))
     nc = len(comps)
     blocks = comps + [1 << v for v in singles]
-    nb = len(blocks)
-
-    parent = list(range(nb))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for si, v in enumerate(singles):
-        av = g.adj[v]
-        bi = nc + si
-        for bj in range(nb):
-            if bj == bi or not av & blocks[bj]:
-                continue
-            if bj < nc and (av & blocks[bj]).bit_count() > 1:
-                return None
-            if nc <= bj < bi:
-                continue  # single/single edges handled once, from the later one
-            ra, rb = find(bi), find(bj)
-            if ra == rb:
-                return None
-            parent[ra] = rb
-
-    tree_of = tuple(find(b) for b in range(nb))
+    tree_of = [0] * len(blocks)
+    t = 0
+    for tree in st.trees:
+        if tree & bnd:
+            for bj, block in enumerate(blocks):
+                if block & tree:
+                    tree_of[bj] = t
+            t += 1
 
     fam1, fam2 = ctx.fam_x1, ctx.fam_x2
-    comp_reps = [fam2.rep_of(c) for c in comps]
+    comp_reps = [fam2.rep_of(c & bnd) for c in comps]
     single_reps = [fam1.rep_of(1 << v) for v in singles]
     x_cands: List[Tuple[int, int]] = []
     for bi, rep in enumerate(comp_reps):
-        if rep and comp_reps.count(rep) == 1:
+        if comp_reps.count(rep) == 1:
             x_cands.append((_label_bit(labels, rep << 2 | _XN), bi))
     for si, rep in enumerate(single_reps):
-        if rep and single_reps.count(rep) == 1:
+        if single_reps.count(rep) == 1:
             x_cands.append((_label_bit(labels, rep << 2 | _XS), nc + si))
 
     # hit << 1 | singleton flag -> labels.  A far set is out when a matched
@@ -303,7 +468,7 @@ def _profile_solution(
             known[1].extend(label_bits)
 
     types = tuple((att, trees, label_bits) for att, (trees, label_bits) in by_att.items())
-    return _Profile(tuple(blocks), tree_of, tuple(x_cands), types)
+    return _Profile(tuple(blocks), tuple(tree_of), tuple(x_cands), types)
 
 
 BucketKey = Tuple[int, ...]  # x_rest, then the label masks of the groups
@@ -343,6 +508,7 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
     """
     cap_side = 2 * ctx.mim
     fam1 = ctx.fam_x1
+    x_bnd = x & ctx.near_bnd  # the part of x its classes depend on
     blocks, tree_of, x_cands, types = prof
 
     # The p-subsets: the blocks each one matches, its trees (bitmask), its
@@ -365,7 +531,7 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
             p_used.append(used)
             p_tmask.append(tmask)
             p_trees.append(by_tree)
-            p_heads.append((fam1.rep_of(x & ~vc_mask), *sorted(by_tree.values())))
+            p_heads.append((fam1.rep_of(x_bnd & ~vc_mask), *sorted(by_tree.values())))
     # A block hooked by a lone type stays unmatched, so each set of
     # lone-hooked blocks keeps the p-subsets that avoid it.
     p_pools: Dict[int, List[int]] = {}
@@ -463,7 +629,7 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     A bucket key is the class of the unmatched rest followed by the label
     masks of the signature's groups, in an order fixed by the set of groups
     (see `_bucket_keys`).  Solutions are visited best first, by (-weight,
-    lex_key); each bucket's winner is the first solution that has its key,
+    lex_order); each bucket's winner is the first solution that has its key,
     so a solution stays exactly when one of its keys is new, that is when
     adding its keys to the ones seen so far grows that set.  The result is
     a subset of the input that preserves the best completion for every
@@ -473,7 +639,7 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     labels: Dict[int, int] = {}
     seen: Set[BucketKey] = set()
     keep: List[int] = []
-    for mask in sorted(sols, key=lambda m: (-sols[m], lex_key(m))):
+    for mask in sorted(sols, key=lambda m: (-sols[m], lex_order(m))):
         prof = _profile_solution(inst, ctx, mask, labels)
         if prof is None:
             continue
@@ -481,7 +647,7 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
         _bucket_keys(ctx, mask, prof, seen)
         if len(seen) > before:
             keep.append(mask)
-    return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_key)})
+    return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_order)})
 
 
 @dataclass(frozen=True)
@@ -505,28 +671,32 @@ def solve(
         raise ValueError("layout does not match the graph")
 
     families = node_families(g, layout)
+    blocks = BlockStore(inst, layout)
     tables: Dict[int, SolutionTable] = {}
     for x in layout.postorder():
         if layout.is_leaf(x):
             v = layout.leaf_vertex[x]
             tables[x] = SolutionTable(x, {0: 0, 1 << v: inst.weights[v]})
             continue
-        ctx = build_context(inst, layout, x, families)
-        merged = merge_tables(tables[layout.left[x]], tables[layout.right[x]], x)
+        ctx = build_context(inst, layout, x, families, blocks)
+        children = tables.pop(layout.left[x]), tables.pop(layout.right[x])
+        merged = merge_tables(*children, x)
         reduced = reduce_table(merged, ctx, inst)
         if trace is not None:
             trace(x, ctx, merged, reduced)
         tables[x] = reduced
-        del tables[layout.left[x]], tables[layout.right[x]]
+        # Keep the structures of live rows only.
+        kept = reduced.solutions
+        blocks.forget(m for t in (merged, *children) for m in t.solutions if m not in kept)
 
     root_table = tables[layout.root]
     winner = None
-    for mask in sorted(root_table.solutions, key=lex_key):
+    for mask in sorted(root_table.solutions, key=lex_order):
         w = root_table.solutions[mask]
         if not is_s_forest(g, mask, s):
             continue
-        if winner is None or (-w, lex_key(mask)) < winner[0]:
-            winner = ((-w, lex_key(mask)), mask)
+        if winner is None or (-w, lex_order(mask)) < winner[0]:
+            winner = ((-w, lex_order(mask)), mask)
     if winner is None:
         raise RuntimeError("no S-forest member survived at the root")
     mask = winner[1]

@@ -33,6 +33,22 @@ def lex_key(mask: int) -> Tuple[int, ...]:
     return tuple(bits(mask))
 
 
+_PRESENT_FIRST = str.maketrans("01", "10")
+
+
+def lex_order(mask: int) -> str:
+    """A sort key that orders vertex sets as `lex_key` does, built without a
+    Python loop over the set.
+
+    Character i is '0' when vertex i is in the set and '1' when it is not,
+    up to the largest vertex.  At the first vertex two sets disagree on, the
+    set holding it is the smaller one while the other set goes on; when the
+    other set has already ended, its string is a prefix, and a prefix sorts
+    first, as a tuple does.
+    """
+    return bin(mask)[:1:-1].translate(_PRESENT_FIRST) if mask else ""
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 

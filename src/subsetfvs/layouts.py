@@ -147,9 +147,15 @@ def cut_rank(g: Graph, a: int, field: str = "gf2") -> int:
         # packing them densely would only relabel columns in order.
         return gf2_rank([g.adj[v] & comp for v in bits(a)])
     if field == "rational":
-        cols = list(bits(comp))
-        rows = [[g.adj[v] >> u & 1 for u in cols] for v in bits(a)]
-        return _rational_rank(rows)
+        # Zero rows and columns add nothing to the rank: keep the rows of
+        # the vertices with a neighbour across the cut, and the columns
+        # those rows touch.
+        packed = [row for row in (g.adj[v] & comp for v in bits(a)) if row]
+        touched = 0
+        for row in packed:
+            touched |= row
+        cols = list(bits(touched))
+        return _rational_rank([[row >> u & 1 for u in cols] for row in packed])
     raise ValueError(f"unknown field {field!r}")
 
 

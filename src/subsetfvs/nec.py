@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import Graph, bits, lex_key
+from .graphs import Graph, bits, lex_order
 from .layouts import RootedLayout
 
 
@@ -162,7 +162,7 @@ def join(fa: NecFamily, fb: NecFamily) -> NecFamily:
             cr, cc = r.bit_count(), cur.bit_count()
             if cr < cc or (cr == cc and (r ^ cur) & -(r ^ cur) & r):
                 best[key] = r
-    ordered = sorted(best.items(), key=lambda kv: (kv[1].bit_count(), lex_key(kv[1])))
+    ordered = sorted(best.items(), key=lambda kv: (kv[1].bit_count(), lex_order(kv[1])))
     reps = tuple(r for _, r in ordered)
     lookup = {key: i for i, (key, _) in enumerate(ordered)}
     return NecFamily(g, side, d, out, reps, lookup)

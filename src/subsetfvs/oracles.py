@@ -34,7 +34,7 @@ from .graphs import (
     is_s_forest,
     lex_key,
 )
-from .dp import _XN, _XS, _YN, _YS, NodeContext, SolutionTable
+from .dp import _XN, _XS, _YN, _YS, NodeContext, SolutionTable, _label_bit, _Profile, singleton_pool
 from .layouts import mim_bipartite
 
 BRUTE_LIMIT = 20
@@ -205,12 +205,18 @@ class IndexTuple(NamedTuple):
     yvc_s: FrozenSet[int]
 
 
+def xs_pool(ctx: NodeContext) -> Tuple[int, ...]:
+    """Sorted d=1 representatives of the near side's singletons, the pool
+    the index family draws matched S-vertices from."""
+    return singleton_pool(ctx.fam_x1, ctx.near_bnd)
+
+
 def index_count(ctx: NodeContext) -> int:
     """Closed-form size of the full index stream."""
     budget = 4 * ctx.mim
     pools = (
         len(ctx.fam_x2.representatives),
-        len(ctx.xs_pool),
+        len(xs_pool(ctx)),
         len(ctx.fam_y2.representatives),
         len(ctx.ys_pool),
     )
@@ -234,7 +240,7 @@ def enumerate_indices(ctx: NodeContext) -> Iterator[IndexTuple]:
     """
     budget = 4 * ctx.mim
     p_ns = ctx.fam_x2.representatives
-    p_s = ctx.xs_pool
+    p_s = xs_pool(ctx)
     q_ns = ctx.fam_y2.representatives
     q_s = ctx.ys_pool
     for x_rest in ctx.fam_x1.representatives:
@@ -331,6 +337,86 @@ def is_partial_solution(inst: Instance, ctx: NodeContext, x: int, i: IndexTuple)
                 return False
 
     return fam1.key_of(x & ~matched) == fam1.key_of(i.x_rest)
+
+
+def profile_solution(
+    inst: Instance, ctx: NodeContext, x: int, labels: Dict[int, int]
+) -> Optional[_Profile]:
+    """Reference for `dp._profile_solution`, built from scratch: the
+    components of x minus S by breadth-first search, the trees and the
+    forbidden cycles by union-find over every block, and the class
+    representatives from whole blocks.  As in `dp`, the profile keeps the
+    blocks with a vertex that has a neighbor across the cut; tree ids are
+    the union-find roots."""
+    g, s = inst.graph, inst.s_set
+    comps = components_masks(g, x & ~s)
+    singles = list(bits(x & s))
+    nc = len(comps)
+    blocks = comps + [1 << v for v in singles]
+    nb = len(blocks)
+
+    parent = list(range(nb))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for si, v in enumerate(singles):
+        av = g.adj[v]
+        bi = nc + si
+        for bj in range(nb):
+            if bj == bi or not av & blocks[bj]:
+                continue
+            if bj < nc and (av & blocks[bj]).bit_count() > 1:
+                return None
+            if nc <= bj < bi:
+                continue
+            ra, rb = find(bi), find(bj)
+            if ra == rb:
+                return None
+            parent[ra] = rb
+
+    comp_reps = [ctx.fam_x2.rep_of(c) for c in comps]
+    single_reps = [ctx.fam_x1.rep_of(1 << v) for v in singles]
+    x_cands: List[Tuple[int, int]] = []  # label bit, index among the kept blocks
+    kept: List[int] = []
+    for bi, block in enumerate(blocks):
+        ext = 0
+        for v in bits(block):
+            ext |= g.adj[v]
+        if not ext & ctx.cvx:
+            continue
+        reps = comp_reps if bi < nc else single_reps
+        rep = reps[bi if bi < nc else bi - nc]
+        if rep and reps.count(rep) == 1:
+            kind = _XN if bi < nc else _XS
+            x_cands.append((_label_bit(labels, rep << 2 | kind), len(kept)))
+        kept.append(bi)
+    tree_of = tuple(find(bi) for bi in kept)
+
+    # Far-side candidates by attachment set, as in dp, but each candidate
+    # on its own: its hit, its own degree checks, its own trees.
+    by_att: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
+    for label, ext, bad in ctx.far_cands:
+        hit = ext & x
+        if not hit or bad & x & s:
+            continue
+        if label & 3 == _YS and any((hit & c).bit_count() > 1 for c in comps):
+            continue
+        att = 0
+        trees = set()
+        for j, bi in enumerate(kept):
+            if hit & blocks[bi]:
+                att |= 1 << j
+                trees.add(tree_of[j])
+        if len(trees) < att.bit_count():
+            continue
+        known = by_att.setdefault(att, (tuple(trees), []))
+        known[1].append(_label_bit(labels, label))
+    types = tuple((att, trees, label_bits) for att, (trees, label_bits) in by_att.items())
+    return _Profile(tuple(blocks[bi] for bi in kept), tree_of, tuple(x_cands), types)
 
 
 Signature = Tuple[Tuple[Tuple[str, int], ...], ...]

@@ -223,6 +223,51 @@ def test_exit_code_on_oracle_size_guard(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_without_numpy_exits_1_with_a_message(tmp_path):
+    """numpy is the optional `oracle` extra: without it, --oracle is a
+    usage error with a message, and a plain solve still works."""
+    gr = write(tmp_path, "tri.gr", TRIANGLE)
+    probe = (
+        "import sys; sys.modules['numpy'] = None; "  # makes `import numpy` raise ImportError
+        f"sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "from subsetfvs.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", probe, "solve", "--graph", gr, "--oracle"], capture_output=True, text=True
+    )
+    assert res.returncode == 1
+    assert "numpy" in res.stderr and "oracle" in res.stderr
+    assert "Traceback" not in res.stderr
+    res = subprocess.run([sys.executable, "-c", probe, "solve", "--graph", gr], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "objective" in res.stdout
+
+
+def test_threads_help_promises_no_parallelism(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "auto" not in text
+    assert "one thread" in text
+
+
+@pytest.mark.parametrize("kind", ["edgeless", "path"])
+def test_large_forest_without_layout_deletes_nothing(tmp_path, capsys, kind):
+    """A forest on n = 600 vertices, solved on the default id-order layout,
+    keeps every vertex: the per-row work of a solve depends on the cut
+    boundary, which stays at most one vertex here."""
+    n = 600
+    edges = [(i, i + 1) for i in range(n - 1)] if kind == "path" else []
+    names = [f"v{i}" for i in range(n)]
+    s_mask = sum(1 << v for v in range(0, n, 3))
+    gr = write(tmp_path, f"{kind}.gr", write_graph_file(Graph(n, edges), [1] * n, s_mask, names))
+    code, report = run_json(tmp_path, capsys, ["solve", "--graph", gr])
+    assert code == 0
+    assert report["deletion_set"] == []
+    assert report["sforest_weight"] == n == report["objective_weight"]
+
+
 # ---------------------------------------------------------- module surface
 
 

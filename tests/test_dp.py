@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from subsetfvs.graphs import Graph, Instance, bits, is_s_forest, mask_of
-from subsetfvs.layouts import layout_from_order, mim_cut
+from subsetfvs.graphs import Graph, Instance, bits, is_s_forest, lex_key, mask_of
+from subsetfvs.layouts import interval_layout, intervals_intersect, layout_from_order, mim_cut, parse_layout
 from subsetfvs.dp import (
     SolutionTable,
     _bucket_keys,
@@ -29,6 +29,8 @@ from subsetfvs.oracles import (
     enumerate_indices,
     index_count,
     is_partial_solution,
+    profile_solution,
+    xs_pool,
 )
 
 EMPTY_INDEX = IndexTuple(frozenset(), frozenset(), 0, frozenset(), frozenset())
@@ -458,6 +460,119 @@ def test_bucket_keys_match_per_candidate_reference():
                 assert got == _keys_by_candidate(inst, ctx, x, ref_labels), (name, ctx.node, x)
                 checked += got is not None
     assert checked > 3000
+
+
+def _interval_case(seed, n):
+    """Interval graph on its left-endpoint layout (mim 1), |S| = n/3."""
+    rng = random.Random(f"interval:{seed}:{n}")
+    iv = []
+    for _ in range(n):
+        left = rng.randint(0, 3 * n)
+        iv.append((left, left + rng.randint(1, n // 6)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if intervals_intersect(iv[u], iv[v])]
+    g = Graph(n, edges)
+    s = mask_of(rng.sample(range(n), n // 3))
+    return Instance(g, s, (1,) * n), interval_layout(iv, g)
+
+
+def _balanced_case(seed, n):
+    """G(n, 2n) on a balanced layout over a shuffled vertex order, so that
+    both children of most nodes hold several vertices."""
+    rng = random.Random(f"balanced:{seed}:{n}")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, rng.sample(pairs, 2 * n))
+    order = [f"v{v}" for v in range(n)]
+    rng.shuffle(order)
+
+    def nest(names):
+        if len(names) == 1:
+            return names[0]
+        mid = len(names) // 2
+        return f"({nest(names[:mid])},{nest(names[mid:])})"
+
+    lay = parse_layout(nest(order), [f"v{v}" for v in range(n)])
+    s = mask_of(rng.sample(range(n), n // 3))
+    return Instance(g, s, tuple(rng.choice((1, 1, 2)) for _ in range(n))), lay
+
+
+def _plain_profile(prof, labels):
+    """A profile free of block order, tree ids and label bits: the blocks,
+    the tree partition, the matched candidates with their blocks, and per
+    attachment type its blocks, labels and trees."""
+    if prof is None:
+        return None
+    names = {bit: label for label, bit in labels.items()}
+    assert len(set(prof.blocks)) == len(prof.blocks)
+    members = {}
+    for block, t in zip(prof.blocks, prof.tree_of):
+        members.setdefault(t, set()).add(block)
+    tree = {t: frozenset(m) for t, m in members.items()}
+    return (
+        frozenset(prof.blocks),
+        frozenset(tree.values()),
+        frozenset((names[bit], prof.blocks[bi]) for bit, bi in prof.x_cands),
+        frozenset(
+            (
+                frozenset(prof.blocks[j] for j in bits(att)),
+                frozenset(names[bit] for bit in label_bits),
+                frozenset(tree[t] for t in trees),
+            )
+            for att, trees, label_bits in prof.types
+        ),
+    )
+
+
+def test_carried_profile_matches_from_scratch_reference():
+    """At every internal node, every merged row's profile built from the
+    structures carried through the merges equals the one the oracle builds
+    from scratch: blocks as a set, tree partition, matched candidates and
+    attachment types, label for label.  Covers the golden cases, an n = 85
+    interval graph and a balanced layout; the profiles are taken while the
+    solve runs, so they read the carried structures."""
+    cases = list(_golden_cases()) + [
+        ("interval-n85", *_interval_case(1, 85)),
+        ("balanced-n12", *_balanced_case(1, 12)),
+    ]
+    for name, inst, lay in cases:
+        checked = 0
+
+        def watch(node, ctx, merged, reduced):
+            nonlocal checked
+            labels, ref_labels = {}, {}
+            for x in merged.solutions:
+                got = _plain_profile(_profile_solution(inst, ctx, x, labels), labels)
+                want = _plain_profile(profile_solution(inst, ctx, x, ref_labels), ref_labels)
+                assert got == want, (name, node, x)
+                checked += got is not None
+
+        solve(inst, lay, trace=watch)
+        assert checked > 100, name
+
+
+def test_pools_match_all_vertex_definition():
+    """`ys_pool` and the oracle's `xs_pool` are built from the boundary
+    alone; they equal the sorted d=1 classes of every singleton of their
+    side, on random graphs and at every node of two interval layouts."""
+    rng = random.Random(8)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append((Instance(g, 0, (1,) * n), layout_from_order(order)))
+    cases += [_interval_case(2, 40), _interval_case(3, 60)]
+    nodes = 0
+    for inst, lay in cases:
+        for x in lay.postorder():
+            ctx = build_context(inst, lay, x)
+            want_x = sorted({ctx.fam_x1.rep_of(1 << v) for v in bits(ctx.vx)}, key=lex_key)
+            want_y = sorted({ctx.fam_y1.rep_of(1 << u) for u in bits(ctx.cvx)}, key=lex_key)
+            assert list(xs_pool(ctx)) == want_x
+            assert list(ctx.ys_pool) == want_y
+            nodes += 1
+    assert nodes > 300
 
 
 def _show(label):

@@ -16,6 +16,7 @@ from subsetfvs.graphs import (
     is_forest,
     is_s_forest,
     lex_key,
+    lex_order,
     mask_of,
     neighborhood,
 )
@@ -45,6 +46,20 @@ def test_mask_helpers():
     assert list(bits(0b1010)) == [1, 3]
     assert lex_key(0b110) == (1, 2)
     assert lex_key(0) == ()
+
+
+def test_lex_order_sorts_like_lex_key():
+    # prefixes, the empty set, sets that differ in their first vertex, and
+    # random sets up to 300 vertices wide
+    fixed = [0, 0b1, 0b10, 0b11, 0b101, 0b110, 0b1001, 0b0110, 1 << 299, (1 << 300) - 1]
+    rng = random.Random(13)
+    masks = fixed + [rng.getrandbits(rng.randint(1, 300)) for _ in range(2000)]
+    masks += [rng.getrandbits(6) for _ in range(200)]
+    distinct = set(masks)
+    assert sorted(distinct, key=lex_order) == sorted(distinct, key=lex_key)
+    assert len({lex_order(m) for m in distinct}) == len(distinct)
+    assert lex_order(0) == ""
+    assert lex_order(0b1001) < lex_order(0b0110) < lex_order(0b0100)
 
 
 def test_neighborhood_path():

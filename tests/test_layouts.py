@@ -194,6 +194,46 @@ def test_gf2_cut_rank_matches_packed_reference():
             assert cut_rank(g, lay.below[x], "gf2") == packed_gf2_cut_rank(g, lay.below[x])
 
 
+def dense_rational_cut_rank(g, a):
+    """Rational cut rank of the whole |a| x |complement| matrix, zero rows
+    and columns included."""
+    comp = g.vertices & ~a
+    return fraction_rank([[g.adj[v] >> u & 1 for u in bits(comp)] for v in bits(a)])
+
+
+def test_rational_cut_rank_matches_dense_reference():
+    # cut_rank(..., "rational") ranks only the rows with a neighbor across
+    # the cut and the columns they touch
+    rng = random.Random(78)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 11)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        cases.append((g, rng.randrange(1 << n)))
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    edgeless = Graph(7, [])
+    cases += [
+        (two_triangles, 0b000111),  # no edge crosses
+        (two_triangles, two_triangles.vertices),  # the full side
+        (two_triangles, 0),
+        (edgeless, 0b0101010),
+        (edgeless, edgeless.vertices),
+    ]
+    for g, a in cases:
+        assert cut_rank(g, a, "rational") == dense_rational_cut_rank(g, a)
+    assert cut_rank(two_triangles, 0b000111, "rational") == 0
+    assert cut_rank(two_triangles, 0b001011, "rational") == 2
+    iv = []
+    for _ in range(30):
+        left = rng.randint(0, 90)
+        iv.append((left, left + rng.randint(1, 15)))
+    g = Graph(30, [(i, j) for i in range(30) for j in range(i + 1, 30) if intervals_intersect(iv[i], iv[j])])
+    lay = interval_layout(iv, g)
+    for x in lay.postorder():
+        assert cut_rank(g, lay.below[x], "rational") == dense_rational_cut_rank(g, lay.below[x])
+
+
 def test_mim_examples():
     pm = Graph(6, [(0, 3), (1, 4), (2, 5)])
     assert mim_cut(pm, 0b000111) == 3

@@ -53,6 +53,8 @@ def parse_graph_file(text: str) -> Tuple[Graph, Tuple[int, ...], int, List[str]]
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise CliError(f"line {lineno}: bad header counts")
+            if min(header) < 0:
+                raise CliError(f"line {lineno}: header counts must be >= 0")
         elif parts[0] == "v":
             if len(parts) != 4:
                 raise CliError(f"line {lineno}: vertex line needs name, weight, s-flag")
@@ -225,6 +227,8 @@ def _run_solve(args) -> int:
 def _run_generate(args) -> int:
     if args.n <= 0:
         raise CliError("--n must be positive")
+    if not 0 <= args.p <= 1:
+        raise CliError("--p must be a probability in [0, 1]")
     rng = random.Random(args.seed)
     n = args.n
     names = [f"v{i}" for i in range(n)]

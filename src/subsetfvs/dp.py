@@ -45,6 +45,10 @@ from the far boundary.  A row's block structure (its components, its
 trees, and the count that tells whether it can still be extended) is
 carried from the child rows through `BlockStore`, which joins two rows
 along the edges between them and keeps only the pieces on the boundary.
+For the same reason a row's keys are a function of its boundary
+signature (its boundary part and the boundary parts of its components
+and trees), so `reduce_table` rejects a row whose signature an earlier row
+had before it profiles the row or enumerates its keys.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from typing import (
     Callable,
     Collection,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     NamedTuple,
@@ -385,16 +390,32 @@ class _Profile(NamedTuple):
     types: Tuple[Tuple[int, Tuple[int, ...], List[int]], ...]
 
 
+def _extendable(st: Structure, xs: int) -> bool:
+    """Whether a vertex set with structure `st` and S-part `xs` can still be
+    extended: its contraction (a node per component of x \\ S and per
+    S-vertex, an edge per edge of x with an end in S) is a forest exactly
+    when its edges number its nodes minus its trees."""
+    return st.s_edges == st.n_comps + xs.bit_count() - st.n_trees
+
+
 def _profile_solution(
     inst: Instance, ctx: NodeContext, x: int, labels: Dict[int, int]
 ) -> Optional[_Profile]:
     """Block structure of a solution, or None when it can never be extended
-    (its own contraction already has a forbidden cycle or degree).
+    (its own contraction already has a forbidden cycle or degree).  The
+    structure of x comes from `ctx.blocks`, joined from those of its parts
+    below the two children."""
+    st = ctx.blocks.of(ctx.node, x)
+    xs = x & inst.s_set
+    return _profile(ctx, x, xs, st, labels) if _extendable(st, xs) else None
 
-    The structure of x comes from `ctx.blocks`, joined from those of its
-    parts below the two children.  Its contraction has a node per component
-    of x \\ S and per S-vertex, and an edge per edge of x with an end in S;
-    it is a forest exactly when its edges number its nodes minus its trees.
+
+def _profile(
+    ctx: NodeContext, x: int, xs_mask: int, st: Structure, labels: Dict[int, int]
+) -> _Profile:
+    """Profile of an extendable solution x with S-part `xs_mask` and
+    structure `st`.
+
     Only the blocks on the boundary enter the profile: no index can match
     or hook the others.  Candidate labels get their bits from `labels`.
     The surviving far-side candidates of `ctx.far_cands` are grouped by the
@@ -403,13 +424,9 @@ def _profile_solution(
     attachment set form one attachment type.  A type that hooks one tree
     twice would close a cycle and is dropped.
     """
-    s = inst.s_set
-    st = ctx.blocks.of(ctx.node, x)
-    if st.s_edges != st.n_comps + (x & s).bit_count() - st.n_trees:
-        return None
     bnd = ctx.near_bnd
     comps = [c for c in st.comps if c & bnd]
-    singles = list(bits(x & s & bnd))
+    singles = list(bits(xs_mask & bnd))
     nc = len(comps)
     blocks = comps + [1 << v for v in singles]
     tree_of = [0] * len(blocks)
@@ -435,7 +452,6 @@ def _profile_solution(
     # hit << 1 | singleton flag -> labels.  A far set is out when a matched
     # S-vertex sees it twice; a far singleton when it sees a component
     # twice, which depends on its hit alone.
-    xs_mask = x & s
     by_hit: Dict[int, List[int]] = {}
     for label, ext, bad in ctx.far_cands:
         hit = ext & x
@@ -622,6 +638,9 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
             stack.append((allowed & ~clashes[j], size + 1, lone, [anchor if r in rs else r for r in root], nxt))
 
 
+_EMPTY_PART = frozenset([0])  # the boundary part of a piece off the boundary
+
+
 def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> SolutionTable:
     """Keep one maximum-weight solution per bucket of the cover-realizable
     index family; ties fall to the lexicographically smallest vertex set.
@@ -634,17 +653,40 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     adding its keys to the ones seen so far grows that set.  The result is
     a subset of the input that preserves the best completion for every
     far-side set.
+
+    A solution meets a completion only through the boundary, so its keys
+    are a function of its boundary signature: x & near_bnd, and the
+    boundary parts of its boundary components and trees, as sets.  Every
+    input of the profile and of the keys reads only that much.  Far-side
+    hits lie in x & near_bnd, since a vertex with a far neighbor is on the
+    boundary.  Representatives come from a block's boundary part, the
+    unmatched rest from x & near_bnd, and a block lies in a tree exactly
+    when their boundary parts meet.  The labels a repeat would name are
+    already numbered, so a solution whose signature an earlier (heavier or
+    lexicographically smaller) one had adds no key to the seen set.  It is
+    rejected before it is profiled and its keys are enumerated.
     """
     sols = table.solutions
+    of, node, s, bnd = ctx.blocks.of, ctx.node, inst.s_set, ctx.near_bnd
     labels: Dict[int, int] = {}
     seen: Set[BucketKey] = set()
+    sigs: Set[Tuple[int, FrozenSet[int], FrozenSet[int]]] = set()
     keep: List[int] = []
     for mask in sorted(sols, key=lambda m: (-sols[m], lex_order(m))):
-        prof = _profile_solution(inst, ctx, mask, labels)
-        if prof is None:
+        st = of(node, mask)
+        xs = mask & s
+        if not _extendable(st, xs):
             continue
+        sig = (
+            mask & bnd,
+            frozenset([c & bnd for c in st.comps]) - _EMPTY_PART,
+            frozenset([t & bnd for t in st.trees]) - _EMPTY_PART,
+        )
+        if sig in sigs:
+            continue
+        sigs.add(sig)
         before = len(seen)
-        _bucket_keys(ctx, mask, prof, seen)
+        _bucket_keys(ctx, mask, _profile(ctx, mask, xs, st, labels), seen)
         if len(seen) > before:
             keep.append(mask)
     return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_order)})

@@ -81,6 +81,12 @@ def test_parse_rejects_malformed(text):
         parse_graph_file(text)
 
 
+@pytest.mark.parametrize("header", ["p sfvs -1 0", "p sfvs 0 -1", "p sfvs -2 -3"])
+def test_parse_rejects_negative_header_counts(header):
+    with pytest.raises(CliError, match="line 1: header counts must be >= 0"):
+        parse_graph_file(header + "\n")
+
+
 # ------------------------------------------------------------------ solve
 
 
@@ -345,3 +351,20 @@ def test_generate_interval_has_unit_mim(tmp_path, capsys):
 def test_generate_rejects_bad_size(tmp_path, capsys):
     assert main(["generate", "random", "--n", "0", "--out", str(tmp_path / "x")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("p", ["5", "-1", "1.0001", "nan"])
+def test_generate_rejects_edge_probability_outside_unit_interval(tmp_path, capsys, p):
+    prefix = tmp_path / "x"
+    assert main(["generate", "random", "--n", "4", "--p", p, "--out", str(prefix)]) == 1
+    assert "--p must be a probability in [0, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("p, edges", [("0", 0), ("1", 6)])
+def test_generate_accepts_edge_probability_bounds(tmp_path, capsys, p, edges):
+    prefix = tmp_path / "x"
+    assert main(["generate", "random", "--n", "4", "--p", p, "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    g = parse_graph_file((tmp_path / "x.gr").read_text())[0]
+    assert g.edge_count == edges

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from subsetfvs.graphs import Graph, Instance, bits, is_s_forest, lex_key, mask_of
+from subsetfvs import dp
+from subsetfvs.graphs import Graph, Instance, bits, is_s_forest, lex_key, lex_order, mask_of
 from subsetfvs.layouts import interval_layout, intervals_intersect, layout_from_order, mim_cut, parse_layout
 from subsetfvs.dp import (
     SolutionTable,
@@ -573,6 +574,106 @@ def test_pools_match_all_vertex_definition():
             assert list(ctx.ys_pool) == want_y
             nodes += 1
     assert nodes > 300
+
+
+def _literal_keep(inst, ctx, table):
+    """The keep rule replayed row by row: best first, every extendable row
+    profiled and its keys enumerated, kept when the seen set grows.
+    Returns the kept dict and the number of rows whose keys it enumerated."""
+    sols = table.solutions
+    labels, seen, keep, enumerated = {}, set(), [], 0
+    for x in sorted(sols, key=lambda m: (-sols[m], lex_order(m))):
+        prof = _profile_solution(inst, ctx, x, labels)
+        if prof is None:
+            continue
+        before = len(seen)
+        _bucket_keys(ctx, x, prof, seen)
+        enumerated += 1
+        if len(seen) > before:
+            keep.append(x)
+    return {m: sols[m] for m in sorted(keep, key=lex_order)}, enumerated
+
+
+def _counting_bucket_keys(monkeypatch):
+    calls = []
+
+    def counted(ctx, x, prof, keys):
+        calls.append(x)
+        _bucket_keys(ctx, x, prof, keys)
+
+    monkeypatch.setattr(dp, "_bucket_keys", counted)
+    return calls
+
+
+def test_signature_skip_matches_full_keep_rule(monkeypatch):
+    """Rejecting a row whose boundary signature repeats an earlier row's
+    keeps, at every internal node, the dict (order included) that the full
+    keep rule keeps, and spares `_bucket_keys` calls.  Covers the golden
+    cases (sfvs, fvs and an nmc hub case), an n = 85 interval sfvs graph
+    and an n = 60 interval fvs graph."""
+    iv_inst, iv_lay = _interval_case(4, 60)
+    cases = list(_golden_cases()) + [
+        ("interval-n85", *_interval_case(1, 85)),
+        ("fvs-interval-n60", Instance(iv_inst.graph, iv_inst.graph.vertices, iv_inst.weights), iv_lay),
+    ]
+    calls = _counting_bucket_keys(monkeypatch)
+    for name, inst, lay in cases:
+        dropped = nodes = 0
+
+        def watch(node, ctx, merged, reduced):
+            nonlocal dropped, nodes
+            want, enumerated = _literal_keep(inst, ctx, merged)
+            assert list(reduced.solutions.items()) == list(want.items()), (name, node)
+            assert len(calls) <= enumerated, (name, node)
+            dropped += enumerated - len(calls)
+            nodes += 1
+            calls.clear()
+
+        solve(inst, lay, trace=watch)
+        assert nodes > 8 and dropped > 0, name
+
+
+def test_signature_skip_keeps_heavier_of_boundary_twins(monkeypatch):
+    # Node side {0, 1, 2} with boundary {2}: 0 and 1 see only 2, which sees
+    # the far vertex 3.  {0, 2} and {1, 2} differ in an interior vertex
+    # only, so they agree on the boundary: the heavier one stays and
+    # `_bucket_keys` runs once for the pair.
+    g = Graph(4, [(0, 2), (1, 2), (2, 3)])
+    inst = Instance(g, 0, (5, 3, 1, 1))
+    lay = layout_from_order([0, 1, 2, 3])
+    ctx = build_context(inst, lay, node_for(lay, 0b0111))
+    assert ctx.near_bnd == 0b0100
+    table = SolutionTable(ctx.node, {0b0101: 6, 0b0110: 4})
+    assert _literal_keep(inst, ctx, table) == ({0b0101: 6}, 2)
+    calls = _counting_bucket_keys(monkeypatch)
+    assert reduce_table(table, ctx, inst).solutions == {0b0101: 6}
+    assert calls == [0b0101]
+
+
+@pytest.mark.parametrize(
+    "s, rows",
+    [
+        (0, (0b00011, 0b00111)),  # components and trees differ
+        (0b00011, (0b00011, 0b00111)),  # trees differ, components agree
+        (0b00100, (0b00111, 0b01011)),  # components differ, trees agree
+    ],
+)
+def test_signature_skip_keeps_rows_with_other_boundary_partitions(monkeypatch, s, rows):
+    # Boundary vertices 0 and 1 both see the far vertex 4; 2 and 3 join
+    # them inside the side.  Both rows have the boundary part {0, 1}, but
+    # their components or trees cut it differently, so both reach
+    # `_bucket_keys` and both stay.  With S = {0, 1}, for instance, 4 can
+    # join the two trees of {0, 1} but would close a cycle in {0, 1, 2}.
+    g = Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+    inst = Instance(g, s, (1,) * 5)
+    lay = layout_from_order([0, 1, 2, 3, 4])
+    ctx = build_context(inst, lay, node_for(lay, 0b01111))
+    assert ctx.near_bnd == 0b00011
+    table = SolutionTable(ctx.node, {x: inst.weight_of(x) for x in rows})
+    calls = _counting_bucket_keys(monkeypatch)
+    kept = reduce_table(table, ctx, inst).solutions
+    assert sorted(calls) == sorted(rows)
+    assert (kept, 2) == _literal_keep(inst, ctx, table) == (table.solutions, 2)
 
 
 def _show(label):

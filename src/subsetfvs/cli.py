@@ -30,6 +30,11 @@ from .dp import solve
 from .multiway import NmcInstance, brute_force_nmc, solve_nmc
 
 
+# The largest instance `generate` writes.  It refuses a larger --n before it
+# builds anything: the random kind walks all n^2 vertex pairs in Python.
+GENERATE_MAX_N = 5000
+
+
 class CliError(Exception):
     """Parse or validation failure; maps to exit code 1."""
 
@@ -227,6 +232,8 @@ def _run_solve(args) -> int:
 def _run_generate(args) -> int:
     if args.n <= 0:
         raise CliError("--n must be positive")
+    if args.n > GENERATE_MAX_N:
+        raise CliError(f"--n must be at most {GENERATE_MAX_N}")
     if not 0 <= args.p <= 1:
         raise CliError("--p must be a probability in [0, 1]")
     rng = random.Random(args.seed)

@@ -40,8 +40,9 @@ entry of each bucket, without holding the buckets.
 The work per node and per row follows the cut's boundary (the side's
 vertices with a neighbor across the cut), not the number of vertices.
 Only boundary vertices decide a class, so representatives are looked up
-from the boundary part of a set, and the far-side singleton pool is built
-from the far boundary.  A row's block structure (its components, its
+from the boundary part of a set.  The far-side candidates and their reach
+into the side are read from the class keys of the far families, which
+already hold them.  A row's block structure (its components, its
 trees, and the count that tells whether it can still be extended) is
 carried from the child rows through `BlockStore`, which joins two rows
 along the edges between them and keeps only the pieces on the boundary.
@@ -53,7 +54,7 @@ had before it profiles the row or enumerates its keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product, starmap
 from operator import add
 from typing import (
@@ -230,9 +231,15 @@ class NodeContext:
 
     `near_bnd` holds the side's vertices with a neighbor across the cut.
     Only they decide a class of either near family, so a set and its part
-    in `near_bnd` have one representative.  `ys_pool` holds the d=1
-    representatives of the far side's singletons; the near side's pool is
-    read only by the oracles (`oracles.xs_pool`)."""
+    in `near_bnd` have one representative.
+
+    `far_cands` holds (label, ext, e_bad) for every far-side candidate a
+    cover can name: the nonempty representatives of `fam_y2`, then the
+    single-vertex representatives of `fam_y1`.  `ext` is the set of the
+    side's vertices with a neighbor in the candidate and `e_bad` those with
+    two or more.  Both are read from the far families' class keys, which
+    are seen from the node side: a d=2 key is `ext | e_bad << n`, and a d=1
+    key is `ext`.  A singleton has no `e_bad`."""
 
     node: int
     vx: int
@@ -243,37 +250,8 @@ class NodeContext:
     fam_y1: NecFamily
     fam_y2: NecFamily
     near_bnd: int
-    ys_pool: Tuple[int, ...]
     blocks: BlockStore
-    # (label, ext_of, e_bad) of every far-side candidate a cover can name:
-    # the nonempty sets of fam_y2, then the nonempty singletons of ys_pool
-    far_cands: Tuple[Tuple[int, int, int], ...] = ()
-    _ext_cache: Dict[int, int] = field(default_factory=dict, repr=False)
-    _ebad_cache: Dict[int, int] = field(default_factory=dict, repr=False)
-
-    def ext_of(self, u_set: int) -> int:
-        """Neighborhood of a far-side set inside the node side."""
-        ext = self._ext_cache.get(u_set)
-        if ext is None:
-            g = self.fam_x1.graph
-            ext = 0
-            for u in bits(u_set):
-                ext |= g.adj[u]
-            ext &= self.vx
-            self._ext_cache[u_set] = ext
-        return ext
-
-    def e_bad(self, u_set: int) -> int:
-        """Vertices of the node side with two or more neighbors in u_set."""
-        bad = self._ebad_cache.get(u_set)
-        if bad is None:
-            g = self.fam_x1.graph
-            bad = 0
-            for v in bits(self.ext_of(u_set)):
-                if (g.adj[v] & u_set).bit_count() > 1:
-                    bad |= 1 << v
-            self._ebad_cache[u_set] = bad
-        return bad
+    far_cands: Tuple[Tuple[int, int, int], ...]
 
 
 # Per-node families for one layout: near d=1, near d=2, far d=1, far d=2,
@@ -286,16 +264,6 @@ def node_families(g: Graph, layout: RootedLayout) -> Families:
     near1, far1 = layout_families(g, layout, 1)
     near2, far2 = layout_families(g, layout, 2)
     return near1, near2, far1, far2
-
-
-def singleton_pool(fam: NecFamily, bnd: int) -> Tuple[int, ...]:
-    """Sorted d=1 representatives of the side's singletons.  Only the
-    vertices of `bnd`, those with a neighbor across the cut, leave the
-    class of the empty set."""
-    reps = {fam.rep_of(1 << v) for v in bits(bnd)}
-    if fam.side & ~bnd:
-        reps.add(0)
-    return tuple(sorted(reps, key=lex_order))
 
 
 def build_context(
@@ -315,31 +283,31 @@ def build_context(
         blocks = BlockStore(inst, layout)
     near1, near2, far1, far2 = families
     vx = layout.below[node]
-    cvx = g.vertices & ~vx
-    near_bnd = blocks.boundary[node]
-    far_bnd = 0
-    for v in bits(near_bnd):
-        far_bnd |= g.adj[v]
-    ctx = NodeContext(
+    fam_y1, fam_y2 = far1[node], far2[node]
+    # The lookups list the keys in the order of the representatives.
+    sets, singles = fam_y2.representatives, fam_y1.representatives
+    low = (1 << g.n) - 1
+    far_cands = [
+        (sets[i] << 2 | _YN, key & low, key >> g.n) for key, i in fam_y2.lookup.items() if key
+    ]
+    far_cands += [
+        (singles[i] << 2 | _YS, key, 0)
+        for key, i in fam_y1.lookup.items()
+        if singles[i].bit_count() == 1
+    ]
+    return NodeContext(
         node,
         vx,
-        cvx,
+        g.vertices & ~vx,
         mim_cut(g, vx),
         near1[node],
         near2[node],
-        far1[node],
-        far2[node],
-        near_bnd,
-        singleton_pool(far1[node], far_bnd & cvx),
+        fam_y1,
+        fam_y2,
+        blocks.boundary[node],
         blocks,
+        tuple(far_cands),
     )
-    ctx.far_cands = tuple(
-        (u_set << 2 | kind, ctx.ext_of(u_set), ctx.e_bad(u_set))
-        for kind, pool in ((_YN, ctx.fam_y2.representatives), (_YS, ctx.ys_pool))
-        for u_set in pool
-        if u_set
-    )
-    return ctx
 
 
 @dataclass

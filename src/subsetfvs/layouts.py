@@ -313,6 +313,19 @@ def distinct_external_neighborhoods(g: Graph, a: int) -> int:
     return len({g.adj[v] & comp for v in bits(a)})
 
 
+def cut_mim_at_most_one(g: Graph, a: int) -> bool:
+    """Whether the cut (a, complement) has induced-matching value at most 1.
+
+    That holds exactly when the nonzero crossing neighborhoods of a's
+    vertices form a chain under inclusion.  Two incomparable ones, N(u) and
+    N(v), give the induced matching {u x, v y} for x in N(u) \\ N(v) and y
+    in N(v) \\ N(u); in a chain, of any two crossing edges one end sees
+    both far ends, so no two edges form an induced matching."""
+    out = g.vertices & ~a
+    chain = sorted({g.adj[v] & out for v in bits(a)} - {0}, key=int.bit_count)
+    return all(not p & ~q for p, q in zip(chain, chain[1:]))
+
+
 def intervals_intersect(p: Tuple[int, int], q: Tuple[int, int]) -> bool:
     return p[0] <= q[1] and q[0] <= p[1]
 
@@ -339,7 +352,7 @@ def interval_layout(intervals: Sequence[Tuple[int, int]], g: Graph) -> RootedLay
     order = sorted(range(g.n), key=lambda v: (intervals[v][0], intervals[v][1], v))
     layout = layout_from_order(order)
     for x in layout.postorder():
-        if mim_cut(g, layout.below[x]) > 1:
+        if not cut_mim_at_most_one(g, layout.below[x]):
             raise AssertionError("interval layout produced a cut above width 1")
     return layout
 

@@ -34,8 +34,9 @@ from .graphs import (
     is_s_forest,
     lex_key,
 )
-from .dp import _XN, _XS, _YN, _YS, NodeContext, SolutionTable, _label_bit, _Profile, singleton_pool
+from .dp import _XN, _XS, _YN, _YS, NodeContext, SolutionTable, _label_bit, _Profile
 from .layouts import mim_bipartite
+from .nec import NecFamily
 
 BRUTE_LIMIT = 20
 NEG_INF = float("-inf")
@@ -205,10 +206,33 @@ class IndexTuple(NamedTuple):
     yvc_s: FrozenSet[int]
 
 
+def _singleton_pool(fam: NecFamily, side: int) -> Tuple[int, ...]:
+    return tuple(sorted({fam.rep_of(1 << v) for v in bits(side)}, key=lex_key))
+
+
 def xs_pool(ctx: NodeContext) -> Tuple[int, ...]:
-    """Sorted d=1 representatives of the near side's singletons, the pool
-    the index family draws matched S-vertices from."""
-    return singleton_pool(ctx.fam_x1, ctx.near_bnd)
+    """Sorted d=1 representatives of every singleton of the near side, the
+    pool the index family draws matched S-vertices from."""
+    return _singleton_pool(ctx.fam_x1, ctx.vx)
+
+
+def ys_pool(ctx: NodeContext) -> Tuple[int, ...]:
+    """Sorted d=1 representatives of every singleton of the far side, the
+    pool the index family draws far-side singletons from."""
+    return _singleton_pool(ctx.fam_y1, ctx.cvx)
+
+
+def _reach(g: Graph, side: int, u_set: int) -> Tuple[int, int]:
+    """(ext, e_bad) of a far-side set: the vertices of `side` with at least
+    one neighbor in u_set, and those with at least two, from adjacency."""
+    ext = bad = 0
+    for v in bits(side):
+        hits = (g.adj[v] & u_set).bit_count()
+        if hits:
+            ext |= 1 << v
+            if hits > 1:
+                bad |= 1 << v
+    return ext, bad
 
 
 def index_count(ctx: NodeContext) -> int:
@@ -218,7 +242,7 @@ def index_count(ctx: NodeContext) -> int:
         len(ctx.fam_x2.representatives),
         len(xs_pool(ctx)),
         len(ctx.fam_y2.representatives),
-        len(ctx.ys_pool),
+        len(ys_pool(ctx)),
     )
     total = 0
     for k1 in range(min(budget, pools[0]) + 1):
@@ -242,7 +266,7 @@ def enumerate_indices(ctx: NodeContext) -> Iterator[IndexTuple]:
     p_ns = ctx.fam_x2.representatives
     p_s = xs_pool(ctx)
     q_ns = ctx.fam_y2.representatives
-    q_s = ctx.ys_pool
+    q_s = ys_pool(ctx)
     for x_rest in ctx.fam_x1.representatives:
         for k1 in range(min(budget, len(p_ns)) + 1):
             for c1 in combinations(p_ns, k1):
@@ -441,9 +465,9 @@ def cc_signature(inst: Instance, ctx: NodeContext, x: int, i: IndexTuple) -> Sig
 
     chosen: List[Tuple[str, int, int]] = []  # (kind, set, ext inside vx)
     for u_set in sorted(i.yvc_ns, key=lex_key):
-        chosen.append(("yn", u_set, ctx.ext_of(u_set) if u_set else 0))
+        chosen.append(("yn", u_set, _reach(g, ctx.vx, u_set)[0]))
     for u_set in sorted(i.yvc_s, key=lex_key):
-        chosen.append(("ys", u_set, ctx.ext_of(u_set) if u_set else 0))
+        chosen.append(("ys", u_set, _reach(g, ctx.vx, u_set)[0]))
 
     parent = list(range(nb + len(chosen)))
 
@@ -811,8 +835,7 @@ def bucket_keys_by_candidate(
 
     y_cands: List[Tuple[int, int, Tuple[int, ...]]] = []  # label bit, attachment, trees
 
-    def add_hook(label: int, u_set: int) -> None:
-        hit = ctx.ext_of(u_set) & x
+    def add_hook(label: int, hit: int) -> None:
         att = 0
         trees = set()
         for bj, block in enumerate(blocks):
@@ -823,12 +846,14 @@ def bucket_keys_by_candidate(
             y_cands.append((label_bit(label), att, tuple(trees)))
 
     for u_set in ctx.fam_y2.representatives:
-        if u_set and not ctx.e_bad(u_set) & x & s:
-            add_hook(u_set << 2 | _YN, u_set)
-    for u_set in ctx.ys_pool:
+        if u_set:
+            hit, bad = _reach(g, x, u_set)
+            if not bad & s:
+                add_hook(u_set << 2 | _YN, hit)
+    for u_set in ys_pool(ctx):
         au = g.adj[u_set.bit_length() - 1] if u_set else 0
         if u_set and not any((au & c).bit_count() > 1 for c in comps):
-            add_hook(u_set << 2 | _YS, u_set)
+            add_hook(u_set << 2 | _YS, _reach(g, x, u_set)[0])
 
     cap_side = 2 * ctx.mim
     p_subs = []  # matched blocks, class of the unmatched rest, (tree, label) per member

@@ -305,6 +305,32 @@ def test_benchmark_tracer_targets_exist():
         assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
 
 
+def test_benchmark_tracer_runs_traced_solves(tmp_path, capsys):
+    """perfbench/tracing.py counts from the values the wrapped calls
+    return: the class counts of the families `build_context` puts on its
+    context, and the table sizes.  A traced sfvs and nmc solve must give
+    every such span an int count."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    graph = write(tmp_path, "t.gr", TRIANGLE)
+    path_t = write(tmp_path, "p.gr", PATH_T)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", "--graph", graph]) == 0
+        assert main(["solve", "--graph", path_t, "--problem", "nmc", "--terminals", "t1,t2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counted = ("dp.build_context", "dp.merge_tables", "dp.reduce_table")
+    spans = [sp for sp in tracer.spans if sp[0] in counted]
+    assert {sp[0] for sp in spans} == set(counted)
+    for name, _, _, _, count in spans:
+        assert isinstance(count, int), (name, count)
+    assert tracing.layer_metrics(tracer.spans)["nec.classes"] > 0
+
+
 # --------------------------------------------------------------- generate
 
 
@@ -351,6 +377,25 @@ def test_generate_interval_has_unit_mim(tmp_path, capsys):
 def test_generate_rejects_bad_size(tmp_path, capsys):
     assert main(["generate", "random", "--n", "0", "--out", str(tmp_path / "x")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["random", "interval"])
+def test_generate_rejects_size_above_limit(tmp_path, capsys, kind):
+    prefix = tmp_path / "x"
+    assert main(["generate", kind, "--n", "5001", "--out", str(prefix)]) == 1
+    assert "--n must be at most 5000" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_generate_interval_n400_finishes(tmp_path, capsys):
+    """The interval layout's width-1 check reads each cut's crossing
+    neighborhoods once, so a few hundred vertices take well under a
+    second."""
+    prefix = tmp_path / "iv"
+    assert main(["generate", "interval", "--n", "400", "--seed", "1", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    g = parse_graph_file((tmp_path / "iv.gr").read_text())[0]
+    assert g.n == 400
 
 
 @pytest.mark.parametrize("p", ["5", "-1", "1.0001", "nan"])

@@ -32,6 +32,7 @@ from subsetfvs.oracles import (
     is_partial_solution,
     profile_solution,
     xs_pool,
+    ys_pool,
 )
 
 EMPTY_INDEX = IndexTuple(frozenset(), frozenset(), 0, frozenset(), frozenset())
@@ -550,10 +551,33 @@ def test_carried_profile_matches_from_scratch_reference():
         assert checked > 100, name
 
 
-def test_pools_match_all_vertex_definition():
-    """`ys_pool` and the oracle's `xs_pool` are built from the boundary
-    alone; they equal the sorted d=1 classes of every singleton of their
-    side, on random graphs and at every node of two interval layouts."""
+def _random_binary_case(rng, n):
+    """Random graph on a random binary layout: two random subtrees join at
+    each step, so most nodes have two inner children."""
+    p = rng.random()
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    names = [f"v{v}" for v in range(n)]
+    trees = list(names)
+    while len(trees) > 1:
+        a = trees.pop(rng.randrange(len(trees)))
+        b = trees.pop(rng.randrange(len(trees)))
+        trees.append(f"({a},{b})")
+    return Instance(g, 0, (1,) * n), parse_layout(trees[0], names)
+
+
+def _reach_by_adjacency(g, side, u_set):
+    """The vertices of side with a neighbor in u_set, and those with two."""
+    hits = {v: (g.adj[v] & u_set).bit_count() for v in bits(side)}
+    return mask_of(v for v, c in hits.items() if c), mask_of(v for v, c in hits.items() if c > 1)
+
+
+def test_far_candidates_match_adjacency_definition():
+    """`far_cands`, read from the far families' class keys, equals in order
+    the nonempty d=2 far representatives, then the nonempty entries of the
+    oracle's `ys_pool`, each with ext and e_bad counted from adjacency.  The
+    oracle's `xs_pool` is the sorted d=1 class of every near singleton.  On
+    random graphs over caterpillars and random binary layouts, two interval
+    layouts and the nmc hub case."""
     rng = random.Random(8)
     cases = []
     for _ in range(30):
@@ -563,15 +587,24 @@ def test_pools_match_all_vertex_definition():
         order = list(range(n))
         rng.shuffle(order)
         cases.append((Instance(g, 0, (1,) * n), layout_from_order(order)))
+    cases += [_random_binary_case(rng, rng.randint(2, 10)) for _ in range(30)]
     cases += [_interval_case(2, 40), _interval_case(3, 60)]
+    _, nmc_inst, nmc_lay = list(_golden_cases())[-1]
+    cases.append((nmc_inst, nmc_lay))
     nodes = 0
     for inst, lay in cases:
+        g = inst.graph
         for x in lay.postorder():
+            if lay.is_leaf(x):
+                continue
             ctx = build_context(inst, lay, x)
             want_x = sorted({ctx.fam_x1.rep_of(1 << v) for v in bits(ctx.vx)}, key=lex_key)
-            want_y = sorted({ctx.fam_y1.rep_of(1 << u) for u in bits(ctx.cvx)}, key=lex_key)
             assert list(xs_pool(ctx)) == want_x
-            assert list(ctx.ys_pool) == want_y
+            want = [(u << 2 | dp._YN, u) for u in ctx.fam_y2.representatives if u]
+            want += [(u << 2 | dp._YS, u) for u in ys_pool(ctx) if u]
+            assert list(ctx.far_cands) == [
+                (label, *_reach_by_adjacency(g, ctx.vx, u)) for label, u in want
+            ], (x, lay.below[x])
             nodes += 1
     assert nodes > 300
 

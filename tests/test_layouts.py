@@ -12,6 +12,7 @@ from subsetfvs.layouts import (
     RootedLayout,
     _matching_number,
     _rational_rank,
+    cut_mim_at_most_one,
     cut_rank,
     distinct_external_neighborhoods,
     gf2_rank,
@@ -352,6 +353,22 @@ def test_interval_layout_random_width_one():
     g = Graph(20, edges)
     lay = interval_layout(iv, g)
     assert max(mim_cut(g, lay.below[x]) for x in lay.postorder()) <= 1
+
+
+def test_mim_at_most_one_criterion_matches_mim_cut():
+    """Nested crossing neighborhoods decide mim <= 1 exactly as the full
+    induced-matching search does, on random graphs and random cuts."""
+    rng = random.Random(316)
+    verdicts = set()
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        a = rng.randrange(1 << n)
+        want = mim_cut(g, a) <= 1
+        assert cut_mim_at_most_one(g, a) == want, (n, sorted(g.edges()), a)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_interval_layout_validates_model():

@@ -246,3 +246,28 @@ def test_layout_pass_matches_compute_reps_on_interval_graphs():
         ]
         g = Graph(n, edges)
         assert_layout_pass_matches(g, interval_layout(intervals, g), rng)
+
+
+def test_lookup_iterates_in_representative_order():
+    """Iterating a family's lookup visits the indices 0, 1, ... in order, so
+    a reader that walks the keys meets the representatives in (size, lex)
+    order: every layout family, near and far, d in {1, 2}, and
+    compute_reps on random sides."""
+    rng = random.Random(909)
+    cases = []
+    for _ in range(25):
+        n = rng.randint(1, 10)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append((Graph(n, edges), layout_from_order(order)))
+        cases.append((Graph(n, edges), split_layout(order, rng)))
+    families = 0
+    for g, lay in cases:
+        for d in (1, 2):
+            near, far = layout_families(g, lay, d)
+            fams = near + far + [compute_reps(g, rng.randrange(1 << g.n), d) for _ in range(3)]
+            for fam in fams:
+                assert list(fam.lookup.values()) == list(range(fam.class_count))
+                families += 1
+    assert families > 500

@@ -42,14 +42,16 @@ vertices with a neighbor across the cut), not the number of vertices.
 Only boundary vertices decide a class, so representatives are looked up
 from the boundary part of a set.  The far-side candidates and their reach
 into the side are read from the class keys of the far families, which
-already hold them.  A row's block structure (its components, its
-trees, and the count that tells whether it can still be extended) is
-carried from the child rows through `BlockStore`, which joins two rows
-along the edges between them and keeps only the pieces on the boundary.
-For the same reason a row's keys are a function of its boundary
-signature (its boundary part and the boundary parts of its components
-and trees), so `reduce_table` rejects a row whose signature an earlier row
-had before it profiles the row or enumerates its keys.
+already hold them.  A row's block structure (its components, its trees,
+and its excess, the number of edges its S-contraction has beyond a
+forest) is carried from the child rows through `BlockStore`, which joins
+two rows along the edges between them and keeps only the pieces on the
+boundary.  For the same reason a row's keys are a function of its
+boundary signature (its boundary part and the boundary parts of its
+components and trees), so `reduce_table` rejects a row whose signature an
+earlier row had before it profiles the row or enumerates its keys.  A row
+can still become an S-forest exactly when its excess is 0, so
+`reduce_table` drops the others first and every root row is an S-forest.
 """
 
 from __future__ import annotations
@@ -89,13 +91,15 @@ class Structure(NamedTuple):
 
     The pieces listed are those with a vertex on the node's boundary (a
     vertex with a neighbor outside the node): no later edge reaches the
-    others.  The counts are over all pieces."""
+    others.  `excess` is over all of x.  It counts the edges of x's
+    S-contraction (a node per component of x \\ S and per S-vertex, an
+    edge per edge of x with an end in S) beyond a forest: edges minus nodes
+    plus components.  x can still be extended to an S-forest exactly when
+    it is 0, and it never falls as x grows."""
 
     comps: Tuple[int, ...]  # components of x \\ S on the boundary
     trees: Tuple[int, ...]  # components of x on the boundary
-    n_comps: int
-    n_trees: int
-    s_edges: int  # edges inside x with an end in S
+    excess: int
 
 
 class BlockStore:
@@ -104,13 +108,17 @@ class BlockStore:
     A leaf's set is one vertex or none.  An internal node's set is joined
     from its parts below the two children.  Each part's components are
     maximal on its own side, so only an edge from the right part to the
-    left one joins two of them, and only those edges add to `s_edges`.  The
-    structure of a set is kept by set alone: asked at an ancestor of the
-    node it was built at, it may list pieces that have left the boundary
-    since, and readers filter by their own boundary.  `solve` asks for the
-    rows of each merged table, whose parts are rows of the child tables and
-    already known, and then forgets the rows no live table holds.  A set
-    with unknown parts is built the same way, from the leaves up.
+    left one joins two of them.  The joined `excess` is the parts' sum,
+    plus one per such edge with an end in S (a new contraction edge), plus
+    one per listed component of x \\ S that the join merges into another
+    (one contraction node fewer), minus one per listed tree it merges into
+    another (one component fewer).  The structure of a set is kept by set
+    alone: asked at an ancestor of the node it was built at, it may list
+    pieces that have left the boundary since, and readers filter by their
+    own boundary.  `solve` asks for the rows of each merged table, whose
+    parts are rows of the child tables and already known, and then forgets
+    the rows no live table holds.  A set with unknown parts is built the
+    same way, from the leaves up.
     """
 
     def __init__(self, inst: Instance, layout: RootedLayout):
@@ -140,7 +148,7 @@ class BlockStore:
                     bnd |= 1 << v
             self.boundary.append(bnd)
             self.crossing.append(crossing)
-        self.known: Dict[int, Structure] = {0: Structure((), (), 0, 0, 0)}
+        self.known: Dict[int, Structure] = {0: Structure((), (), 0)}
         self._reach: Dict[int, int] = {}  # neighbors of a set of right-side vertices
 
     def of(self, node: int, x: int) -> Structure:
@@ -165,10 +173,7 @@ class BlockStore:
                 continue
             if lay.is_leaf(y):
                 listed = (part,) if part & self.boundary[y] else ()
-                if part & self.s:
-                    known[part] = Structure((), listed, 0, 1, 0)
-                else:
-                    known[part] = Structure(listed, listed, 1, 1, 0)
+                known[part] = Structure(() if part & self.s else listed, listed, 0)
             else:
                 known[part] = self._join(y, part)
         return known[x]
@@ -177,19 +182,18 @@ class BlockStore:
         adj, s, crossing = self.adj, self.s, self.crossing[node]
         left = x & self.layout.below[self.layout.left[node]]
         a, b = self.known[left], self.known[x ^ left]
-        s_edges = a.s_edges + b.s_edges
-        for u in bits(x & crossing):
-            seen = adj[u] & left
-            s_edges += (seen if s >> u & 1 else seen & s).bit_count()
         comps = self._glue(a.comps, b.comps, crossing)
         trees = self._glue(a.trees, b.trees, crossing)
+        excess = a.excess + b.excess + len(a.comps) + len(b.comps) - len(comps)
+        excess -= len(a.trees) + len(b.trees) - len(trees)
+        for u in bits(x & crossing):
+            seen = adj[u] & left
+            excess += (seen if s >> u & 1 else seen & s).bit_count()
         bnd = self.boundary[node]
         return Structure(
             tuple(c for c in comps if c & bnd),
             tuple(t for t in trees if t & bnd),
-            a.n_comps + b.n_comps - (len(a.comps) + len(b.comps) - len(comps)),
-            a.n_trees + b.n_trees - (len(a.trees) + len(b.trees) - len(trees)),
-            s_edges,
+            excess,
         )
 
     def _glue(self, out: Sequence[int], pieces: Sequence[int], crossing: int) -> List[int]:
@@ -358,24 +362,15 @@ class _Profile(NamedTuple):
     types: Tuple[Tuple[int, Tuple[int, ...], List[int]], ...]
 
 
-def _extendable(st: Structure, xs: int) -> bool:
-    """Whether a vertex set with structure `st` and S-part `xs` can still be
-    extended: its contraction (a node per component of x \\ S and per
-    S-vertex, an edge per edge of x with an end in S) is a forest exactly
-    when its edges number its nodes minus its trees."""
-    return st.s_edges == st.n_comps + xs.bit_count() - st.n_trees
-
-
 def _profile_solution(
     inst: Instance, ctx: NodeContext, x: int, labels: Dict[int, int]
 ) -> Optional[_Profile]:
     """Block structure of a solution, or None when it can never be extended
-    (its own contraction already has a forbidden cycle or degree).  The
-    structure of x comes from `ctx.blocks`, joined from those of its parts
-    below the two children."""
+    (its carried excess is not 0: its S-contraction already has a cycle).
+    The structure of x comes from `ctx.blocks`, joined from those of its
+    parts below the two children."""
     st = ctx.blocks.of(ctx.node, x)
-    xs = x & inst.s_set
-    return _profile(ctx, x, xs, st, labels) if _extendable(st, xs) else None
+    return None if st.excess else _profile(ctx, x, x & inst.s_set, st, labels)
 
 
 def _profile(
@@ -620,7 +615,8 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     so a solution stays exactly when one of its keys is new, that is when
     adding its keys to the ones seen so far grows that set.  The result is
     a subset of the input that preserves the best completion for every
-    far-side set.
+    far-side set.  A solution whose excess is not 0 can never be extended;
+    it is dropped before anything else.
 
     A solution meets a completion only through the boundary, so its keys
     are a function of its boundary signature: x & near_bnd, and the
@@ -642,8 +638,7 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     keep: List[int] = []
     for mask in sorted(sols, key=lambda m: (-sols[m], lex_order(m))):
         st = of(node, mask)
-        xs = mask & s
-        if not _extendable(st, xs):
+        if st.excess:
             continue
         sig = (
             mask & bnd,
@@ -654,7 +649,7 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
             continue
         sigs.add(sig)
         before = len(seen)
-        _bucket_keys(ctx, mask, _profile(ctx, mask, xs, st, labels), seen)
+        _bucket_keys(ctx, mask, _profile(ctx, mask, mask & s, st, labels), seen)
         if len(seen) > before:
             keep.append(mask)
     return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_order)})
@@ -699,15 +694,10 @@ def solve(
         kept = reduced.solutions
         blocks.forget(m for t in (merged, *children) for m in t.solutions if m not in kept)
 
-    root_table = tables[layout.root]
-    winner = None
-    for mask in sorted(root_table.solutions, key=lex_order):
-        w = root_table.solutions[mask]
-        if not is_s_forest(g, mask, s):
-            continue
-        if winner is None or (-w, lex_order(mask)) < winner[0]:
-            winner = ((-w, lex_order(mask)), mask)
-    if winner is None:
-        raise RuntimeError("no S-forest member survived at the root")
-    mask = winner[1]
-    return SolveResult(root_table.solutions[mask], mask, g.vertices & ~mask)
+    # Every root row has excess 0, so each is an S-forest; the winner is
+    # checked from scratch all the same.
+    sols = tables[layout.root].solutions
+    mask = min(sols, key=lambda m: (-sols[m], lex_order(m)))
+    if not is_s_forest(g, mask, s):
+        raise RuntimeError("the best root row is not an S-forest")
+    return SolveResult(sols[mask], mask, g.vertices & ~mask)

@@ -9,6 +9,7 @@ crossing bipartite graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -342,13 +343,26 @@ def interval_layout(intervals: Sequence[Tuple[int, int]], g: Graph) -> RootedLay
     for l, r in intervals:
         if l > r:
             raise ValueError(f"bad interval [{l},{r}]")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            expect = intervals_intersect(intervals[u], intervals[v])
-            if expect != g.has_edge(u, v):
-                raise ValueError(
-                    f"interval model disagrees with adjacency on ({u},{v})"
-                )
+    # Interval v meets [l, r] exactly when v starts by r and ends at or
+    # after l: one prefix mask by left end, one suffix mask by right end.
+    by_left = sorted(range(g.n), key=lambda v: intervals[v][0])
+    by_right = sorted(range(g.n), key=lambda v: intervals[v][1])
+    lefts = [intervals[v][0] for v in by_left]
+    rights = [intervals[v][1] for v in by_right]
+    started = [0]  # started[k]: the first k vertices by left end
+    for v in by_left:
+        started.append(started[-1] | 1 << v)
+    ended = [0]  # ended[k]: the last k vertices by right end
+    for v in reversed(by_right):
+        ended.append(ended[-1] | 1 << v)
+    for u, (l, r) in enumerate(intervals):
+        expect = started[bisect_right(lefts, r)] & ended[g.n - bisect_left(rights, l)]
+        wrong = (expect & ~(1 << u)) ^ g.adj[u]
+        if wrong:
+            # Both masks are symmetric, so the first u that disagrees does
+            # so first with a higher v: the pair the pair loop meets first.
+            v = (wrong & -wrong).bit_length() - 1
+            raise ValueError(f"interval model disagrees with adjacency on ({u},{v})")
     order = sorted(range(g.n), key=lambda v: (intervals[v][0], intervals[v][1], v))
     layout = layout_from_order(order)
     for x in layout.postorder():

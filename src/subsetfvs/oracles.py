@@ -235,6 +235,17 @@ def _reach(g: Graph, side: int, u_set: int) -> Tuple[int, int]:
     return ext, bad
 
 
+def far_candidates(g: Graph, ctx: NodeContext) -> List[Tuple[int, int, int]]:
+    """(label, ext, e_bad) of every far-side candidate an index can name,
+    from the definition: each nonempty d=2 far representative, then each
+    nonzero entry of `ys_pool`, with ext and e_bad counted from adjacency.
+    `dp` reads the same list, as `ctx.far_cands`, from the far families'
+    class keys."""
+    cands = [(u << 2 | _YN, *_reach(g, ctx.vx, u)) for u in ctx.fam_y2.representatives if u]
+    cands += [(u << 2 | _YS, *_reach(g, ctx.vx, u)) for u in ys_pool(ctx) if u]
+    return cands
+
+
 def index_count(ctx: NodeContext) -> int:
     """Closed-form size of the full index stream."""
     budget = 4 * ctx.mim
@@ -364,14 +375,19 @@ def is_partial_solution(inst: Instance, ctx: NodeContext, x: int, i: IndexTuple)
 
 
 def profile_solution(
-    inst: Instance, ctx: NodeContext, x: int, labels: Dict[int, int]
+    inst: Instance,
+    ctx: NodeContext,
+    x: int,
+    labels: Dict[int, int],
+    far_cands: Sequence[Tuple[int, int, int]],
 ) -> Optional[_Profile]:
     """Reference for `dp._profile_solution`, built from scratch: the
     components of x minus S by breadth-first search, the trees and the
     forbidden cycles by union-find over every block, and the class
     representatives from whole blocks.  As in `dp`, the profile keeps the
     blocks with a vertex that has a neighbor across the cut; tree ids are
-    the union-find roots."""
+    the union-find roots.  `far_cands` is `far_candidates(inst.graph, ctx)`,
+    built once per node by the caller."""
     g, s = inst.graph, inst.s_set
     comps = components_masks(g, x & ~s)
     singles = list(bits(x & s))
@@ -423,7 +439,7 @@ def profile_solution(
     # Far-side candidates by attachment set, as in dp, but each candidate
     # on its own: its hit, its own degree checks, its own trees.
     by_att: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
-    for label, ext, bad in ctx.far_cands:
+    for label, ext, bad in far_cands:
         hit = ext & x
         if not hit or bad & x & s:
             continue

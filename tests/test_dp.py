@@ -7,10 +7,20 @@ import random
 import pytest
 
 from subsetfvs import dp
-from subsetfvs.graphs import Graph, Instance, bits, is_s_forest, lex_key, lex_order, mask_of
+from subsetfvs.graphs import (
+    Graph,
+    Instance,
+    bits,
+    components_masks,
+    is_s_forest,
+    lex_key,
+    lex_order,
+    mask_of,
+)
 from subsetfvs.layouts import interval_layout, intervals_intersect, layout_from_order, mim_cut, parse_layout
 from subsetfvs.dp import (
     SolutionTable,
+    SolveResult,
     _bucket_keys,
     _profile_solution,
     build_context,
@@ -28,6 +38,7 @@ from subsetfvs.oracles import (
     cc_signature,
     check_represents,
     enumerate_indices,
+    far_candidates,
     index_count,
     is_partial_solution,
     profile_solution,
@@ -530,7 +541,8 @@ def test_carried_profile_matches_from_scratch_reference():
     from scratch: blocks as a set, tree partition, matched candidates and
     attachment types, label for label.  Covers the golden cases, an n = 85
     interval graph and a balanced layout; the profiles are taken while the
-    solve runs, so they read the carried structures."""
+    solve runs, so they read the carried structures.  The reference's
+    far-side candidates come from the definition, not from `far_cands`."""
     cases = list(_golden_cases()) + [
         ("interval-n85", *_interval_case(1, 85)),
         ("balanced-n12", *_balanced_case(1, 12)),
@@ -541,9 +553,11 @@ def test_carried_profile_matches_from_scratch_reference():
         def watch(node, ctx, merged, reduced):
             nonlocal checked
             labels, ref_labels = {}, {}
+            far_cands = far_candidates(inst.graph, ctx)
             for x in merged.solutions:
                 got = _plain_profile(_profile_solution(inst, ctx, x, labels), labels)
-                want = _plain_profile(profile_solution(inst, ctx, x, ref_labels), ref_labels)
+                ref = profile_solution(inst, ctx, x, ref_labels, far_cands)
+                want = _plain_profile(ref, ref_labels)
                 assert got == want, (name, node, x)
                 checked += got is not None
 
@@ -563,6 +577,51 @@ def _random_binary_case(rng, n):
         b = trees.pop(rng.randrange(len(trees)))
         trees.append(f"({a},{b})")
     return Instance(g, 0, (1,) * n), parse_layout(trees[0], names)
+
+
+def _excess_by_definition(g, s, x):
+    """Edges of x's S-contraction beyond a forest, from scratch: the edges
+    of G[x] with an end in S, minus the components of x \\ S and the
+    S-vertices of x, plus the components of x."""
+    s_edges = sum(1 for u, v in g.edges() if x >> u & x >> v & 1 and (s >> u | s >> v) & 1)
+    nodes = len(components_masks(g, x & ~s)) + (x & s).bit_count()
+    return s_edges - nodes + len(components_masks(g, x))
+
+
+def test_carried_excess_matches_definition():
+    """At every internal node, each merged row's carried `excess` equals
+    the count from scratch, it is 0 exactly when the row is an S-forest,
+    and every reduced row is an S-forest.  Covers the golden cases (nmc hub
+    case included), an n = 85 interval graph and 30 random binary layouts
+    with random S and weights; some rows die at every kind of case."""
+    rng = random.Random(10)
+    cases = list(_golden_cases()) + [("interval-n85", *_interval_case(1, 85))]
+    for i in range(30):
+        inst, lay = _random_binary_case(rng, rng.randint(2, 11))
+        n = inst.n
+        s = mask_of(v for v in range(n) if rng.random() < 0.4)
+        weights = tuple(rng.randint(-1, 4) for _ in range(n))
+        cases.append((f"binary-{i}", Instance(inst.graph, s, weights), lay))
+    dead = {}  # dead merged rows by kind of case
+    for name, inst, lay in cases:
+        g, s = inst.graph, inst.s_set
+        kind = name.split("-")[0]
+        dead.setdefault(kind, 0)
+
+        def watch(node, ctx, merged, reduced):
+            for x in merged.solutions:
+                excess = ctx.blocks.of(node, x).excess
+                assert excess == _excess_by_definition(g, s, x), (name, node, x)
+                assert (excess == 0) == is_s_forest(g, x, s), (name, node, x)
+                dead[kind] += excess > 0
+            for x in reduced.solutions:
+                assert is_s_forest(g, x, s), (name, node, x)
+
+        solve(inst, lay, trace=watch)
+    assert all(dead.values()), dead
+    # n = 1: the root is a leaf, so its two rows are neither merged nor
+    # reduced; the heavier one, the empty set, wins.
+    assert solve(Instance(Graph(1, []), 1, (-2,)), layout_from_order([0])) == SolveResult(0, 0, 1)
 
 
 def _reach_by_adjacency(g, side, u_set):

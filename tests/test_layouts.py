@@ -381,6 +381,49 @@ def test_interval_layout_validates_model():
         interval_layout([(3, 1), (0, 2)], g)
 
 
+def _first_pair_against_model(iv, g):
+    """The pair loop: the first (u, v), u < v, whose adjacency the model
+    gets wrong, or None."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if intervals_intersect(iv[u], iv[v]) != g.has_edge(u, v):
+                return u, v
+    return None
+
+
+def test_interval_model_check_names_the_pair_loops_first_pair():
+    """The sweep names the first pair the pair loop finds on perturbed
+    interval models: an endpoint moved, or an edge of the model's graph
+    flipped.  Small coordinates give shared and touching endpoints."""
+    rng = random.Random(2500)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        iv = []
+        for _ in range(n):
+            left = rng.randint(0, 2 * n)
+            iv.append((left, left + rng.randint(0, 4)))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = {(u, v) for u, v in pairs if intervals_intersect(iv[u], iv[v])}
+        for _ in range(rng.randint(0, 2)):
+            if pairs and rng.random() < 0.5:
+                edges ^= {rng.choice(pairs)}
+            else:
+                v = rng.randrange(n)
+                left = max(0, iv[v][0] + rng.randint(-2, 2))
+                iv[v] = (left, max(left, iv[v][1] + rng.randint(-2, 2)))
+        g = Graph(n, sorted(edges))
+        want = _first_pair_against_model(iv, g)
+        outcomes.add(want is None)
+        if want is None:
+            interval_layout(iv, g)
+            continue
+        with pytest.raises(ValueError) as exc:
+            interval_layout(iv, g)
+        assert str(exc.value) == "interval model disagrees with adjacency on (%d,%d)" % want
+    assert outcomes == {True, False}
+
+
 def test_serialize_parse_roundtrip():
     names = ["v0", "v1", "v2"]
     lay = layout_from_order([0, 1, 2])

@@ -74,9 +74,10 @@ from typing import (
 )
 
 from .graphs import Graph, Instance, bits, is_s_forest, lex_order
-from .layouts import RootedLayout, mim_cut
-# compute_reps is unused here but stays a name of this module: the tracer in
-# perfbench/tracing.py wraps dp.compute_reps, dp.build_context and dp.mim_cut.
+# compute_reps and mim_cut are unused here but stay names of this module: the
+# tracer in perfbench/tracing.py wraps dp.compute_reps, dp.build_context and
+# dp.mim_cut.
+from .layouts import RootedLayout, boundaries, mim_bipartite, mim_cut  # noqa: F401
 from .nec import NecFamily, compute_reps, layout_families  # noqa: F401
 
 # Candidate labels: a representative set shifted left by two, with its kind
@@ -126,27 +127,16 @@ class BlockStore:
         self.adj = adj
         self.s = inst.s_set
         self.layout = layout
-        # boundary[y]: the vertices below y with a neighbor outside.  A
-        # vertex that leaves a boundary never comes back to one above.
+        self.boundary = boundaries(inst.graph, layout)
         # crossing[y]: the vertices below y's right child with a neighbor
         # below its left child.
-        self.boundary: List[int] = []
         self.crossing: List[int] = []
         for y in layout.postorder():
-            below = layout.below[y]
             crossing = 0
-            if layout.is_leaf(y):
-                cand = below
-            else:
-                cand = self.boundary[layout.left[y]] | self.boundary[layout.right[y]]
+            if not layout.is_leaf(y):
                 for u in bits(self.boundary[layout.right[y]]):
                     if adj[u] & layout.below[layout.left[y]]:
                         crossing |= 1 << u
-            bnd = 0
-            for v in bits(cand):
-                if adj[v] & ~below:
-                    bnd |= 1 << v
-            self.boundary.append(bnd)
             self.crossing.append(crossing)
         self.known: Dict[int, Structure] = {0: Structure((), (), 0)}
         self._reach: Dict[int, int] = {}  # neighbors of a set of right-side vertices
@@ -287,6 +277,7 @@ def build_context(
         blocks = BlockStore(inst, layout)
     near1, near2, far1, far2 = families
     vx = layout.below[node]
+    cvx = g.vertices & ~vx
     fam_y1, fam_y2 = far1[node], far2[node]
     # The lookups list the keys in the order of the representatives.
     sets, singles = fam_y2.representatives, fam_y1.representatives
@@ -302,8 +293,8 @@ def build_context(
     return NodeContext(
         node,
         vx,
-        g.vertices & ~vx,
-        mim_cut(g, vx),
+        cvx,
+        mim_bipartite(g, blocks.boundary[node], cvx),
         near1[node],
         near2[node],
         fam_y1,
@@ -360,17 +351,6 @@ class _Profile(NamedTuple):
     # attachment types: attached blocks (bitmask), the trees of those
     # blocks, the label bits of the far-side candidates with that attachment
     types: Tuple[Tuple[int, Tuple[int, ...], List[int]], ...]
-
-
-def _profile_solution(
-    inst: Instance, ctx: NodeContext, x: int, labels: Dict[int, int]
-) -> Optional[_Profile]:
-    """Block structure of a solution, or None when it can never be extended
-    (its carried excess is not 0: its S-contraction already has a cycle).
-    The structure of x comes from `ctx.blocks`, joined from those of its
-    parts below the two children."""
-    st = ctx.blocks.of(ctx.node, x)
-    return None if st.excess else _profile(ctx, x, x & inst.s_set, st, labels)
 
 
 def _profile(

@@ -4,14 +4,16 @@ A layout is a rooted binary tree whose leaves are exactly the graph's
 vertices; the subtree below a node x induces the cut (V_x, complement).
 Three cut values are supported: GF(2) rank and rational rank of the
 cross-adjacency matrix, and the maximum induced matching size of the
-crossing bipartite graph.
+crossing bipartite graph.  Only a side's boundary (see `boundaries`) adds to
+any of them, so each is computed on two sides (a, b); `cut_rank`, `mim_cut`
+and `cut_mim_at_most_one` take b to be the complement of a.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, bits
 
@@ -140,24 +142,28 @@ def _rational_rank(rows: List[List[int]]) -> int:
     return rank
 
 
-def cut_rank(g: Graph, a: int, field: str = "gf2") -> int:
-    """Rank of the cross-adjacency matrix rows(a) x cols(complement)."""
-    comp = g.vertices & ~a
+def rank_bipartite(g: Graph, a: int, b: int, field: str = "gf2") -> int:
+    """Rank of the adjacency matrix rows(a) x cols(b)."""
     if field == "gf2":
-        # The rows keep the complement's vertex ids as column positions:
-        # packing them densely would only relabel columns in order.
-        return gf2_rank([g.adj[v] & comp for v in bits(a)])
+        # The rows keep b's vertex ids as column positions: packing them
+        # densely would only relabel columns in order.
+        return gf2_rank([g.adj[v] & b for v in bits(a)])
     if field == "rational":
         # Zero rows and columns add nothing to the rank: keep the rows of
-        # the vertices with a neighbour across the cut, and the columns
-        # those rows touch.
-        packed = [row for row in (g.adj[v] & comp for v in bits(a)) if row]
+        # the vertices with a neighbour in b, and the columns those rows
+        # touch.
+        packed = [row for row in (g.adj[v] & b for v in bits(a)) if row]
         touched = 0
         for row in packed:
             touched |= row
         cols = list(bits(touched))
         return _rational_rank([[row >> u & 1 for u in cols] for row in packed])
     raise ValueError(f"unknown field {field!r}")
+
+
+def cut_rank(g: Graph, a: int, field: str = "gf2") -> int:
+    """Rank of the cross-adjacency matrix rows(a) x cols(complement)."""
+    return rank_bipartite(g, a, g.vertices & ~a, field)
 
 
 def _matching_number(edges: List[Tuple[int, int]], available: int) -> int:
@@ -292,39 +298,52 @@ class CutReport:
     values: Tuple[int, ...]
 
 
+def boundaries(g: Graph, layout: RootedLayout) -> List[int]:
+    """Per node id, the boundary of its cut: the vertices below the node
+    with a neighbor outside it.  A vertex that leaves a boundary never
+    returns to one higher up, so each node looks only at its children's."""
+    adj, below = g.adj, layout.below
+    out: List[int] = []
+    for x in layout.postorder():
+        cand = below[x] if layout.is_leaf(x) else out[layout.left[x]] | out[layout.right[x]]
+        bnd = 0
+        for v in bits(cand):
+            if adj[v] & ~below[x]:
+                bnd |= 1 << v
+        out.append(bnd)
+    return out
+
+
 def width(g: Graph, layout: RootedLayout, kind: str = "gf2") -> Tuple[int, CutReport]:
-    """Maximum cut value over all layout nodes plus the per-node report."""
+    """Maximum cut value over all layout nodes plus the per-node report.
+    Each node's value is read from its boundary rows alone."""
     if layout.n != g.n:
         raise ValueError("layout and graph disagree on the vertex count")
+    if kind not in ("gf2", "rational", "mim"):
+        raise ValueError(f"unknown cut kind {kind!r}")
+    bnd = boundaries(g, layout)
     values = []
     for x in layout.postorder():
-        a = layout.below[x]
-        if kind == "mim":
-            values.append(mim_cut(g, a))
-        elif kind in ("gf2", "rational"):
-            values.append(cut_rank(g, a, kind))
-        else:
-            raise ValueError(f"unknown cut kind {kind!r}")
+        a, b = bnd[x], g.vertices & ~layout.below[x]
+        values.append(mim_bipartite(g, a, b) if kind == "mim" else rank_bipartite(g, a, b, kind))
     return max(values), CutReport(kind, layout.below, tuple(values))
 
 
-def distinct_external_neighborhoods(g: Graph, a: int) -> int:
-    """Number of distinct rows of the cross-adjacency matrix of a."""
-    comp = g.vertices & ~a
-    return len({g.adj[v] & comp for v in bits(a)})
+def mim_bipartite_at_most_one(g: Graph, a: int, b: int) -> bool:
+    """Whether the bipartite graph G[a, b] has induced-matching value at most 1.
+
+    That holds exactly when the nonzero neighborhoods in b of a's vertices
+    form a chain under inclusion.  Two incomparable ones, N(u) and N(v),
+    give the induced matching {u x, v y} for x in N(u) \\ N(v) and y in
+    N(v) \\ N(u); in a chain, of any two crossing edges one end sees both
+    far ends, so no two edges form an induced matching."""
+    chain = sorted({g.adj[v] & b for v in bits(a)} - {0}, key=int.bit_count)
+    return all(not p & ~q for p, q in zip(chain, chain[1:]))
 
 
 def cut_mim_at_most_one(g: Graph, a: int) -> bool:
-    """Whether the cut (a, complement) has induced-matching value at most 1.
-
-    That holds exactly when the nonzero crossing neighborhoods of a's
-    vertices form a chain under inclusion.  Two incomparable ones, N(u) and
-    N(v), give the induced matching {u x, v y} for x in N(u) \\ N(v) and y
-    in N(v) \\ N(u); in a chain, of any two crossing edges one end sees
-    both far ends, so no two edges form an induced matching."""
-    out = g.vertices & ~a
-    chain = sorted({g.adj[v] & out for v in bits(a)} - {0}, key=int.bit_count)
-    return all(not p & ~q for p, q in zip(chain, chain[1:]))
+    """Whether the cut (a, complement) has induced-matching value at most 1."""
+    return mim_bipartite_at_most_one(g, a, g.vertices & ~a)
 
 
 def intervals_intersect(p: Tuple[int, int], q: Tuple[int, int]) -> bool:
@@ -365,8 +384,9 @@ def interval_layout(intervals: Sequence[Tuple[int, int]], g: Graph) -> RootedLay
             raise ValueError(f"interval model disagrees with adjacency on ({u},{v})")
     order = sorted(range(g.n), key=lambda v: (intervals[v][0], intervals[v][1], v))
     layout = layout_from_order(order)
+    bnd = boundaries(g, layout)
     for x in layout.postorder():
-        if not cut_mim_at_most_one(g, layout.below[x]):
+        if not mim_bipartite_at_most_one(g, bnd[x], g.vertices & ~layout.below[x]):
             raise AssertionError("interval layout produced a cut above width 1")
     return layout
 

@@ -381,7 +381,7 @@ def profile_solution(
     labels: Dict[int, int],
     far_cands: Sequence[Tuple[int, int, int]],
 ) -> Optional[_Profile]:
-    """Reference for `dp._profile_solution`, built from scratch: the
+    """Reference for `dp._profile`, built from scratch: the
     components of x minus S by breadth-first search, the trees and the
     forbidden cycles by union-find over every block, and the class
     representatives from whole blocks.  As in `dp`, the profile keeps the

@@ -129,11 +129,13 @@ def test_solve_nmc_path(tmp_path, capsys):
 def test_mim_width_is_computed_once_per_node(tmp_path, capsys, monkeypatch):
     """The reported mim width equals `width(..., "mim")`.  On sfvs and fvs
     it comes from the solve, which computes mim once per internal node; nmc
-    solves on a layout with a hub added, so it keeps its own width pass."""
+    solves on a layout with a hub added, so it keeps its own width pass.
+    Every mim computation, `mim_cut` included, goes through a module's
+    `mim_bipartite`, so counting those counts each one once."""
     calls = []
     for mod in (dp, layouts):
-        orig = mod.mim_cut
-        monkeypatch.setattr(mod, "mim_cut", lambda g, a, orig=orig: calls.append(a) or orig(g, a))
+        orig = mod.mim_bipartite
+        monkeypatch.setattr(mod, "mim_bipartite", lambda g, a, b, orig=orig: calls.append(a) or orig(g, a, b))
     rng = random.Random(41)
     graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])]
     for n in (5, 7, 9):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from subsetfvs import dp
+from subsetfvs import dp, layouts
 from subsetfvs.graphs import (
     Graph,
     Instance,
@@ -17,12 +17,19 @@ from subsetfvs.graphs import (
     lex_order,
     mask_of,
 )
-from subsetfvs.layouts import interval_layout, intervals_intersect, layout_from_order, mim_cut, parse_layout
+from subsetfvs.layouts import (
+    interval_layout,
+    intervals_intersect,
+    layout_from_order,
+    mim_cut,
+    parse_layout,
+    width,
+)
 from subsetfvs.dp import (
     SolutionTable,
     SolveResult,
     _bucket_keys,
-    _profile_solution,
+    _profile,
     build_context,
     merge_tables,
     reduce_table,
@@ -64,6 +71,13 @@ def node_for(layout, below_mask):
 def context_for(inst, below_mask, order=None):
     lay = layout_from_order(order or list(range(inst.n)))
     return build_context(inst, lay, node_for(lay, below_mask))
+
+
+def _profile_solution(inst, ctx, x, labels):
+    """The profile `reduce_table` builds for row x, from the structure
+    `ctx.blocks` carries, or None when x can never be extended."""
+    st = ctx.blocks.of(ctx.node, x)
+    return None if st.excess else _profile(ctx, x, x & inst.s_set, st, labels)
 
 
 # ---------------------------------------------------------------- indices
@@ -937,3 +951,28 @@ def test_solve_trace_sees_representative_tables():
 
         solve(inst, lay, trace=watch)
         assert seen == [x for x in lay.postorder() if not lay.is_leaf(x)]
+
+
+def test_cut_values_read_only_the_boundary(monkeypatch):
+    """On an n = 400 path over the id-order caterpillar, every cut boundary
+    holds at most one vertex.  The width report (all three kinds), the
+    interval certificate check and the solve pass only that boundary to the
+    two-sided cut functions, never the node's whole side."""
+    n = 400
+    g = path(n)
+    sides = []
+    for mod, name in (
+        (layouts, "rank_bipartite"),
+        (layouts, "mim_bipartite"),
+        (layouts, "mim_bipartite_at_most_one"),
+        (dp, "mim_bipartite"),
+    ):
+        orig = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda g, a, b, *rest, orig=orig: sides.append(a) or orig(g, a, b, *rest))
+    lay = layout_from_order(range(n))
+    for kind in ("gf2", "rational", "mim"):
+        assert width(g, lay, kind)[0] == 1
+    assert interval_layout([(v, v + 1) for v in range(n)], g) == lay
+    assert solve(Instance(g, g.vertices, (1,) * n), lay) == SolveResult(n, g.vertices, 0)
+    assert len(sides) == 4 * lay.node_count + n - 1
+    assert max(a.bit_count() for a in sides) <= 2

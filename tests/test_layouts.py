@@ -12,9 +12,9 @@ from subsetfvs.layouts import (
     RootedLayout,
     _matching_number,
     _rational_rank,
+    boundaries,
     cut_mim_at_most_one,
     cut_rank,
-    distinct_external_neighborhoods,
     gf2_rank,
     interval_layout,
     intervals_intersect,
@@ -306,13 +306,61 @@ def test_width_edge_cases():
         width(g, layout_from_order([0, 1]), "boolean")
 
 
-def test_distinct_external_neighborhoods():
-    k22 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert distinct_external_neighborhoods(k22, 0b0011) == 1
-    pm = Graph(6, [(0, 3), (1, 4), (2, 5)])
-    assert distinct_external_neighborhoods(pm, 0b000111) == 3
-    isolated = Graph(3, [(1, 2)])
-    assert distinct_external_neighborhoods(isolated, 0b001) == 1
+def _boundary_cases():
+    """Random graphs (n <= 14) on caterpillar, balanced and random binary
+    layouts over shuffled vertex orders, and an n = 85 interval graph on
+    its certificate layout."""
+    rng = random.Random(14)
+
+    def nest(part):
+        mid = len(part) // 2
+        return part[0] if len(part) == 1 else f"({nest(part[:mid])},{nest(part[mid:])})"
+
+    for i in range(16):
+        n = rng.randint(2, 14)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        names = [f"v{v}" for v in range(n)]
+        order = rng.sample(names, n)
+        yield f"caterpillar-{i}", g, layout_from_order([int(v[1:]) for v in order])
+        yield f"balanced-{i}", g, parse_layout(nest(order), names)
+        trees = list(order)
+        while len(trees) > 1:
+            a = trees.pop(rng.randrange(len(trees)))
+            b = trees.pop(rng.randrange(len(trees)))
+            trees.append(f"({a},{b})")
+        yield f"binary-{i}", g, parse_layout(trees[0], names)
+    iv = []
+    for _ in range(85):
+        left = rng.randint(0, 255)
+        iv.append((left, left + rng.randint(1, 14)))
+    g = Graph(85, [(u, v) for u in range(85) for v in range(u + 1, 85) if intervals_intersect(iv[u], iv[v])])
+    yield "interval-n85", g, interval_layout(iv, g)
+
+
+def test_boundaries_match_definition():
+    """Each node's boundary is the set of vertices below it with a neighbor
+    outside it."""
+    for name, g, lay in _boundary_cases():
+        got = boundaries(g, lay)
+        assert len(got) == lay.node_count
+        for x in lay.postorder():
+            below = lay.below[x]
+            want = mask_of(v for v in bits(below) if g.adj[v] & ~below)
+            assert got[x] == want, (name, x)
+
+
+def test_width_values_match_cut_functions():
+    """The width report, read from boundary rows, gives every node the
+    value of the cut function on the node's whole side."""
+    for name, g, lay in _boundary_cases():
+        for kind in ("gf2", "rational", "mim"):
+            w, report = width(g, lay, kind)
+            for x in lay.postorder():
+                a = lay.below[x]
+                want = mim_cut(g, a) if kind == "mim" else cut_rank(g, a, kind)
+                assert report.values[x] == want, (name, kind, x)
+            assert w == max(report.values)
 
 
 def test_intervals_intersect():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .graphs import Graph, bits
 
@@ -166,123 +166,44 @@ def cut_rank(g: Graph, a: int, field: str = "gf2") -> int:
     return rank_bipartite(g, a, g.vertices & ~a, field)
 
 
-def _matching_number(edges: List[Tuple[int, int]], available: int) -> int:
-    """Maximum matching size of the bipartite graph formed by the listed
-    cut edges restricted to the available edge subset."""
-    right_of: Dict[int, List[int]] = {}
-    for i, (u, v) in enumerate(edges):
-        if available >> i & 1:
-            right_of.setdefault(u, []).append(v)
-    match: Dict[int, int] = {}
-    size = 0
-    for start in right_of:
-        # Depth-first search for an augmenting path with an explicit stack of
-        # (left vertex, its untried right neighbors); taken[k] is the right
-        # vertex tried from stack[k].  Augmenting paths can be longer than
-        # the recursion limit allows, and a self-calling closure would leave
-        # a reference cycle behind every call.
-        seen = set()
-        stack = [(start, iter(right_of[start]))]
-        taken: List[int] = []
-        while stack:
-            u, untried = stack[-1]
-            for v in untried:
-                if v not in seen:
-                    seen.add(v)
-                    break
-            else:
-                stack.pop()
-                if taken:
-                    taken.pop()
-                continue
-            taken.append(v)
-            if v in match:
-                w = match[v]
-                stack.append((w, iter(right_of[w])))
-                continue
-            for (left, _), right in zip(stack, taken):
-                match[right] = left
-            size += 1
-            break
-    return size
-
-
-def _mim_exact(edges: List[Tuple[int, int]], conflict: List[int]) -> int:
-    """Maximum induced matching by branch-and-bound over the edge list.
-
-    Branches on the lexicographically first remaining edge; prunes with the
-    matching number of the remaining edges (an upper bound on the induced
-    matching size), memoized per remaining edge set.
-    """
-    if not edges:
-        return 0
-    bound_cache: Dict[int, int] = {}
-    best = 0
-
-    def bound(avail: int) -> int:
-        b = bound_cache.get(avail)
-        if b is None:
-            b = _matching_number(edges, avail)
-            bound_cache[avail] = b
-        return b
-
-    ceiling = bound((1 << len(edges)) - 1)
-
-    # Depth first with an explicit stack, the include branch popped first,
-    # so states are visited in the same order as by recursion.  A
-    # self-calling closure would leave a reference cycle behind every call.
-    stack = [((1 << len(edges)) - 1, 0)]
-    while stack:
-        avail, count = stack.pop()
-        if count > best:
-            best = count
-        if not avail or best == ceiling:
-            continue
-        free = True
-        rest = avail
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if conflict[i] & avail:
-                free = False
-                break
-            rest ^= low
-        if free:
-            total = count + avail.bit_count()
-            if total > best:
-                best = total
-            continue
-        if count + bound(avail) <= best:
-            continue
-        low = avail & -avail
-        i = low.bit_length() - 1
-        stack.append((avail ^ low, count))
-        stack.append((avail & ~(conflict[i] | low), count + 1))
-    return best
-
-
 def mim_bipartite(g: Graph, a: int, b: int) -> int:
-    """Exact maximum induced matching of the bipartite graph G[a, b]."""
+    """Exact maximum induced matching of the bipartite graph G[a, b].
+
+    Side vertices u_1..u_m are the ends of an induced matching exactly when
+    their neighborhoods in b are distinct and each keeps a private vertex
+    outside the union of the others: u_i is matched to its private vertex.
+    So the search chooses among the distinct nonzero neighborhoods.  Every
+    subset of a valid choice is valid, so adding them in index order reaches
+    every choice; a branch stops once its size plus the neighborhoods left
+    cannot beat the best found.
+    """
     if a & b:
         raise ValueError("sides overlap")
-    edges = []
-    for u in bits(a):
-        for v in bits(g.adj[u] & b):
-            edges.append((u, v))
-    conflict = [0] * len(edges)
-    for i in range(len(edges)):
-        u1, v1 = edges[i]
-        for j in range(i + 1, len(edges)):
-            u2, v2 = edges[j]
-            if (
-                u1 == u2
-                or v1 == v2
-                or g.adj[u1] >> v2 & 1
-                or g.adj[u2] >> v1 & 1
-            ):
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    return _mim_exact(edges, conflict)
+    nbhs = sorted({g.adj[v] & b for v in bits(a)} - {0})
+    k = len(nbhs)
+    best = 0
+    # Depth first, smallest index first, with an explicit stack of (next
+    # index to try, union of the chosen neighborhoods, each chosen one's
+    # private part); a frame that admits a neighborhood goes back under its
+    # child and resumes after it.  A self-calling closure would leave a
+    # reference cycle behind every call.
+    stack: List[Tuple[int, int, Tuple[int, ...]]] = [(0, 0, ())]
+    while stack:
+        j, union, private = stack.pop()
+        size = len(private)
+        while j < k and size + k - j > best:
+            nb = nbhs[j]
+            j += 1
+            own = nb & ~union
+            if not own:
+                continue
+            kept = [p & ~nb for p in private]
+            if all(kept):
+                stack.append((j, union, private))
+                stack.append((j, union | nb, (*kept, own)))
+                best = max(best, size + 1)
+                break
+    return best
 
 
 def mim_cut(g: Graph, a: int) -> int:

@@ -10,7 +10,6 @@ import pytest
 from subsetfvs.graphs import Graph, bits, mask_of
 from subsetfvs.layouts import (
     RootedLayout,
-    _matching_number,
     _rational_rank,
     boundaries,
     cut_mim_at_most_one,
@@ -51,30 +50,35 @@ def fraction_rank(rows):
 
 
 def brute_mim(g, a, b):
-    """Largest induced matching across the cut by trying all edge subsets."""
+    """Largest induced matching across the cut by trying edge subsets of
+    growing size.  Every subset of an induced matching is one, so the first
+    size with none ends the search."""
     cross = [(u, v) for u in bits(a) for v in bits(b) if g.has_edge(u, v)]
-    best = 0
-    for k in range(len(cross), 0, -1):
-        if k <= best:
-            break
-        for combo in itertools.combinations(cross, k):
-            verts = set()
-            ok = True
-            for u, v in combo:
-                if u in verts or v in verts:
-                    ok = False
-                    break
-                verts.add(u)
-                verts.add(v)
-            if not ok:
-                continue
-            if all(
-                not g.has_edge(u1, v2) and not g.has_edge(u2, v1)
-                for (u1, v1), (u2, v2) in itertools.combinations(combo, 2)
-            ):
-                best = k
-                break
-    return best
+
+    def induced(combo):
+        us = {u for u, _ in combo}
+        vs = {v for _, v in combo}
+        return len(us) == len(vs) == len(combo) and all(
+            not g.has_edge(u1, v2) and not g.has_edge(u2, v1)
+            for (u1, v1), (u2, v2) in itertools.combinations(combo, 2)
+        )
+
+    k = 0
+    while any(induced(combo) for combo in itertools.combinations(cross, k + 1)):
+        k += 1
+    return k
+
+
+def interval_graph(rng, n, longest):
+    """A random interval graph with its certificate layout: left ends in
+    [0, 3n], lengths in [1, longest], the `generate interval` shape when
+    longest = n // 2."""
+    iv = []
+    for _ in range(n):
+        left = rng.randint(0, 3 * n)
+        iv.append((left, left + rng.randint(1, longest)))
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if intervals_intersect(iv[u], iv[v])])
+    return g, interval_layout(iv, g)
 
 
 def test_layout_below():
@@ -184,13 +188,7 @@ def test_gf2_cut_rank_matches_packed_reference():
         a = rng.randrange(1 << n)
         assert cut_rank(g, a, "gf2") == packed_gf2_cut_rank(g, a)
     for n in (12, 30):
-        iv = []
-        for _ in range(n):
-            left = rng.randint(0, 3 * n)
-            iv.append((left, left + rng.randint(1, n // 2)))
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if intervals_intersect(iv[i], iv[j])]
-        g = Graph(n, edges)
-        lay = interval_layout(iv, g)
+        g, lay = interval_graph(rng, n, n // 2)
         for x in lay.postorder():
             assert cut_rank(g, lay.below[x], "gf2") == packed_gf2_cut_rank(g, lay.below[x])
 
@@ -225,12 +223,7 @@ def test_rational_cut_rank_matches_dense_reference():
         assert cut_rank(g, a, "rational") == dense_rational_cut_rank(g, a)
     assert cut_rank(two_triangles, 0b000111, "rational") == 0
     assert cut_rank(two_triangles, 0b001011, "rational") == 2
-    iv = []
-    for _ in range(30):
-        left = rng.randint(0, 90)
-        iv.append((left, left + rng.randint(1, 15)))
-    g = Graph(30, [(i, j) for i in range(30) for j in range(i + 1, 30) if intervals_intersect(iv[i], iv[j])])
-    lay = interval_layout(iv, g)
+    g, lay = interval_graph(rng, 30, 15)
     for x in lay.postorder():
         assert cut_rank(g, lay.below[x], "rational") == dense_rational_cut_rank(g, lay.below[x])
 
@@ -247,13 +240,25 @@ def test_mim_examples():
 
 
 def test_mim_against_exhaustive():
+    """One-sided cuts (b the complement of a) and two-sided ones (b a strict
+    subset of the complement, as `width` and `build_context` pass)."""
     rng = random.Random(67)
-    for _ in range(60):
-        n = rng.randint(2, 7)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-        g = Graph(n, edges)
+    values = set()
+    for i in range(300):
+        n = rng.randint(2, 12)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         a = rng.randrange(1 << n)
-        assert mim_cut(g, a) == brute_mim(g, a, g.vertices & ~a)
+        b = g.vertices & ~a
+        if i % 2 and b:
+            b &= rng.randrange(1 << n) & ~(1 << rng.choice(list(bits(b))))
+            got = mim_bipartite(g, a, b)
+        else:
+            got = mim_cut(g, a)
+        want = brute_mim(g, a, b)
+        assert got == want, (n, sorted(g.edges()), a, b)
+        values.add(min(want, 3))
+    assert values == {0, 1, 2, 3}
 
 
 def test_mim_cut_leaves_no_cyclic_garbage():
@@ -269,19 +274,16 @@ def test_mim_cut_leaves_no_cyclic_garbage():
     assert len(values) == 1
 
 
-def test_matching_number_on_a_long_alternating_chain():
-    # The chain w, u0, v0, u1, v1, ..., u1199, v1199 with its 2400 edges
-    # listed from the far end.  Every left vertex first takes the right
-    # vertex before it, so u0 needs an augmenting path through all 1200
-    # links, deeper than the default recursion limit.
-    links = 1200
-    w = 2 * links
-    edges = []
-    for i in range(links - 1, 0, -1):
-        edges += [(2 * i, 2 * i - 1), (2 * i, 2 * i + 1)]
-    edges += [(0, 1), (0, w)]
-    assert len(edges) == 2 * links
-    assert _matching_number(edges, (1 << len(edges)) - 1) == links
+def test_mim_bipartite_at_scale():
+    matching = Graph(80, [(i, 40 + i) for i in range(40)])
+    assert mim_cut(matching, (1 << 40) - 1) == 40
+    # The crown: a_i sees every b_j but b_i.  Any two a's with their missing
+    # b's swapped form an induced matching; a third sees both b's.
+    k = 150
+    crown = Graph(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
+    assert mim_cut(crown, (1 << k) - 1) == 2
+    g, lay = interval_graph(random.Random(200), 200, 100)
+    assert all(mim_cut(g, lay.below[x]) <= 1 for x in lay.postorder())
 
 
 def test_width_p4_caterpillar():
@@ -330,12 +332,7 @@ def _boundary_cases():
             b = trees.pop(rng.randrange(len(trees)))
             trees.append(f"({a},{b})")
         yield f"binary-{i}", g, parse_layout(trees[0], names)
-    iv = []
-    for _ in range(85):
-        left = rng.randint(0, 255)
-        iv.append((left, left + rng.randint(1, 14)))
-    g = Graph(85, [(u, v) for u in range(85) for v in range(u + 1, 85) if intervals_intersect(iv[u], iv[v])])
-    yield "interval-n85", g, interval_layout(iv, g)
+    yield ("interval-n85", *interval_graph(rng, 85, 14))
 
 
 def test_boundaries_match_definition():
@@ -388,24 +385,15 @@ def test_interval_layout_nested():
 
 def test_interval_layout_random_width_one():
     rng = random.Random(20)
-    iv = []
-    for _ in range(20):
-        left = rng.randint(0, 60)
-        iv.append((left, left + rng.randint(1, 12)))
-    edges = [
-        (i, j)
-        for i in range(20)
-        for j in range(i + 1, 20)
-        if intervals_intersect(iv[i], iv[j])
-    ]
-    g = Graph(20, edges)
-    lay = interval_layout(iv, g)
+    g, lay = interval_graph(rng, 20, 12)
     assert max(mim_cut(g, lay.below[x]) for x in lay.postorder()) <= 1
 
 
 def test_mim_at_most_one_criterion_matches_mim_cut():
     """Nested crossing neighborhoods decide mim <= 1 exactly as the full
-    induced-matching search does, on random graphs and random cuts."""
+    induced-matching search does: on random graphs and random cuts, and on
+    cuts with hundreds of crossing edges of dense interval graphs, on their
+    certificate layout and on caterpillars with a few leaves swapped."""
     rng = random.Random(316)
     verdicts = set()
     for _ in range(600):
@@ -417,6 +405,24 @@ def test_mim_at_most_one_criterion_matches_mim_cut():
         assert cut_mim_at_most_one(g, a) == want, (n, sorted(g.edges()), a)
         verdicts.add(want)
     assert verdicts == {True, False}
+    values = set()
+    most_crossing = 0
+    for n in (100, 200):
+        g, lay = interval_graph(rng, n, n // 2)
+        order = [lay.leaf_vertex[x] for x in lay.postorder() if lay.is_leaf(x)]
+        for swaps in (0, 2, 4):
+            for _ in range(swaps):
+                i, j = rng.sample(range(n), 2)
+                order[i], order[j] = order[j], order[i]
+            cat = layout_from_order(order)
+            for x in cat.postorder():
+                a = cat.below[x]
+                m = mim_cut(g, a)
+                assert cut_mim_at_most_one(g, a) == (m <= 1), (n, swaps, x)
+                values.add(min(m, 2))
+                most_crossing = max(most_crossing, sum((g.adj[v] & ~a).bit_count() for v in bits(a)))
+    assert values == {0, 1, 2}
+    assert most_crossing >= 300
 
 
 def test_interval_layout_validates_model():

@@ -39,6 +39,15 @@ class CliError(Exception):
     """Parse or validation failure; maps to exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 1, like every other parse error;
+    argparse's own code 2 means an oracle mismatch here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
+
+
 def parse_graph_file(text: str) -> Tuple[Graph, Tuple[int, ...], int, List[str]]:
     """Returns (graph, weights, s mask, vertex names in id order)."""
     header = None
@@ -269,7 +278,7 @@ def _run_generate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sfvs",
         description="Exact subset feedback vertex set / multiway cut solver over rooted layouts",
     )
@@ -302,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

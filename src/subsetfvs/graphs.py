@@ -239,86 +239,30 @@ def contracted(g: Graph, a, b=(), mode: str = "full") -> BlockGraph:
 
 
 def is_forest(g: Graph, x: int) -> bool:
-    """True when g[x] is acyclic (union-find over induced edges)."""
-    parent = {v: v for v in bits(x)}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u in bits(x):
-        for v in bits(g.adj[u] & x):
-            if v <= u:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-    return True
+    """True when g[x] is acyclic."""
+    return is_s_forest(g, x, x)
 
 
 def is_s_forest(g: Graph, x: int, s: int) -> bool:
     """True when no cycle of g[x] passes through a vertex of s.
 
-    A vertex lies on a cycle iff it lies in a biconnected component that is
-    not a bridge, so it suffices to inspect the non-bridge components.
+    Counts on the S-contraction of x: a node per component of g[x minus s]
+    and per vertex of x & s, an edge per edge of g[x] with an end in s.  x
+    is an S-forest exactly when that multigraph is a forest, that is, when
+    its edges number its nodes minus its components, which are those of
+    g[x].  An S-vertex that sees one component twice adds a parallel edge,
+    and so a cycle.
     """
-    s &= x
-    if s == 0:
+    xs = x & s
+    if not xs:
         return True
-    if s == x:
-        return is_forest(g, x)
-
-    index = {}
-    low = {}
-    timer = 0
-    for root in bits(x):
-        if root in index:
-            continue
-        # Iterative DFS; edge_stack collects edges per biconnected component.
-        stack = [(root, -1, bits(g.adj[root] & x))]
-        edge_stack: List[Tuple[int, int]] = []
-        index[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, parent_v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent_v:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = timer
-                    timer += 1
-                    edge_stack.append((u, w))
-                    stack.append((w, u, bits(g.adj[w] & x)))
-                    advanced = True
-                    break
-                if index[w] < index[u]:
-                    edge_stack.append((u, w))
-                    if index[w] < low[u]:
-                        low[u] = index[w]
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            p = stack[-1][0]
-            if low[u] < low[p]:
-                low[p] = low[u]
-            if low[u] >= index[p]:
-                comp_vertices = 0
-                comp_edges = 0
-                while edge_stack:
-                    a, b = edge_stack.pop()
-                    comp_vertices |= (1 << a) | (1 << b)
-                    comp_edges += 1
-                    if (a, b) == (p, u):
-                        break
-                if comp_edges >= 2 and comp_vertices & s:
-                    return False
-    return True
+    rest = x & ~s
+    # An edge with both ends in s is counted from each end, and an edge from
+    # s to the rest twice from its s end.
+    s_edges = sum((g.adj[v] & x).bit_count() + (g.adj[v] & rest).bit_count() for v in bits(xs))
+    s_edges //= 2
+    nodes = len(components_masks(g, rest)) + xs.bit_count()
+    return s_edges == nodes - len(components_masks(g, x))
 
 
 @dataclass(frozen=True)

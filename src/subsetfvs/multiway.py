@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .graphs import Graph, Instance, bits, lex_key
+from .graphs import Graph, Instance, bits, components_masks, lex_key, mask_of
 from .layouts import RootedLayout
 from .dp import solve
 
@@ -65,22 +65,10 @@ def extend_layout(layout: RootedLayout, hub: int) -> RootedLayout:
 
 
 def separates(g: Graph, cut: int, terminals: Tuple[int, ...]) -> bool:
-    """No path between surviving terminals after removing the cut."""
-    alive = [t for t in terminals if not (cut >> t) & 1]
-    inside = g.vertices & ~cut
-    for i, t in enumerate(alive):
-        seen = 1 << t
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & inside & ~seen
-            seen |= frontier
-        for u in alive[i + 1 :]:
-            if (seen >> u) & 1:
-                return False
-    return True
+    """No path between surviving terminals after removing the cut: no
+    component of g minus the cut holds two terminals."""
+    tmask = mask_of(terminals)
+    return all((c & tmask).bit_count() < 2 for c in components_masks(g, g.vertices & ~cut))
 
 
 @dataclass(frozen=True)
@@ -104,11 +92,13 @@ def solve_nmc(
                     raise ValueError("adjacent terminals cannot be separated")
     inst, hub = reduce_to_sfvs(nmc, deletable_terminals)
     res = solve(inst, extend_layout(layout, hub))
-    assert (res.sforest >> hub) & 1, "hub dropped from the optimum"
+    if not res.sforest >> hub & 1:
+        raise RuntimeError("the hub was dropped from the optimum")
     cut = g.vertices & ~res.sforest
-    if not deletable_terminals:
-        assert all(not (cut >> t) & 1 for t in nmc.terminals), "terminal deleted"
-    assert separates(g, cut, nmc.terminals), "cut does not separate the terminals"
+    if not deletable_terminals and cut & mask_of(nmc.terminals):
+        raise RuntimeError("the cut deletes a terminal")
+    if not separates(g, cut, nmc.terminals):
+        raise RuntimeError("the cut does not separate the terminals")
     return NmcResult(sum(nmc.weights[v] for v in bits(cut)), cut)
 
 
@@ -120,9 +110,7 @@ def brute_force_nmc(
     g = nmc.graph
     if g.n > 20:
         raise ValueError("graph too large for exhaustive search")
-    tmask = 0
-    for t in nmc.terminals:
-        tmask |= 1 << t
+    tmask = mask_of(nmc.terminals)
     best: Optional[Tuple[int, Tuple[int, ...], int]] = None
     for cut in range(1 << g.n):
         if cut & tmask and not deletable_terminals:

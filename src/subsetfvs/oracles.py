@@ -63,7 +63,8 @@ def lies_on_cycle(g: Graph, x: int, v: int) -> bool:
     """Whether v lies on some cycle of the graph induced on x.
 
     Checks pairs of neighbors for a connection avoiding v; this is the
-    independent route, used instead of the biconnectivity test.
+    independent route, used instead of the component count of
+    `graphs.is_s_forest`.
     """
     nbrs = list(bits(g.adj[v] & x))
     inside = x & ~(1 << v)

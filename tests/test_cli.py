@@ -191,6 +191,18 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     assert main(["solve", "--graph", tri, "--s", "nope"]) == 1
     assert main(["solve", "--graph", tri, "--threads", "-2"]) == 1
     capsys.readouterr()
+    # argparse usage errors exit 1 as well, with the usage line on stderr;
+    # 2 is kept for an oracle mismatch
+    for argv in (
+        ["solve", "--graph", tri, "--threads", "x"],
+        ["solve", "--graph", tri, "--problem", "bogus"],
+        ["solve"],
+        ["generate", "random", "--n", "abc"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sfvs"), argv
+        assert "error: " in err, argv
 
 
 def test_exit_code_on_oracle_mismatch(tmp_path, capsys, monkeypatch):

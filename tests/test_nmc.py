@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from subsetfvs.dp import SolveResult
 from subsetfvs.graphs import Graph, bits
 from subsetfvs.layouts import layout_from_order, width
 from subsetfvs.multiway import (
@@ -79,6 +80,51 @@ def test_separates_examples():
     assert not separates(path, 0, (0, 2))
     # deleting a terminal counts as separating it away
     assert separates(path, 0b001, (0, 2))
+    # random graphs with n <= 8, 2-4 terminals and every cut, deleted
+    # terminals included, against a pairwise search; both answers appear
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        ts = tuple(rng.sample(range(n), rng.randint(2, min(4, n))))
+        for cut in range(1 << n):
+            want = _separates_pairwise(g, cut, ts)
+            assert separates(g, cut, ts) == want, (n, list(g.edges()), ts, cut)
+            seen.add(want)
+    assert seen == {False, True}
+
+
+def _separates_pairwise(g, cut, terminals):
+    """Reference: a search from each surviving terminal reaches no other."""
+    inside = g.vertices & ~cut
+    alive = [t for t in terminals if inside >> t & 1]
+    for i, t in enumerate(alive):
+        seen, todo = {t}, [t]
+        while todo:
+            for w in bits(g.adj[todo.pop()] & inside):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if any(u in seen for u in alive[i + 1 :]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "kept, message",
+    [(0b0111, "hub"), (0b1110, "deletes a terminal"), (0b1111, "does not separate")],
+    ids=["hub-dropped", "terminal-deleted", "not-separated"],
+)
+def test_post_checks_raise_runtime_error(monkeypatch, kept, message):
+    """Each check of the reduced solve's answer raises RuntimeError, so it
+    still runs under `python -O`.  `kept` is the reduced instance's kept
+    set; its hub is vertex 3."""
+    fake = SolveResult(0, kept, 0b1111 & ~kept)
+    monkeypatch.setattr("subsetfvs.multiway.solve", lambda inst, layout: fake)
+    path = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(RuntimeError, match=message):
+        solve_nmc(NmcInstance(path, (0, 2), (1, 1, 1)), caterpillar(3))
 
 
 def test_path_cut():

@@ -66,11 +66,34 @@ def test_lies_on_cycle_examples():
 def test_cycle_route_agrees_with_component_route():
     # two unrelated definitions of "S-forest" must agree on every subset
     rng = random.Random(3)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(1, 5), 0.5)
-        s = rng.randrange(1 << g.n)
-        for x in range(1 << g.n):
-            assert s_forest_by_cycles(g, x, s) == is_s_forest(g, x, s)
+    answers = {False: 0, True: 0}
+    for n in range(1, 10):
+        for _ in range(20 if n < 8 else 8):
+            g = random_graph(rng, n, rng.choice((0.25, 0.4, 0.6)))
+            for s in (rng.randrange(1 << n), rng.randrange(1 << n)):
+                for x in range(1 << n):
+                    want = s_forest_by_cycles(g, x, s)
+                    assert is_s_forest(g, x, s) == want, (n, list(g.edges()), x, s)
+                    answers[want] += 1
+    assert min(answers.values()) > 1000, answers
+    cases = [
+        # an S-vertex with two neighbors in one non-S component
+        (Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]), 0b1111, 0b0001, False),
+        (Graph(3, [(0, 1), (0, 2), (1, 2)]), 0b111, 0b001, False),
+        # two adjacent S-vertices that share a component, then two that
+        # see different ones
+        (Graph(3, [(0, 1), (0, 2), (1, 2)]), 0b111, 0b011, False),
+        (Graph(4, [(0, 1), (0, 2), (1, 3)]), 0b1111, 0b0011, True),
+        # a non-S cycle with a pendant S-vertex
+        (Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), 0b1111, 0b1000, True),
+    ]
+    n = 3000
+    cycle = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    cases.append((cycle, cycle.vertices, 1 << 1234, False))
+    cases.append((cycle, cycle.vertices & ~(1 << 7), 1 << 1234, True))
+    for g, x, s, want in cases:
+        assert is_s_forest(g, x, s) is want
+        assert s_forest_by_cycles(g, x, s) is want
 
 
 # ------------------------------------------------------------ brute forces

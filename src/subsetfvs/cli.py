@@ -79,6 +79,8 @@ def parse_graph_file(text: str) -> Tuple[Graph, Tuple[int, ...], int, List[str]]
                 raise CliError(f"line {lineno}: bad vertex numbers")
             if flag not in (0, 1):
                 raise CliError(f"line {lineno}: s-flag must be 0 or 1")
+            if any(c in parts[1] for c in "(),"):
+                raise CliError(f"line {lineno}: vertex name {parts[1]!r} holds '(', ')' or ','")
             vlines.append((parts[1], w, flag))
         elif parts[0] == "e":
             if len(parts) != 3:
@@ -135,6 +137,10 @@ def _name_list(arg: str, ids: dict) -> List[int]:
 
 
 def _run_solve(args) -> int:
+    if args.s is not None and args.problem != "sfvs":
+        raise CliError(f"--s applies to --problem sfvs only, not {args.problem}")
+    if args.terminals is not None and args.problem != "nmc":
+        raise CliError(f"--terminals applies to --problem nmc only, not {args.problem}")
     try:
         with open(args.graph) as fh:
             g, weights, s_mask, names = parse_graph_file(fh.read())
@@ -176,10 +182,7 @@ def _run_solve(args) -> int:
 
     started = time.perf_counter()
     if args.problem == "nmc":
-        if args.terminals:
-            terms = tuple(_name_list(args.terminals, ids))
-        else:
-            terms = tuple(bits(s_mask))
+        terms = tuple(bits(s_mask) if args.terminals is None else _name_list(args.terminals, ids))
         nmc = NmcInstance(g, terms, tuple(weights))
         res = solve_nmc(nmc, layout)
         deletion = res.cut
@@ -189,7 +192,7 @@ def _run_solve(args) -> int:
             ref_w = None if ref is None else ref.weight
     else:
         s_set = g.vertices if args.problem == "fvs" else s_mask
-        if args.problem == "sfvs" and args.s:
+        if args.s is not None:
             s_set = mask_of(_name_list(args.s, ids))
         inst = Instance(g, s_set, tuple(weights))
         # The solve works out the mim of every internal node's cut; a leaf's

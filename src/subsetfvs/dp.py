@@ -248,31 +248,19 @@ class NodeContext:
     far_cands: Tuple[Tuple[int, int, int], ...]
 
 
-# Per-node families for one layout: near d=1, near d=2, far d=1, far d=2,
-# each indexed by node id.
-Families = Tuple[Sequence[NecFamily], Sequence[NecFamily], Sequence[NecFamily], Sequence[NecFamily]]
-
-
-def node_families(g: Graph, layout: RootedLayout) -> Families:
-    """All NEC families `build_context` reads, from one layout pass per d."""
-    near1, far1 = layout_families(g, layout, 1)
-    near2, far2 = layout_families(g, layout, 2)
-    return near1, near2, far1, far2
-
-
 def build_context(
     inst: Instance,
     layout: RootedLayout,
     node: int,
-    families: Optional[Families] = None,
+    families: Optional[Sequence[Sequence[NecFamily]]] = None,
     blocks: Optional[BlockStore] = None,
 ) -> NodeContext:
-    """Cut data of one layout node.  `families` is `node_families` of the
+    """Cut data of one layout node.  `families` is `layout_families` of the
     layout and `blocks` the store of row structures, which `solve` builds
     once and shares; without them this call builds its own."""
     g = inst.graph
     if families is None:
-        families = node_families(g, layout)
+        families = layout_families(g, layout)
     if blocks is None:
         blocks = BlockStore(inst, layout)
     near1, near2, far1, far2 = families
@@ -655,7 +643,7 @@ def solve(
     if layout.n != g.n:
         raise ValueError("layout does not match the graph")
 
-    families = node_families(g, layout)
+    families = layout_families(g, layout)
     blocks = BlockStore(inst, layout)
     tables: Dict[int, SolutionTable] = {}
     for x in layout.postorder():

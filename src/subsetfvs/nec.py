@@ -23,9 +23,13 @@ representatives of A and B:
   larger or lex-larger: for equal sizes, X precedes Y exactly when the least
   vertex of X ^ Y lies in X, and a disjoint common part leaves X ^ Y as it is.
 
-`join` scans these unions and keeps the first per key in (size, lex) order.
-`layout_families` runs it over a layout, near sides bottom-up and far sides
-top-down; `compute_reps` folds it over the singletons of an arbitrary side.
+`join` scans these unions and keeps the first per key in (size, lex) order,
+at d = 2 only.  `layout_families` runs it over a layout, near sides bottom-up
+and far sides top-down; `compute_reps` folds it over the singletons of an
+arbitrary side.  `coarsen` reads a side's d = 1 family off its d = 2 family:
+min(1, c) is a function of min(2, c), so a d = 1 class is the union of the
+d = 2 classes sharing its `once` mask, key & (2^n - 1).  A lookup visits the
+classes in (size, lex) order, so the first met per `once` holds the minimum.
 """
 
 from __future__ import annotations
@@ -105,25 +109,20 @@ class NecFamily:
         return rep
 
 
-def _check_d(d: int) -> None:
-    if d not in (1, 2):
-        raise ValueError("d must be 1 or 2")
+def _empty_family(g: Graph, out: int) -> NecFamily:
+    return NecFamily(g, 0, 2, out, (0,), {0: 0})
 
 
-def _empty_family(g: Graph, d: int, out: int) -> NecFamily:
-    return NecFamily(g, 0, d, out, (0,), {0: 0})
-
-
-def _singleton_family(g: Graph, v: int, d: int) -> NecFamily:
+def _singleton_family(g: Graph, v: int) -> NecFamily:
     side = 1 << v
     out = g.vertices & ~side
     once = g.adj[v] & out
     if not once:
-        return NecFamily(g, side, d, out, (0,), {0: 0})
-    return NecFamily(g, side, d, out, (0, side), {0: 0, once: 1})
+        return NecFamily(g, side, 2, out, (0,), {0: 0})
+    return NecFamily(g, side, 2, out, (0, side), {0: 0, once: 1})
 
 
-def _parts(fam: NecFamily, out: int, tout: int) -> List[Tuple[int, int, int]]:
+def _parts(fam: NecFamily, out: int) -> List[Tuple[int, int, int]]:
     """(rep, once, twice) with the masks cut down to out, first rep per
     cut-down key only: the others give the same keys with later unions."""
     shift = fam.graph.n
@@ -131,7 +130,7 @@ def _parts(fam: NecFamily, out: int, tout: int) -> List[Tuple[int, int, int]]:
     seen: Dict[int, Tuple[int, int, int]] = {}
     for key, idx in fam.lookup.items():
         once = key & out
-        twice = key >> shift & tout
+        twice = key >> shift & out
         k = once | twice << shift
         if k not in seen:
             seen[k] = (reps[idx], once, twice)
@@ -139,21 +138,20 @@ def _parts(fam: NecFamily, out: int, tout: int) -> List[Tuple[int, int, int]]:
 
 
 def join(fa: NecFamily, fb: NecFamily) -> NecFamily:
-    """Family of the union of two disjoint sides, from their families."""
-    if fa.graph is not fb.graph or fa.d != fb.d:
-        raise ValueError("families of different graphs or d")
+    """d = 2 family of the union of two disjoint sides, from their families."""
+    if fa.graph is not fb.graph or fa.d != 2 or fb.d != 2:
+        raise ValueError("join takes d = 2 families of one graph")
     if fa.side & fb.side:
         raise ValueError("sides overlap")
-    g, d = fa.graph, fa.d
+    g = fa.graph
     shift = g.n
     side = fa.side | fb.side
     out = fa.out & fb.out
-    tout = out if d == 2 else 0
-    b_parts = _parts(fb, out, tout)
+    b_parts = _parts(fb, out)
     best: Dict[int, int] = {}
-    for ra, oa, ta in _parts(fa, out, tout):
+    for ra, oa, ta in _parts(fa, out):
         for rb, ob, tb in b_parts:
-            key = oa | ob | (ta | tb | (oa & ob & tout)) << shift
+            key = oa | ob | (ta | tb | (oa & ob)) << shift
             r = ra | rb
             cur = best.get(key)
             if cur is None:
@@ -165,41 +163,52 @@ def join(fa: NecFamily, fb: NecFamily) -> NecFamily:
     ordered = sorted(best.items(), key=lambda kv: (kv[1].bit_count(), lex_order(kv[1])))
     reps = tuple(r for _, r in ordered)
     lookup = {key: i for i, (key, _) in enumerate(ordered)}
-    return NecFamily(g, side, d, out, reps, lookup)
+    return NecFamily(g, side, 2, out, reps, lookup)
+
+
+def coarsen(fam: NecFamily) -> NecFamily:
+    """d = 1 family of a d = 2 family's side: the first class per `once`."""
+    low = (1 << fam.graph.n) - 1
+    reps: List[int] = []
+    lookup: Dict[int, int] = {}
+    for key, idx in fam.lookup.items():
+        once = key & low
+        if once not in lookup:
+            lookup[once] = len(reps)
+            reps.append(fam.representatives[idx])
+    return NecFamily(fam.graph, fam.side, 1, fam.out, tuple(reps), lookup)
 
 
 def compute_reps(g: Graph, a: int, d: int) -> NecFamily:
     """Build the representative family of side a for the d-equivalence."""
-    _check_d(d)
+    if d not in (1, 2):
+        raise ValueError("d must be 1 or 2")
     if a & ~g.vertices:
         raise ValueError("side out of range")
     # Seen from the final outside only, each partial family has at most as
     # many classes as the result.
-    fam = _empty_family(g, d, g.vertices & ~a)
+    fam = _empty_family(g, g.vertices & ~a)
     for v in bits(a):
-        fam = join(fam, _singleton_family(g, v, d))
-    return fam
+        fam = join(fam, _singleton_family(g, v))
+    return fam if d == 2 else coarsen(fam)
 
 
-def layout_families(
-    g: Graph, layout: RootedLayout, d: int
-) -> Tuple[List[NecFamily], List[NecFamily]]:
-    """Families of every layout node, indexed by node id: near
-    sides (the vertices below the node) and far sides (the rest)."""
-    _check_d(d)
+def layout_families(g: Graph, layout: RootedLayout) -> Tuple[List[NecFamily], ...]:
+    """(near1, near2, far1, far2) of a layout, indexed by node id: near sides
+    (the vertices below the node) and far sides (the rest), d = 1 and 2."""
     if layout.n != g.n:
         raise ValueError("layout does not match the graph")
     near: List[NecFamily] = []
     for x in layout.postorder():
         if layout.is_leaf(x):
-            near.append(_singleton_family(g, layout.leaf_vertex[x], d))
+            near.append(_singleton_family(g, layout.leaf_vertex[x]))
         else:
             near.append(join(near[layout.left[x]], near[layout.right[x]]))
     far: List[Optional[NecFamily]] = [None] * layout.node_count
-    far[layout.root] = _empty_family(g, d, g.vertices)
+    far[layout.root] = _empty_family(g, g.vertices)
     for x in reversed(layout.postorder()):
         if not layout.is_leaf(x):
             left, right = layout.left[x], layout.right[x]
             far[left] = join(far[x], near[right])
             far[right] = join(far[x], near[left])
-    return near, far
+    return [coarsen(f) for f in near], near, [coarsen(f) for f in far], far

@@ -74,6 +74,10 @@ def test_parse_round_trip():
         "p sfvs 2 1\nv a 1 0\nv a 1 0\ne a a\n",  # duplicate name
         "p sfvs 2 1\nv a 1 0\nv b 1 0\ne a c\n",  # unknown endpoint
         "p sfvs 1 0\nx what\nv a 1 0\n",
+        # names a layout file or a comma-separated list could not refer to
+        "p sfvs 1 0\nv a(b 1 0\n",
+        "p sfvs 1 0\nv a) 1 0\n",
+        "p sfvs 2 0\nv a 1 0\nv b,c 1 0\n",
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -191,6 +195,22 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     assert main(["solve", "--graph", tri, "--s", "nope"]) == 1
     assert main(["solve", "--graph", tri, "--threads", "-2"]) == 1
     capsys.readouterr()
+    comma = write(tmp_path, "comma.gr", "p sfvs 2 0\nv a 1 0\nv b,c 1 0\n")
+    assert main(["solve", "--graph", comma]) == 1
+    assert "line 3: vertex name 'b,c'" in capsys.readouterr().err
+    # --s and --terminals exit 1 when they cannot take effect: an empty list,
+    # or a problem that does not read them
+    for argv, message in (
+        (["--s", ""], "empty vertex list"),
+        (["--s", " , "], "empty vertex list"),
+        (["--problem", "nmc", "--terminals", ""], "empty vertex list"),
+        (["--problem", "fvs", "--s", "v1"], "--s applies to --problem sfvs only"),
+        (["--problem", "nmc", "--s", "v1"], "--s applies to --problem sfvs only"),
+        (["--terminals", "v1,v3"], "--terminals applies to --problem nmc only"),
+        (["--problem", "fvs", "--terminals", "v1,v3"], "--terminals applies to --problem nmc only"),
+    ):
+        assert main(["solve", "--graph", tri, *argv]) == 1, argv
+        assert message in capsys.readouterr().err, argv
     # argparse usage errors exit 1 as well, with the usage line on stderr;
     # 2 is kept for an oracle mismatch
     for argv in (

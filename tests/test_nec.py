@@ -177,10 +177,12 @@ def test_compute_reps_rejects_other_d():
 
 def test_join_rejects_overlapping_sides():
     g = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        join(compute_reps(g, 0b011, 1), compute_reps(g, 0b110, 1))
-    with pytest.raises(ValueError):
-        join(compute_reps(g, 0b001, 1), compute_reps(g, 0b110, 2))
+    with pytest.raises(ValueError, match="overlap"):
+        join(compute_reps(g, 0b011, 2), compute_reps(g, 0b110, 2))
+    # d = 1 families come from `coarsen`, never from a join
+    for da, db in ((1, 2), (2, 1), (1, 1)):
+        with pytest.raises(ValueError, match="d = 2"):
+            join(compute_reps(g, 0b001, da), compute_reps(g, 0b110, db))
 
 
 def split_layout(order, rng=None):
@@ -208,8 +210,8 @@ def random_subsets(rng, side, count):
 def assert_layout_pass_matches(g, lay, rng):
     """At every node, near and far side, d in {1, 2}: the layout pass gives
     the representatives of compute_reps, in order, and the same rep_of."""
-    for d in (1, 2):
-        near, far = layout_families(g, lay, d)
+    near1, near2, far1, far2 = layout_families(g, lay)
+    for d, near, far in ((1, near1, far1), (2, near2, far2)):
         for x in lay.postorder():
             for fam, side in ((near[x], lay.below[x]), (far[x], g.vertices & ~lay.below[x])):
                 ref = compute_reps(g, side, d)
@@ -264,10 +266,59 @@ def test_lookup_iterates_in_representative_order():
         cases.append((Graph(n, edges), split_layout(order, rng)))
     families = 0
     for g, lay in cases:
+        fams = [f for side in layout_families(g, lay) for f in side]
         for d in (1, 2):
-            near, far = layout_families(g, lay, d)
-            fams = near + far + [compute_reps(g, rng.randrange(1 << g.n), d) for _ in range(3)]
-            for fam in fams:
-                assert list(fam.lookup.values()) == list(range(fam.class_count))
-                families += 1
+            fams += [compute_reps(g, rng.randrange(1 << g.n), d) for _ in range(3)]
+        for fam in fams:
+            assert list(fam.lookup.values()) == list(range(fam.class_count))
+            families += 1
     assert families > 500
+
+
+def random_interval_graph(rng, n):
+    """Interval graph on n random intervals, with its certificate layout."""
+    intervals = []
+    for _ in range(n):
+        left = rng.randint(0, 3 * n)
+        intervals.append((left, left + rng.randint(1, n // 6)))
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if intervals_intersect(intervals[i], intervals[j])
+    ]
+    g = Graph(n, edges)
+    return g, interval_layout(intervals, g)
+
+
+def assert_coarsened(g, lay, rng, samples):
+    """Every d = 1 family of the layout has one class per distinct `once`
+    mask of the d = 2 keys of its side, and maps a set to a representative
+    with the same clamped d = 1 counts that precedes it in (size, lex)
+    order."""
+    low = (1 << g.n) - 1
+    near1, near2, far1, far2 = layout_families(g, lay)
+    for x in lay.postorder():
+        for fam1, fam2 in ((near1[x], near2[x]), (far1[x], far2[x])):
+            assert fam1.d == 1 and fam1.side == fam2.side
+            assert fam1.class_count == len({key & low for key in fam2.lookup})
+            for sub in random_subsets(rng, fam1.side, samples):
+                rep = fam1.rep_of(sub)
+                assert neighbor_counts(g, fam1.side, 1, rep) == neighbor_counts(g, fam1.side, 1, sub)
+                assert (rep.bit_count(), lex_key(rep)) <= (sub.bit_count(), lex_key(sub))
+
+
+def test_coarsened_families_on_an_n85_interval_certificate_layout():
+    rng = random.Random(85)
+    g, lay = random_interval_graph(rng, 85)
+    assert_coarsened(g, lay, rng, 2)
+
+
+def test_coarsened_families_on_random_binary_layouts():
+    rng = random.Random(121)
+    for _ in range(15):
+        n = rng.randint(2, 14)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        order = list(range(n))
+        rng.shuffle(order)
+        assert_coarsened(Graph(n, edges), split_layout(order, rng), rng, 6)

@@ -16,7 +16,7 @@ import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import Graph, Instance, bits, mask_of
+from .graphs import CheckError, Graph, Instance, bits, mask_of
 from .layouts import (
     RootedLayout,
     interval_layout,
@@ -320,6 +320,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CheckError as exc:
+        print(f"error: the answer failed a check: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the instance is too large for this layout", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,15 +1,36 @@
 """Bottom-up dynamic programming for maximum-weight S-forests over a layout.
 
 Each layout node keeps a table of partial solutions (vertex subsets of the
-side below the node).  After merging child tables, `reduce_table` keeps one
-maximum-weight member per bucket, ties going to the lexicographically
-smallest vertex set.  Two solutions share a bucket when they admit the same
-index (a bounded description of how a solution and a hypothetical
-completion on the other side can interact through the cut) with the same
-connection signature.  One winner per bucket preserves the best completion
-for every subset of the other side.
+side below the node).  After merging child tables, `reduce_table` keeps a
+subset that represents the merged table: for every set Y on the far side
+of the cut, some kept row completes Y to an S-forest with the best weight
+any merged row reaches.  Rows are visited best first, by (-weight,
+lexicographic order), and kept by one of two routes.
 
-The full index family is astronomically large, so `reduce_table` enumerates,
+The completion route decides representativity directly.  It lists F, the
+far sets Y with G[Y] an S-forest, and keeps a row exactly when it
+completes some Y in F that no earlier kept row completes; once every Y in
+F is covered, the remaining rows are dropped unseen.  It is exact: for each
+Y in F the first row in best-first order that completes Y is a heaviest
+such row, and the lexicographically smallest among those, so it is kept.
+S-forests are closed under taking subsets, so a far set outside F is
+completed by no row, before or after the reduction.  The kept rows thus
+represent the merged table, and there are at most |F| of them.
+
+The key route keeps one maximum-weight member per bucket, with the same
+ties.  Two solutions share a bucket when they admit the same index (a
+bounded description of how a solution and a hypothetical completion on the
+other side can interact through the cut) with the same connection
+signature.  One winner per bucket preserves the best completion for every
+subset of the other side.
+
+A node takes the completion route exactly when 2^|far side| is at most the
+number of far-side candidates an index can name (`completion_route`): the
+completion route's work per row grows with the far subsets, the key
+route's with those candidates.  So it runs near the root of a layout,
+where the far side has a handful of vertices.
+
+The full index family is astronomically large, so the key route enumerates,
 per solution, only the indices that can actually arise from a vertex cover
 of a crossing forest.  The far side of such an index is organised by
 attachment type.  A far-side candidate's attachment is the set of solution
@@ -32,10 +53,9 @@ Buckets are plain tuples of ints.  Every candidate set an index can name
 singleton) is a label, and each label met during one `reduce_table` call
 gets one bit.  A signature group is the OR of its label bits, and a bucket
 key is the class of the unmatched rest followed by the group masks in an
-order fixed by the set of groups.  The keep rule is best first:
-solutions are visited by (-weight, lexicographic order), and a solution
-stays exactly when one of its keys is not yet seen.  That is the minimum
-entry of each bucket, without holding the buckets.
+order fixed by the set of groups.  On the key route a solution stays
+exactly when one of its keys is not yet seen.  That is the minimum entry
+of each bucket, without holding the buckets.
 
 The work per node and per row follows the cut's boundary (the side's
 vertices with a neighbor across the cut), not the number of vertices.
@@ -48,7 +68,7 @@ forest) is carried from the child rows through `BlockStore`, which joins
 two rows along the edges between them and keeps only the pieces on the
 boundary.  For the same reason a row's keys are a function of its
 boundary signature (its boundary part and the boundary parts of its
-components and trees), so `reduce_table` rejects a row whose signature an
+components and trees), so the key route rejects a row whose signature an
 earlier row had before it profiles the row or enumerates its keys.  A row
 can still become an S-forest exactly when its excess is 0, so
 `reduce_table` drops the others first and every root row is an S-forest.
@@ -73,7 +93,7 @@ from typing import (
     Tuple,
 )
 
-from .graphs import Graph, Instance, bits, is_s_forest, lex_order
+from .graphs import CheckError, Graph, Instance, bits, is_s_forest, lex_order
 # compute_reps and mim_cut are unused here but stay names of this module: the
 # tracer in perfbench/tracing.py wraps dp.compute_reps, dp.build_context and
 # dp.mim_cut.
@@ -569,45 +589,59 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
             stack.append((allowed & ~clashes[j], size + 1, lone, [anchor if r in rs else r for r in root], nxt))
 
 
+def completion_route(ctx: NodeContext) -> bool:
+    """Whether `reduce_table` keeps rows at this node by completion sets:
+    exactly when the far side has at most `len(ctx.far_cands)` subsets."""
+    return ctx.cvx.bit_count() < len(ctx.far_cands).bit_length()
+
+
+def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List[int]:
+    """The rows, best first, that complete a far S-forest no earlier kept
+    row completes; stops once every far S-forest is covered."""
+    g, s = inst.graph, inst.s_set
+    # Grown one far vertex at a time: every subset of an S-forest is one.
+    open_ys = [0]
+    for v in bits(ctx.cvx):
+        open_ys += [y | 1 << v for y in open_ys if is_s_forest(g, y | 1 << v, s)]
+    keep = []
+    for x in rows:
+        if not open_ys:
+            break
+        rest = [y for y in open_ys if not is_s_forest(g, x | y, s)]
+        if len(rest) < len(open_ys):
+            keep.append(x)
+            open_ys = rest
+    return keep
+
+
 _EMPTY_PART = frozenset([0])  # the boundary part of a piece off the boundary
 
 
-def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> SolutionTable:
-    """Keep one maximum-weight solution per bucket of the cover-realizable
-    index family; ties fall to the lexicographically smallest vertex set.
+def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List[int]:
+    """The rows, best first, that add a bucket key no earlier row had, so
+    each bucket's winner is the first row that has its key.
 
     A bucket key is the class of the unmatched rest followed by the label
     masks of the signature's groups, in an order fixed by the set of groups
-    (see `_bucket_keys`).  Solutions are visited best first, by (-weight,
-    lex_order); each bucket's winner is the first solution that has its key,
-    so a solution stays exactly when one of its keys is new, that is when
-    adding its keys to the ones seen so far grows that set.  The result is
-    a subset of the input that preserves the best completion for every
-    far-side set.  A solution whose excess is not 0 can never be extended;
-    it is dropped before anything else.
-
-    A solution meets a completion only through the boundary, so its keys
-    are a function of its boundary signature: x & near_bnd, and the
-    boundary parts of its boundary components and trees, as sets.  Every
-    input of the profile and of the keys reads only that much.  Far-side
-    hits lie in x & near_bnd, since a vertex with a far neighbor is on the
-    boundary.  Representatives come from a block's boundary part, the
-    unmatched rest from x & near_bnd, and a block lies in a tree exactly
-    when their boundary parts meet.  The labels a repeat would name are
-    already numbered, so a solution whose signature an earlier (heavier or
-    lexicographically smaller) one had adds no key to the seen set.  It is
-    rejected before it is profiled and its keys are enumerated.
+    (see `_bucket_keys`).  A row meets a completion only through the
+    boundary, so its keys are a function of its boundary signature: x &
+    near_bnd, and the boundary parts of its boundary components and trees,
+    as sets.  Every input of the profile and of the keys reads only that
+    much.  Far-side hits lie in x & near_bnd, since a vertex with a far
+    neighbor is on the boundary.  Representatives come from a block's
+    boundary part, the unmatched rest from x & near_bnd, and a block lies
+    in a tree exactly when their boundary parts meet.  The labels a repeat
+    would name are already numbered, so a row whose signature an earlier
+    (heavier or lexicographically smaller) one had adds no key to the seen
+    set.  It is rejected before it is profiled and its keys are enumerated.
     """
-    sols = table.solutions
     of, node, s, bnd = ctx.blocks.of, ctx.node, inst.s_set, ctx.near_bnd
     labels: Dict[int, int] = {}
     seen: Set[BucketKey] = set()
     sigs: Set[Tuple[int, FrozenSet[int], FrozenSet[int]]] = set()
     keep: List[int] = []
-    for mask in sorted(sols, key=lambda m: (-sols[m], lex_order(m))):
+    for mask in rows:
         st = of(node, mask)
-        if st.excess:
-            continue
         sig = (
             mask & bnd,
             frozenset([c & bnd for c in st.comps]) - _EMPTY_PART,
@@ -620,6 +654,21 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
         _bucket_keys(ctx, mask, _profile(ctx, mask, mask & s, st, labels), seen)
         if len(seen) > before:
             keep.append(mask)
+    return keep
+
+
+def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> SolutionTable:
+    """A subset of the merged table that represents it: for every far-side
+    set, some kept row completes it to an S-forest with the best weight any
+    merged row reaches; ties fall to the lexicographically smallest vertex
+    set.  Rows go best first, by (-weight, lex_order).  A row whose excess
+    is not 0 can never be extended and is dropped first.  The rest take the
+    completion route when `completion_route` holds, else the key route (see
+    the module docstring)."""
+    sols = table.solutions
+    of, node = ctx.blocks.of, ctx.node
+    rows = [m for m in sorted(sols, key=lambda m: (-sols[m], lex_order(m))) if not of(node, m).excess]
+    keep = (_keep_by_completions if completion_route(ctx) else _keep_by_keys)(ctx, inst, rows)
     return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_order)})
 
 
@@ -667,5 +716,5 @@ def solve(
     sols = tables[layout.root].solutions
     mask = min(sols, key=lambda m: (-sols[m], lex_order(m)))
     if not is_s_forest(g, mask, s):
-        raise RuntimeError("the best root row is not an S-forest")
+        raise CheckError("the best root row is not an S-forest")
     return SolveResult(sols[mask], mask, g.vertices & ~mask)

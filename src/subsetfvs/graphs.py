@@ -13,6 +13,10 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 MAX_WEIGHT_SUM = 1 << 62
 
 
+class CheckError(RuntimeError):
+    """A solver's own consistency check failed: its answer is not trusted."""
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in increasing order."""
     while mask:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .graphs import Graph, Instance, bits, components_masks, lex_key, mask_of
+from .graphs import CheckError, Graph, Instance, bits, components_masks, lex_key, mask_of
 from .layouts import RootedLayout
 from .dp import solve
 
@@ -93,12 +93,12 @@ def solve_nmc(
     inst, hub = reduce_to_sfvs(nmc, deletable_terminals)
     res = solve(inst, extend_layout(layout, hub))
     if not res.sforest >> hub & 1:
-        raise RuntimeError("the hub was dropped from the optimum")
+        raise CheckError("the hub was dropped from the optimum")
     cut = g.vertices & ~res.sforest
     if not deletable_terminals and cut & mask_of(nmc.terminals):
-        raise RuntimeError("the cut deletes a terminal")
+        raise CheckError("the cut deletes a terminal")
     if not separates(g, cut, nmc.terminals):
-        raise RuntimeError("the cut does not separate the terminals")
+        raise CheckError("the cut does not separate the terminals")
     return NmcResult(sum(nmc.weights[v] for v in bits(cut)), cut)
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import Graph, bits, lex_order
+from .graphs import CheckError, Graph, bits, lex_order
 from .layouts import RootedLayout
 
 
@@ -103,7 +103,7 @@ class NecFamily:
             return cached
         idx = self.lookup.get(self.key_of(x))
         if idx is None:
-            raise RuntimeError("equivalence class missing from the family")
+            raise CheckError("equivalence class missing from the family")
         rep = self.representatives[idx]
         self._rep_cache[x] = rep
         return rep

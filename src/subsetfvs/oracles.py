@@ -5,11 +5,12 @@ program: subset enumeration with a connectivity-based cycle test, a direct
 contraction construction for crossing forests, and a semantic completion
 check that compares tables against every possible far side.
 
+`check_represents` is the property both routes of `dp.reduce_table` keep.
 The literal index route is here too: `enumerate_indices` streams the full
 index family of a layout node, `is_partial_solution` and `cc_signature` are
-the admissibility test and the connection signature the bucket keys of
-`dp.reduce_table` stand for, and `best` reads a table's best completion.
-None of it runs in `dp.solve`.
+the admissibility test and the connection signature the key route's bucket
+keys stand for, and `best` reads a table's best completion.  None of it
+runs in `dp.solve`.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from subsetfvs import cli, dp, layouts
+from subsetfvs import cli, dp, layouts, multiway
 from subsetfvs.cli import CliError, main, parse_graph_file, write_graph_file
 from subsetfvs.graphs import Graph
 from subsetfvs.layouts import layout_from_order, parse_layout, serialize_layout, width
@@ -237,6 +237,36 @@ def test_exit_code_on_fvs_oracle_mismatch(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("subsetfvs.oracles.brute_force_fvs", lambda g, weights: (99, 0))
     assert main(["solve", "--graph", gr, "--problem", "fvs", "--oracle"]) == 2
     assert "oracle" in capsys.readouterr().err
+
+
+def test_exit_codes_for_failed_checks_and_memory(tmp_path, capsys, monkeypatch):
+    tri = write(tmp_path, "tri.gr", TRIANGLE)
+    path = write(tmp_path, "path.gr", PATH_T)
+    # dead rows reach the root, so dp.solve's root check fails: exit 2
+    with monkeypatch.context() as patch:
+        patch.setattr(dp, "reduce_table", lambda table, ctx, inst: table)
+        assert main(["solve", "--graph", tri, "--problem", "fvs"]) == 2
+        assert "failed a check: the best root row" in capsys.readouterr().err
+    # an nmc answer that drops the hub fails solve_nmc's post-check: exit 2
+    with monkeypatch.context() as patch:
+        patch.setattr(multiway, "solve", lambda inst, layout: dp.SolveResult(0, 0, 0b1111))
+        assert main(["solve", "--graph", path, "--problem", "nmc", "--terminals", "t1,t2"]) == 2
+        assert "failed a check: the hub" in capsys.readouterr().err
+
+    def raising(exc):
+        def run(*args, **kwargs):
+            raise exc
+        return run
+
+    # out of memory: exit 3, with a message and no traceback
+    monkeypatch.setattr(cli, "solve", raising(MemoryError()))
+    assert main(["solve", "--graph", tri]) == 3
+    assert "out of memory" in capsys.readouterr().err
+    # a plain RuntimeError, RecursionError among them, is not mapped
+    for exc in (RecursionError("deep"), RuntimeError("plain")):
+        monkeypatch.setattr(cli, "solve", raising(exc))
+        with pytest.raises(type(exc)):
+            main(["solve", "--graph", tri])
 
 
 def test_oracle_checks_fvs_and_nmc(tmp_path, capsys):

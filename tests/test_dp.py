@@ -8,6 +8,7 @@ import pytest
 
 from subsetfvs import dp, layouts
 from subsetfvs.graphs import (
+    CheckError,
     Graph,
     Instance,
     bits,
@@ -49,6 +50,7 @@ from subsetfvs.oracles import (
     index_count,
     is_partial_solution,
     profile_solution,
+    sforest_table,
     xs_pool,
     ys_pool,
 )
@@ -71,6 +73,14 @@ def node_for(layout, below_mask):
 def context_for(inst, below_mask, order=None):
     lay = layout_from_order(order or list(range(inst.n)))
     return build_context(inst, lay, node_for(lay, below_mask))
+
+
+@pytest.fixture
+def key_route(monkeypatch):
+    """Every node takes the key route.  The tests that pin its tables, its
+    keep rule and its signature skip run on it, whatever `completion_route`
+    would pick for their nodes."""
+    monkeypatch.setattr(dp, "completion_route", lambda ctx: False)
 
 
 def _profile_solution(inst, ctx, x, labels):
@@ -282,7 +292,7 @@ def test_reduce_keeps_empty_solution():
     assert red.solutions == {0: 0}
 
 
-def test_reduce_collapses_twins_onto_heavier():
+def test_reduce_collapses_twins_onto_heavier(key_route):
     # 0 and 1 are interchangeable towards the far side; only the weight-5
     # twin survives, and the answer for every completion is preserved
     g = Graph(3, [(0, 2), (1, 2)])
@@ -408,8 +418,10 @@ def _golden_cases():
 
 
 # sha256 over repr((node, sorted merged items, sorted reduced items)) at every
-# internal node, in solve order; recorded with the per-bucket minimum-entry
-# reduction that preceded the best-first one.
+# internal node, in solve order.  GOLDEN_TABLES holds them with every node on
+# the key route, as recorded with the per-bucket minimum-entry reduction that
+# preceded the best-first one; GOLDEN_ROUTED_TABLES as `solve` runs, with
+# each node on the route `completion_route` picks.
 GOLDEN_TABLES = {
     "sfvs-n10": "a1ea0bbb1daa6aa0512f19a37cc087eb73af36ae3d3b20bbae86169fe6dc68a9",
     "sfvs-n11": "2b71af2b52ec5c7b5b348ed2a56d1f38c19bbd1dd752e2c973579855c7bb948c",
@@ -419,7 +431,16 @@ GOLDEN_TABLES = {
 }
 
 
-def test_reduced_tables_match_golden_digests():
+GOLDEN_ROUTED_TABLES = {
+    "sfvs-n10": "55a2acd842b1c92f005252ea367035e67cfd30efffba48f9b70a7791dbe9796d",
+    "sfvs-n11": "66cc8c9375bcd91e57453abb1fba5f47742a318ddc77f0da8c1c8234bf6fdd6f",
+    "sfvs-n12": "f183725c0448999f6e29cc142466be2debccd45334364c1a574fb303e6597e58",
+    "fvs-n11": "d33191c9a0c1e0423646b0b9aabe5850a7b5ec661f4f6ecac4a507e6a19d0d5f",
+    "nmc-n11": "cbff1ef655cbaa00f697ab2cd5939b6004a510702b28d1a584c7493317d7244a",
+}
+
+
+def _golden_digests():
     got = {}
     for name, inst, lay in _golden_cases():
         h = hashlib.sha256()
@@ -433,7 +454,13 @@ def test_reduced_tables_match_golden_digests():
 
         solve(inst, lay, trace=watch)
         got[name] = h.hexdigest()
-    assert got == GOLDEN_TABLES
+    return got
+
+
+def test_reduced_tables_match_golden_digests(monkeypatch):
+    assert _golden_digests() == GOLDEN_ROUTED_TABLES
+    monkeypatch.setattr(dp, "completion_route", lambda ctx: False)
+    assert _golden_digests() == GOLDEN_TABLES
 
 
 # -------------------------------------------------------------- bucket keys
@@ -469,7 +496,7 @@ def _keys_by_candidate(inst, ctx, x, labels):
     return _decode(keys, labels)
 
 
-def test_bucket_keys_match_per_candidate_reference():
+def test_bucket_keys_match_per_candidate_reference(key_route):
     """At every internal node of the golden cases (G(n, 2n) with n <= 12 on
     shuffled caterpillars of mim >= 3, an fvs case and an nmc hub case),
     every merged solution gets the same keys from the search over
@@ -638,6 +665,51 @@ def test_carried_excess_matches_definition():
     assert solve(Instance(Graph(1, []), 1, (-2,)), layout_from_order([0])) == SolveResult(0, 0, 1)
 
 
+def test_both_routes_represent_the_merged_table():
+    """At every internal node, the reduced table is a subset of the merged
+    one, represents it (`check_represents`), and holds S-forests only.  A
+    node takes the completion route exactly when 2^|far side| <=
+    len(far_cands).  There the table is exactly the first row, in (-weight,
+    lex_order) order, that completes each far S-forest Y, so it has at most
+    |F| rows for the set F of those Y.  Covers the golden cases, the nmc
+    hub case and 30 random binary layouts (n <= 12, random S, weights in
+    -1..4); each kind of case takes both routes."""
+    rng = random.Random(15)
+    cases = [("nmc" if name.startswith("nmc") else "golden", inst, lay) for name, inst, lay in _golden_cases()]
+    for _ in range(30):
+        inst, lay = _random_binary_case(rng, rng.randint(2, 12))
+        n = inst.n
+        s = mask_of(v for v in range(n) if rng.random() < 0.4)
+        cases.append(("binary", Instance(inst.graph, s, tuple(rng.randint(-1, 4) for _ in range(n))), lay))
+    routes = {}  # kind of case -> nodes per route
+    for kind, inst, lay in cases:
+        g, s = inst.graph, inst.s_set
+        flags = sforest_table(inst)
+
+        def watch(node, ctx, merged, reduced):
+            got = reduced.solutions
+            assert got.items() <= merged.solutions.items()
+            assert check_represents(inst, ctx.vx, merged, reduced, flags), (kind, node)
+            assert all(is_s_forest(g, x, s) for x in got), (kind, node)
+            far = ctx.cvx.bit_count()
+            route = dp.completion_route(ctx)
+            assert route == (2 ** far <= len(ctx.far_cands))
+            counts = routes.setdefault(kind, [0, 0])
+            counts[route] += 1
+            if not route:
+                return
+            forests = [y for y in range(1 << g.n) if not y & ~ctx.cvx and is_s_forest(g, y, s)]
+            sols = merged.solutions
+            order = sorted(sols, key=lambda m: (-sols[m], lex_order(m)))
+            want = {next((x for x in order if is_s_forest(g, x | y, s)), None) for y in forests}
+            assert set(got) == want - {None}, (kind, node)
+            assert len(got) <= len(forests)
+
+        solve(inst, lay, trace=watch)
+    assert set(routes) == {"golden", "nmc", "binary"}
+    assert all(min(counts) > 0 for counts in routes.values()), routes
+
+
 def _reach_by_adjacency(g, side, u_set):
     """The vertices of side with a neighbor in u_set, and those with two."""
     hits = {v: (g.adj[v] & u_set).bit_count() for v in bits(side)}
@@ -711,7 +783,7 @@ def _counting_bucket_keys(monkeypatch):
     return calls
 
 
-def test_signature_skip_matches_full_keep_rule(monkeypatch):
+def test_signature_skip_matches_full_keep_rule(monkeypatch, key_route):
     """Rejecting a row whose boundary signature repeats an earlier row's
     keeps, at every internal node, the dict (order included) that the full
     keep rule keeps, and spares `_bucket_keys` calls.  Covers the golden
@@ -739,7 +811,7 @@ def test_signature_skip_matches_full_keep_rule(monkeypatch):
         assert nodes > 8 and dropped > 0, name
 
 
-def test_signature_skip_keeps_heavier_of_boundary_twins(monkeypatch):
+def test_signature_skip_keeps_heavier_of_boundary_twins(monkeypatch, key_route):
     # Node side {0, 1, 2} with boundary {2}: 0 and 1 see only 2, which sees
     # the far vertex 3.  {0, 2} and {1, 2} differ in an interior vertex
     # only, so they agree on the boundary: the heavier one stays and
@@ -764,7 +836,7 @@ def test_signature_skip_keeps_heavier_of_boundary_twins(monkeypatch):
         (0b00100, (0b00111, 0b01011)),  # components differ, trees agree
     ],
 )
-def test_signature_skip_keeps_rows_with_other_boundary_partitions(monkeypatch, s, rows):
+def test_signature_skip_keeps_rows_with_other_boundary_partitions(monkeypatch, key_route, s, rows):
     # Boundary vertices 0 and 1 both see the far vertex 4; 2 and 3 join
     # them inside the side.  Both rows have the boundary part {0, 1}, but
     # their components or trees cut it differently, so both reach
@@ -927,6 +999,15 @@ def test_solve_tie_break_is_lexicographic():
     res = solve(inst, layout_from_order(list(range(6))))
     assert res.weight == 4
     assert res.sforest == mask_of([0, 1, 3, 4])
+
+
+def test_root_check_raises_on_a_dead_root_row(monkeypatch):
+    # With reduce_table returning the merged table, dead rows reach the
+    # root, and the heaviest one there, the whole triangle, is no S-forest.
+    monkeypatch.setattr(dp, "reduce_table", lambda table, ctx, inst: table)
+    inst = Instance(triangle(), 0b111, (1, 1, 1))
+    with pytest.raises(CheckError, match="not an S-forest"):
+        solve(inst, layout_from_order([0, 1, 2]))
 
 
 def test_solve_rejects_mismatched_layout():

@@ -1,9 +1,12 @@
 """Metamorphic invariants of the optimum at sizes no brute force reaches.
 
-Each test solves weighted subset FVS on interval graphs with n >= 85 on
-their certificate layouts, changes the instance in a way whose effect on the
-optimum is known, and solves again.  Layouts are carried over by name
-through `serialize_layout` and `parse_layout`.
+Each test solves weighted subset FVS, changes the instance in a way whose
+effect on the optimum is known, and solves again.  The instances are
+interval graphs with n >= 85 on their certificate layouts (mim 1), and
+G(n, 2n) with n = 14 and 16 on shuffled caterpillars whose widest cut has
+mim >= 3, where the top nodes of the layout take the completion route of
+`dp.reduce_table`.  Layouts are carried over by name through
+`serialize_layout` and `parse_layout`.
 """
 
 import random
@@ -12,7 +15,14 @@ import pytest
 
 from subsetfvs.dp import solve
 from subsetfvs.graphs import Graph, Instance, bits, mask_of
-from subsetfvs.layouts import interval_layout, intervals_intersect, parse_layout, serialize_layout
+from subsetfvs.layouts import (
+    interval_layout,
+    intervals_intersect,
+    layout_from_order,
+    mim_cut,
+    parse_layout,
+    serialize_layout,
+)
 
 
 def interval_instance(seed, n):
@@ -35,6 +45,24 @@ def interval_instance(seed, n):
     return Instance(g, s_set, weights), interval_layout(intervals, g)
 
 
+def caterpillar_instance(seed, n):
+    """Weighted sfvs instance on G(n, 2n), with |S| = n/3 and weights in
+    1..5, on a shuffled caterpillar whose widest cut has mim >= 3.  Returns
+    the caterpillar's vertex order as well."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        g = Graph(n, rng.sample(pairs, 2 * n))
+        order = list(range(n))
+        rng.shuffle(order)
+        lay = layout_from_order(order)
+        if max(mim_cut(g, lay.below[x]) for x in lay.postorder()) >= 3:
+            break
+    s_set = mask_of(rng.sample(range(n), n // 3))
+    weights = tuple(rng.randint(1, 5) for _ in range(n))
+    return Instance(g, s_set, weights), lay, order
+
+
 def names_of(n, prefix="v"):
     return [f"{prefix}{i}" for i in range(n)]
 
@@ -43,9 +71,21 @@ def optimum(inst, layout):
     return solve(inst, layout).weight
 
 
-@pytest.fixture(scope="module", params=[85, 120])
+@pytest.fixture(
+    scope="module",
+    params=[
+        pytest.param(("interval", 85), id="85"),
+        pytest.param(("interval", 120), id="120"),
+        pytest.param(("caterpillar", 14), id="gnm14"),
+        pytest.param(("caterpillar", 16), id="gnm16"),
+    ],
+)
 def base(request):
-    inst, lay = interval_instance("metamorphic-a", request.param)
+    kind, n = request.param
+    if kind == "interval":
+        inst, lay = interval_instance("metamorphic-a", n)
+    else:
+        inst, lay, _ = caterpillar_instance("metamorphic-a", n)
     best = optimum(inst, lay)
     # Some vertex must go, or the invariants below would hold trivially.
     assert 0 < best < sum(inst.weights)
@@ -102,3 +142,27 @@ def test_pendant_vertex_outside_s_adds_its_weight(base, w):
     names = names_of(n + 1)
     text = f"({serialize_layout(lay, names[:n])},{names[n]})"
     assert optimum(grown, parse_layout(text, names)) == best + w
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_optimum_does_not_depend_on_the_layout(n):
+    """One optimum on the caterpillar, on a balanced layout over the same
+    vertex order, and on a random binary layout."""
+    inst, lay, order = caterpillar_instance("metamorphic-a", n)
+    names = names_of(n)
+
+    def balanced(part):
+        if len(part) == 1:
+            return part[0]
+        mid = len(part) // 2
+        return f"({balanced(part[:mid])},{balanced(part[mid:])})"
+
+    rng = random.Random(f"binary:{n}")
+    trees = list(names)
+    while len(trees) > 1:
+        a = trees.pop(rng.randrange(len(trees)))
+        b = trees.pop(rng.randrange(len(trees)))
+        trees.append(f"({a},{b})")
+    layouts = [lay, parse_layout(balanced([names[v] for v in order]), names), parse_layout(trees[0], names)]
+    assert len({serialize_layout(x, names) for x in layouts}) == 3
+    assert len({optimum(inst, x) for x in layouts}) == 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from subsetfvs.graphs import Graph, bits, lex_key, mask_of
+from subsetfvs.graphs import CheckError, Graph, bits, lex_key, mask_of
 from subsetfvs.layouts import (
     cut_rank,
     interval_layout,
@@ -85,6 +85,14 @@ def test_rep_of_rejects_outsiders():
     fam = compute_reps(g, 0b011, 1)
     with pytest.raises(ValueError):
         fam.rep_of(0b100)
+
+
+def test_rep_of_raises_check_error_on_a_missing_class():
+    g = Graph(3, [(0, 2), (1, 2)])
+    fam = compute_reps(g, 0b011, 1)
+    fam.lookup.clear()
+    with pytest.raises(CheckError, match="class missing"):
+        fam.rep_of(0b001)
 
 
 def test_key_lookup_consistency():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from subsetfvs.dp import SolveResult
-from subsetfvs.graphs import Graph, bits
+from subsetfvs.graphs import CheckError, Graph, bits
 from subsetfvs.layouts import layout_from_order, width
 from subsetfvs.multiway import (
     NmcInstance,
@@ -117,13 +117,13 @@ def _separates_pairwise(g, cut, terminals):
     ids=["hub-dropped", "terminal-deleted", "not-separated"],
 )
 def test_post_checks_raise_runtime_error(monkeypatch, kept, message):
-    """Each check of the reduced solve's answer raises RuntimeError, so it
-    still runs under `python -O`.  `kept` is the reduced instance's kept
-    set; its hub is vertex 3."""
+    """Each check of the reduced solve's answer raises CheckError, a
+    RuntimeError, so it still runs under `python -O`.  `kept` is the
+    reduced instance's kept set; its hub is vertex 3."""
     fake = SolveResult(0, kept, 0b1111 & ~kept)
     monkeypatch.setattr("subsetfvs.multiway.solve", lambda inst, layout: fake)
     path = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(CheckError, match=message):
         solve_nmc(NmcInstance(path, (0, 2), (1, 1, 1)), caterpillar(3))
 
 

@@ -23,6 +23,7 @@ from .layouts import (
     intervals_intersect,
     layout_from_order,
     parse_layout,
+    permutation_layout,
     serialize_layout,
     width,
 )
@@ -254,6 +255,13 @@ def _run_generate(args) -> int:
         order = list(range(n))
         rng.shuffle(order)
         layout = layout_from_order(order)
+    elif args.kind == "permutation":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]]
+        g = Graph(n, edges)
+        s_mask = mask_of(v for v in range(n) if rng.random() < 1 / 3)
+        layout = permutation_layout(perm, g)
     else:
         intervals = []
         for _ in range(n):
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=_run_solve)
 
     gen_p = sub.add_parser("generate", help="write a random instance")
-    gen_p.add_argument("kind", choices=["random", "interval"])
+    gen_p.add_argument("kind", choices=["random", "interval", "permutation"])
     gen_p.add_argument("--n", type=int, required=True)
     gen_p.add_argument("--p", type=float, default=0.3, help="edge probability (random kind)")
     gen_p.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,7 @@ side below the node).  After merging child tables, `reduce_table` keeps a
 subset that represents the merged table: for every set Y on the far side
 of the cut, some kept row completes Y to an S-forest with the best weight
 any merged row reaches.  Rows are visited best first, by (-weight,
-lexicographic order), and kept by one of two routes.
+lexicographic order), and kept by one of three routes.
 
 The completion route decides representativity directly.  It lists F, the
 far sets Y with G[Y] an S-forest, and keeps a row exactly when it
@@ -17,18 +17,50 @@ S-forests are closed under taking subsets, so a far set outside F is
 completed by no row, before or after the reduction.  The kept rows thus
 represent the merged table, and there are at most |F| of them.
 
+The signature route keeps the first row per boundary signature: x &
+near_bnd, and the boundary parts of x's boundary components and trees, as
+sets (see below for the boundary).  It is exact because a row meets a
+completion only through the cut.  By the `BlockStore` join formula, the
+excess of x | Y, for a far set Y, is the excess of x plus that of Y plus
+one per edge between x and Y with an end in S, plus the merges that those
+edges make among the components of x \\ S and among the trees of x.  The
+edges end in x & near_bnd, and which pieces of x they merge is read from
+the pieces' boundary parts.  So for rows of excess 0, whether x | Y is an
+S-forest depends on x only through its signature.  For each Y, the first
+row in best-first order that completes Y is then the first row of its
+signature, and is kept.
+
 The key route keeps one maximum-weight member per bucket, with the same
 ties.  Two solutions share a bucket when they admit the same index (a
 bounded description of how a solution and a hypothetical completion on the
 other side can interact through the cut) with the same connection
 signature.  One winner per bucket preserves the best completion for every
-subset of the other side.
+subset of the other side.  The buckets are a function of the boundary
+signature, so the key route only ever reduces the signature route's rows
+further: it runs on those rows and keeps exactly what it would keep from
+all of them.
 
 A node takes the completion route exactly when 2^|far side| is at most the
 number of far-side candidates an index can name (`completion_route`): the
 completion route's work per row grows with the far subsets, the key
 route's with those candidates.  So it runs near the root of a layout,
-where the far side has a handful of vertices.
+where the far side has a handful of vertices.  Elsewhere the first row per
+signature survives, at O(boundary) cost per row, and those survivors are
+the table unless they outnumber `fam_x2.class_count` times the bit length
+of `len(far_cands)` (`signature_route`); then the key route reduces them.
+The key route pays at least one scan of the far candidates per survivor,
+and more per bucket key, to keep fewer rows.  The signature route pays
+O(boundary) per row but passes more rows up, and the next merge
+multiplies them by the other child's rows.  Every bucket key starts with
+a near class, so the key route's table grows with the class count, and
+survivors within a log factor of it leave it little to shrink for the
+scans it costs.  Past that, the survivors mostly repeat how they meet the
+far side, and the key route's smaller table pays for its scans.  Wide
+boundaries (dense interval and permutation graphs) give many more
+survivors than classes, so there the key route runs as before; narrow
+cuts skip it.  The rule reads only per-node quantities that exist
+already.  It is a measured choice, not a bound, and the results are
+exact either way.
 
 The full index family is astronomically large, so the key route enumerates,
 per solution, only the indices that can actually arise from a vertex cover
@@ -67,11 +99,10 @@ and its excess, the number of edges its S-contraction has beyond a
 forest) is carried from the child rows through `BlockStore`, which joins
 two rows along the edges between them and keeps only the pieces on the
 boundary.  For the same reason a row's keys are a function of its
-boundary signature (its boundary part and the boundary parts of its
-components and trees), so the key route rejects a row whose signature an
-earlier row had before it profiles the row or enumerates its keys.  A row
-can still become an S-forest exactly when its excess is 0, so
-`reduce_table` drops the others first and every root row is an S-forest.
+boundary signature, so the key route sees only the signature route's
+survivors and profiles no repeat.  A row can still become an S-forest
+exactly when its excess is 0, so `reduce_table` drops the others first
+and every root row is an S-forest.
 """
 
 from __future__ import annotations
@@ -595,6 +626,14 @@ def completion_route(ctx: NodeContext) -> bool:
     return ctx.cvx.bit_count() < len(ctx.far_cands).bit_length()
 
 
+def signature_route(ctx: NodeContext, survivors: int) -> bool:
+    """Whether the first rows per boundary signature, `survivors` of them,
+    are kept as they are: exactly when they number at most
+    `ctx.fam_x2.class_count` times the bit length of `len(ctx.far_cands)`.
+    Otherwise the key route reduces them further."""
+    return survivors <= ctx.fam_x2.class_count * len(ctx.far_cands).bit_length()
+
+
 def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List[int]:
     """The rows, best first, that complete a far S-forest no earlier kept
     row completes; stops once every far S-forest is covered."""
@@ -617,29 +656,12 @@ def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Sequence[int]) 
 _EMPTY_PART = frozenset([0])  # the boundary part of a piece off the boundary
 
 
-def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List[int]:
-    """The rows, best first, that add a bucket key no earlier row had, so
-    each bucket's winner is the first row that has its key.
-
-    A bucket key is the class of the unmatched rest followed by the label
-    masks of the signature's groups, in an order fixed by the set of groups
-    (see `_bucket_keys`).  A row meets a completion only through the
-    boundary, so its keys are a function of its boundary signature: x &
-    near_bnd, and the boundary parts of its boundary components and trees,
-    as sets.  Every input of the profile and of the keys reads only that
-    much.  Far-side hits lie in x & near_bnd, since a vertex with a far
-    neighbor is on the boundary.  Representatives come from a block's
-    boundary part, the unmatched rest from x & near_bnd, and a block lies
-    in a tree exactly when their boundary parts meet.  The labels a repeat
-    would name are already numbered, so a row whose signature an earlier
-    (heavier or lexicographically smaller) one had adds no key to the seen
-    set.  It is rejected before it is profiled and its keys are enumerated.
-    """
-    of, node, s, bnd = ctx.blocks.of, ctx.node, inst.s_set, ctx.near_bnd
-    labels: Dict[int, int] = {}
-    seen: Set[BucketKey] = set()
-    sigs: Set[Tuple[int, FrozenSet[int], FrozenSet[int]]] = set()
-    keep: List[int] = []
+def _first_per_signature(ctx: NodeContext, rows: Sequence[int]) -> List[int]:
+    """The rows, best first, whose boundary signature no earlier row had:
+    x & near_bnd, and the boundary parts of its boundary components and
+    trees, as sets."""
+    of, node, bnd = ctx.blocks.of, ctx.node, ctx.near_bnd
+    first: Dict[Tuple[int, FrozenSet[int], FrozenSet[int]], int] = {}
     for mask in rows:
         st = of(node, mask)
         sig = (
@@ -647,11 +669,36 @@ def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List
             frozenset([c & bnd for c in st.comps]) - _EMPTY_PART,
             frozenset([t & bnd for t in st.trees]) - _EMPTY_PART,
         )
-        if sig in sigs:
-            continue
-        sigs.add(sig)
+        first.setdefault(sig, mask)
+    return list(first.values())
+
+
+def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List[int]:
+    """The rows, best first, that add a bucket key no earlier row had, so
+    each bucket's winner is the first row that has its key.
+
+    A bucket key is the class of the unmatched rest followed by the label
+    masks of the signature's groups, in an order fixed by the set of groups
+    (see `_bucket_keys`).  A row meets a completion only through the
+    boundary, so its keys are a function of its boundary signature (see
+    `_first_per_signature`).  Every input of the profile and of the keys
+    reads only that much.  Far-side hits lie in x & near_bnd, since a
+    vertex with a far neighbor is on the boundary.  Representatives come
+    from a block's boundary part, the unmatched rest from x & near_bnd, and
+    a block lies in a tree exactly when their boundary parts meet.  The
+    labels a repeat would name are already numbered, so a row whose
+    signature an earlier (heavier or lexicographically smaller) one had
+    adds no key to the seen set.  `reduce_table` therefore passes only the
+    first row per signature, and the kept rows are those the full keep
+    rule keeps.
+    """
+    of, node, s = ctx.blocks.of, ctx.node, inst.s_set
+    labels: Dict[int, int] = {}
+    seen: Set[BucketKey] = set()
+    keep: List[int] = []
+    for mask in rows:
         before = len(seen)
-        _bucket_keys(ctx, mask, _profile(ctx, mask, mask & s, st, labels), seen)
+        _bucket_keys(ctx, mask, _profile(ctx, mask, mask & s, of(node, mask), labels), seen)
         if len(seen) > before:
             keep.append(mask)
     return keep
@@ -663,12 +710,19 @@ def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> Solu
     merged row reaches; ties fall to the lexicographically smallest vertex
     set.  Rows go best first, by (-weight, lex_order).  A row whose excess
     is not 0 can never be extended and is dropped first.  The rest take the
-    completion route when `completion_route` holds, else the key route (see
-    the module docstring)."""
+    completion route when `completion_route` holds.  Otherwise the first
+    row per boundary signature survives; the survivors are the table when
+    `signature_route` holds, and the key route reduces them when it does
+    not.  All three routes are exact (see the module docstring)."""
     sols = table.solutions
     of, node = ctx.blocks.of, ctx.node
     rows = [m for m in sorted(sols, key=lambda m: (-sols[m], lex_order(m))) if not of(node, m).excess]
-    keep = (_keep_by_completions if completion_route(ctx) else _keep_by_keys)(ctx, inst, rows)
+    if completion_route(ctx):
+        keep = _keep_by_completions(ctx, inst, rows)
+    else:
+        keep = _first_per_signature(ctx, rows)
+        if not signature_route(ctx, len(keep)):
+            keep = _keep_by_keys(ctx, inst, keep)
     return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_order)})
 
 

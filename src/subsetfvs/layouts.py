@@ -304,11 +304,41 @@ def interval_layout(intervals: Sequence[Tuple[int, int]], g: Graph) -> RootedLay
             v = (wrong & -wrong).bit_length() - 1
             raise ValueError(f"interval model disagrees with adjacency on ({u},{v})")
     order = sorted(range(g.n), key=lambda v: (intervals[v][0], intervals[v][1], v))
+    return _unit_mim_layout(g, order, "interval")
+
+
+def permutation_layout(perm: Sequence[int], g: Graph) -> RootedLayout:
+    """Caterpillar layout in position order for a permutation model of g.
+
+    Vertex i sits at position i, and i < j are adjacent exactly when
+    perm[i] > perm[j]: the edges are the permutation's inversions.  Across
+    a prefix cut, a vertex sees the later vertices of smaller value, so
+    these neighborhoods form a chain and every cut has induced-matching
+    value at most 1; this is asserted at build time.
+    """
+    n = g.n
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    smaller = [0]  # smaller[k]: the vertices of value below k
+    for v in sorted(range(n), key=perm.__getitem__):
+        smaller.append(smaller[-1] | 1 << v)
+    for u in range(n):
+        earlier = (1 << u) - 1
+        expect = smaller[perm[u]] & ~earlier | earlier & ~smaller[perm[u] + 1]
+        wrong = expect ^ g.adj[u]
+        if wrong:
+            v = (wrong & -wrong).bit_length() - 1
+            raise ValueError(f"permutation model disagrees with adjacency on ({u},{v})")
+    return _unit_mim_layout(g, range(n), "permutation")
+
+
+def _unit_mim_layout(g: Graph, order: Sequence[int], kind: str) -> RootedLayout:
+    """The caterpillar in `order`, checked cut by cut to have mim <= 1."""
     layout = layout_from_order(order)
     bnd = boundaries(g, layout)
     for x in layout.postorder():
         if not mim_bipartite_at_most_one(g, bnd[x], g.vertices & ~layout.below[x]):
-            raise AssertionError("interval layout produced a cut above width 1")
+            raise AssertionError(f"{kind} layout produced a cut above width 1")
     return layout
 
 

@@ -443,7 +443,37 @@ def test_generate_rejects_bad_size(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("kind", ["random", "interval"])
+def test_generate_permutation_has_unit_mim(tmp_path, capsys):
+    """The written layout is the caterpillar in position order, and every
+    prefix cut passes the chain criterion."""
+    prefix = tmp_path / "perm"
+    assert main(["generate", "permutation", "--n", "30", "--seed", "7", "--out", str(prefix)]) == 0
+    assert capsys.readouterr().out == f"wrote {prefix}.gr and {prefix}.layout\n"
+    g, weights, _, names = parse_graph_file((tmp_path / "perm.gr").read_text())
+    layout = parse_layout((tmp_path / "perm.layout").read_text(), names)
+    assert weights == (1,) * 30 and len(list(g.edges())) > 30
+    assert [layout.leaf_vertex[x] for x in layout.postorder() if layout.is_leaf(x)] == list(range(30))
+    bnd = layouts.boundaries(g, layout)
+    for x in layout.postorder():
+        assert layouts.mim_bipartite_at_most_one(g, bnd[x], g.vertices & ~layout.below[x])
+    assert width(g, layout, "mim")[0] == 1
+
+
+@pytest.mark.parametrize("n", [1, 5, 9, 12])
+def test_generate_permutation_solves_to_brute_force(tmp_path, capsys, n):
+    for seed in (1, 2, 3):
+        prefix = tmp_path / f"perm{seed}"
+        assert main(["generate", "permutation", "--n", str(n), "--seed", str(seed), "--out", str(prefix)]) == 0
+        capsys.readouterr()
+        code, report = run_json(
+            tmp_path,
+            capsys,
+            ["solve", "--graph", f"{prefix}.gr", "--layout", f"{prefix}.layout", "--oracle"],
+        )
+        assert code == 0 and report["oracle_checked"] is True, (n, seed)
+
+
+@pytest.mark.parametrize("kind", ["random", "interval", "permutation"])
 def test_generate_rejects_size_above_limit(tmp_path, capsys, kind):
     prefix = tmp_path / "x"
     assert main(["generate", kind, "--n", "5001", "--out", str(prefix)]) == 1

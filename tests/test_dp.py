@@ -75,12 +75,17 @@ def context_for(inst, below_mask, order=None):
     return build_context(inst, lay, node_for(lay, below_mask))
 
 
+def _force_key_route(monkeypatch):
+    monkeypatch.setattr(dp, "completion_route", lambda ctx: False)
+    monkeypatch.setattr(dp, "signature_route", lambda ctx, survivors: False)
+
+
 @pytest.fixture
 def key_route(monkeypatch):
     """Every node takes the key route.  The tests that pin its tables, its
     keep rule and its signature skip run on it, whatever `completion_route`
-    would pick for their nodes."""
-    monkeypatch.setattr(dp, "completion_route", lambda ctx: False)
+    and `signature_route` would pick for their nodes."""
+    _force_key_route(monkeypatch)
 
 
 def _profile_solution(inst, ctx, x, labels):
@@ -421,7 +426,7 @@ def _golden_cases():
 # internal node, in solve order.  GOLDEN_TABLES holds them with every node on
 # the key route, as recorded with the per-bucket minimum-entry reduction that
 # preceded the best-first one; GOLDEN_ROUTED_TABLES as `solve` runs, with
-# each node on the route `completion_route` picks.
+# each node on the route `completion_route` and `signature_route` pick.
 GOLDEN_TABLES = {
     "sfvs-n10": "a1ea0bbb1daa6aa0512f19a37cc087eb73af36ae3d3b20bbae86169fe6dc68a9",
     "sfvs-n11": "2b71af2b52ec5c7b5b348ed2a56d1f38c19bbd1dd752e2c973579855c7bb948c",
@@ -433,10 +438,10 @@ GOLDEN_TABLES = {
 
 GOLDEN_ROUTED_TABLES = {
     "sfvs-n10": "55a2acd842b1c92f005252ea367035e67cfd30efffba48f9b70a7791dbe9796d",
-    "sfvs-n11": "66cc8c9375bcd91e57453abb1fba5f47742a318ddc77f0da8c1c8234bf6fdd6f",
+    "sfvs-n11": "b6afcb5e89c5b507e06f7bc890f92e170aeb7591f90eafcdd272c842f1a44cf7",
     "sfvs-n12": "f183725c0448999f6e29cc142466be2debccd45334364c1a574fb303e6597e58",
     "fvs-n11": "d33191c9a0c1e0423646b0b9aabe5850a7b5ec661f4f6ecac4a507e6a19d0d5f",
-    "nmc-n11": "cbff1ef655cbaa00f697ab2cd5939b6004a510702b28d1a584c7493317d7244a",
+    "nmc-n11": "5458adc631a461c71a761aab9d13bbf780dc10d57ca9778bca98e1ee8d24b878",
 }
 
 
@@ -459,7 +464,7 @@ def _golden_digests():
 
 def test_reduced_tables_match_golden_digests(monkeypatch):
     assert _golden_digests() == GOLDEN_ROUTED_TABLES
-    monkeypatch.setattr(dp, "completion_route", lambda ctx: False)
+    _force_key_route(monkeypatch)
     assert _golden_digests() == GOLDEN_TABLES
 
 
@@ -665,15 +670,30 @@ def test_carried_excess_matches_definition():
     assert solve(Instance(Graph(1, []), 1, (-2,)), layout_from_order([0])) == SolveResult(0, 0, 1)
 
 
+def _signature_by_definition(g, s, bnd, x):
+    """x's boundary signature from scratch: x & bnd, and the nonempty
+    boundary parts of the components of x \\ S and of x."""
+    return (
+        x & bnd,
+        frozenset(c & bnd for c in components_masks(g, x & ~s)) - {0},
+        frozenset(t & bnd for t in components_masks(g, x)) - {0},
+    )
+
+
 def test_both_routes_represent_the_merged_table():
     """At every internal node, the reduced table is a subset of the merged
-    one, represents it (`check_represents`), and holds S-forests only.  A
-    node takes the completion route exactly when 2^|far side| <=
-    len(far_cands).  There the table is exactly the first row, in (-weight,
-    lex_order) order, that completes each far S-forest Y, so it has at most
-    |F| rows for the set F of those Y.  Covers the golden cases, the nmc
-    hub case and 30 random binary layouts (n <= 12, random S, weights in
-    -1..4); each kind of case takes both routes."""
+    one, represents it (`check_represents`), and holds S-forests only; the
+    three routes are told apart and checked each.  A node takes the
+    completion route exactly when 2^|far side| <= len(far_cands).  There
+    the table is exactly the first row, in (-weight, lex_order) order, that
+    completes each far S-forest Y, so it has at most |F| rows for the set F
+    of those Y.  Elsewhere the first S-forest row per boundary signature
+    survives, the signature taken from scratch.  The key route's kept rows
+    (the full keep rule replayed) are among them.  When the survivors
+    number at most fam_x2.class_count * len(far_cands).bit_length(), they
+    are the table; otherwise the table is the key route's.  Covers the
+    golden cases, the nmc hub case and 30 random binary layouts (n <= 12,
+    random S, weights in -1..4); each kind of case takes every route."""
     rng = random.Random(15)
     cases = [("nmc" if name.startswith("nmc") else "golden", inst, lay) for name, inst, lay in _golden_cases()]
     for _ in range(30):
@@ -691,23 +711,36 @@ def test_both_routes_represent_the_merged_table():
             assert got.items() <= merged.solutions.items()
             assert check_represents(inst, ctx.vx, merged, reduced, flags), (kind, node)
             assert all(is_s_forest(g, x, s) for x in got), (kind, node)
+            sols = merged.solutions
+            order = sorted(sols, key=lambda m: (-sols[m], lex_order(m)))
+            counts = routes.setdefault(kind, {"completion": 0, "signature": 0, "key": 0})
             far = ctx.cvx.bit_count()
             route = dp.completion_route(ctx)
             assert route == (2 ** far <= len(ctx.far_cands))
-            counts = routes.setdefault(kind, [0, 0])
-            counts[route] += 1
-            if not route:
+            if route:
+                counts["completion"] += 1
+                forests = [y for y in range(1 << g.n) if not y & ~ctx.cvx and is_s_forest(g, y, s)]
+                want = {next((x for x in order if is_s_forest(g, x | y, s)), None) for y in forests}
+                assert set(got) == want - {None}, (kind, node)
+                assert len(got) <= len(forests)
                 return
-            forests = [y for y in range(1 << g.n) if not y & ~ctx.cvx and is_s_forest(g, y, s)]
-            sols = merged.solutions
-            order = sorted(sols, key=lambda m: (-sols[m], lex_order(m)))
-            want = {next((x for x in order if is_s_forest(g, x | y, s)), None) for y in forests}
-            assert set(got) == want - {None}, (kind, node)
-            assert len(got) <= len(forests)
+            first = {}
+            for x in order:
+                if is_s_forest(g, x, s):
+                    first.setdefault(_signature_by_definition(g, s, ctx.near_bnd, x), x)
+            survivors = set(first.values())
+            keyed, _ = _literal_keep(inst, ctx, merged)
+            assert keyed.keys() <= survivors, (kind, node)
+            if len(survivors) <= ctx.fam_x2.class_count * len(ctx.far_cands).bit_length():
+                counts["signature"] += 1
+                assert set(got) == survivors, (kind, node)
+            else:
+                counts["key"] += 1
+                assert list(got.items()) == list(keyed.items()), (kind, node)
 
         solve(inst, lay, trace=watch)
     assert set(routes) == {"golden", "nmc", "binary"}
-    assert all(min(counts) > 0 for counts in routes.values()), routes
+    assert all(min(counts.values()) > 0 for counts in routes.values()), routes
 
 
 def _reach_by_adjacency(g, side, u_set):

@@ -21,6 +21,7 @@ from subsetfvs.layouts import (
     mim_bipartite,
     mim_cut,
     parse_layout,
+    permutation_layout,
     serialize_layout,
     width,
 )
@@ -433,6 +434,39 @@ def test_interval_layout_validates_model():
         interval_layout([(0, 1), (5, 6)], g)  # intervals disjoint, edge present
     with pytest.raises(ValueError):
         interval_layout([(3, 1), (0, 2)], g)
+
+
+def _inversion_graph(perm):
+    n = len(perm)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]])
+
+
+def test_permutation_layout_has_unit_mim():
+    """The caterpillar in position order of a permutation graph has mim at
+    most 1 at every cut, by the exact search, on random permutations up to
+    n = 40; the largest has cuts with many more crossing edges than one."""
+    rng = random.Random(34)
+    for n in (1, 2, 5, 12, 25, 40):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = _inversion_graph(perm)
+        lay = permutation_layout(perm, g)
+        assert [lay.leaf_vertex[x] for x in lay.postorder() if lay.is_leaf(x)] == list(range(n))
+        assert max(mim_cut(g, lay.below[x]) for x in lay.postorder()) <= 1
+    crossing = max(sum((g.adj[v] & ~lay.below[x]).bit_count() for v in bits(lay.below[x])) for x in lay.postorder())
+    assert crossing > 40
+
+
+def test_permutation_layout_validates_model():
+    perm = [2, 0, 3, 1]
+    g = _inversion_graph(perm)
+    assert permutation_layout(perm, g).n == 4
+    with pytest.raises(ValueError, match="permutation of"):
+        permutation_layout([0, 0, 1, 2], g)
+    with pytest.raises(ValueError, match=r"adjacency on \(0,2\)"):
+        permutation_layout(perm, Graph(4, list(g.edges()) + [(0, 2)]))
+    with pytest.raises(ValueError, match=r"adjacency on \(0,1\)"):
+        permutation_layout(perm, Graph(4, [e for e in g.edges() if e != (0, 1)]))
 
 
 def _first_pair_against_model(iv, g):

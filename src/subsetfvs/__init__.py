@@ -1,15 +1,7 @@
 """Exact weighted subset feedback vertex set and node multiway cut over
 rooted branch layouts."""
 
-from .graphs import (
-    BlockGraph,
-    BlockPartition,
-    Graph,
-    Instance,
-    is_forest,
-    is_s_forest,
-    mask_of,
-)
+from .graphs import Graph, Instance, is_forest, is_s_forest, mask_of
 from .layouts import (
     RootedLayout,
     cut_rank,
@@ -20,13 +12,11 @@ from .layouts import (
     serialize_layout,
     width,
 )
-from .nec import NecFamily, compute_reps, same_class
+from .nec import NecFamily
 from .dp import SolutionTable, SolveResult, solve
-from .multiway import NmcInstance, NmcResult, brute_force_nmc, solve_nmc
+from .multiway import NmcInstance, NmcResult, solve_nmc
 
 __all__ = [
-    "BlockGraph",
-    "BlockPartition",
     "Graph",
     "Instance",
     "NecFamily",
@@ -35,8 +25,6 @@ __all__ = [
     "RootedLayout",
     "SolutionTable",
     "SolveResult",
-    "brute_force_nmc",
-    "compute_reps",
     "cut_rank",
     "interval_layout",
     "is_forest",
@@ -45,7 +33,6 @@ __all__ = [
     "mask_of",
     "mim_cut",
     "parse_layout",
-    "same_class",
     "serialize_layout",
     "solve",
     "solve_nmc",

@@ -28,7 +28,7 @@ from .layouts import (
     width,
 )
 from .dp import solve
-from .multiway import NmcInstance, brute_force_nmc, solve_nmc
+from .multiway import NmcInstance, solve_nmc
 
 
 # The largest instance `generate` writes.  It refuses a larger --n before it
@@ -189,7 +189,7 @@ def _run_solve(args) -> int:
         deletion = res.cut
         objective = res.weight
         if args.oracle:
-            ref = brute_force_nmc(nmc)
+            ref = oracles.brute_force_nmc(nmc)
             ref_w = None if ref is None else ref.weight
     else:
         s_set = g.vertices if args.problem == "fvs" else s_mask

@@ -1,14 +1,14 @@
-"""Bitmask graphs, weighted instances, block partitions and S-forest tests.
+"""Bitmask graphs, weighted instances and S-forest tests.
 
 Vertex sets are plain Python ints used as bitmasks over vertex ids 0..n-1.
-All derived orderings (component lists, block lists, tie-breaks) follow the
+All derived orderings (component lists, tie-breaks) follow the
 fixed vertex id order, so every operation here is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 MAX_WEIGHT_SUM = 1 << 62
 
@@ -32,17 +32,12 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def lex_key(mask: int) -> Tuple[int, ...]:
-    """Sorted vertex tuple; the lexicographic tie-break order for vertex sets."""
-    return tuple(bits(mask))
-
-
 _PRESENT_FIRST = str.maketrans("01", "10")
 
 
 def lex_order(mask: int) -> str:
-    """A sort key that orders vertex sets as `lex_key` does, built without a
-    Python loop over the set.
+    """A sort key that orders vertex sets as their sorted vertex tuples do
+    (`oracles.lex_key`), built without a Python loop over the set.
 
     Character i is '0' when vertex i is in the set and '1' when it is not,
     up to the largest vertex.  At the first vertex two sets disagree on, the
@@ -102,14 +97,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self._edges})"
 
 
-def neighborhood(g: Graph, u: int) -> int:
-    """Open neighborhood N(U) of a vertex set: union of adjacencies minus U."""
-    out = 0
-    for v in bits(u):
-        out |= g.adj[v]
-    return out & ~u
-
-
 def components_masks(g: Graph, x: int) -> List[int]:
     """Connected components of g[x] as masks, ordered by smallest vertex."""
     out = []
@@ -127,119 +114,6 @@ def components_masks(g: Graph, x: int) -> List[int]:
         out.append(comp)
         rest &= ~comp
     return out
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Ordered list of disjoint nonempty vertex sets, each tagged as an
-    S-singleton block or a plain block of vertices outside S."""
-
-    blocks: Tuple[int, ...]
-    s_flags: Tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.blocks) != len(self.s_flags):
-            raise ValueError("blocks and flags length mismatch")
-        for b in self.blocks:
-            if b == 0:
-                raise ValueError("empty block")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def union(self) -> int:
-        u = 0
-        for b in self.blocks:
-            u |= b
-        return u
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
-def connected_components(g: Graph, x: int) -> BlockPartition:
-    comps = components_masks(g, x)
-    return BlockPartition(tuple(comps), tuple(False for _ in comps))
-
-
-def contract_partial(x: int, p: BlockPartition, s: int) -> BlockPartition:
-    """Blocks of p plus one S-singleton block per vertex of x & s.
-
-    p must partition x minus s exactly and contain no S vertex.
-    """
-    covered = 0
-    for b in p.blocks:
-        if b & s:
-            raise ValueError("partition block contains an S vertex")
-        if b & covered:
-            raise ValueError("partition blocks overlap")
-        covered |= b
-    if covered != x & ~s:
-        raise ValueError("partition does not cover the non-S part of x")
-    entries = [(b, False) for b in p.blocks]
-    entries.extend(((1 << v), True) for v in bits(x & s))
-    entries.sort(key=lambda e: e[0] & -e[0])
-    return BlockPartition(tuple(e[0] for e in entries), tuple(e[1] for e in entries))
-
-
-@dataclass(frozen=True)
-class BlockGraph:
-    """A graph whose vertices are blocks of an underlying graph.
-
-    graph is indexed by block position: first the a-side blocks, then the
-    b-side ones.  s_flags marks S-singleton blocks.
-    """
-
-    graph: Graph
-    blocks: Tuple[int, ...]
-    s_flags: Tuple[bool, ...]
-    a_count: int
-
-
-def _coerce_blocks(side) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
-    if isinstance(side, BlockPartition):
-        return side.blocks, side.s_flags
-    blocks = tuple(side)
-    return blocks, tuple(False for _ in blocks)
-
-
-def contracted(g: Graph, a, b=(), mode: str = "full") -> BlockGraph:
-    """Contract blocks into single vertices.
-
-    mode 'full': every pair of blocks is adjacent iff one sees the other.
-    mode 'mixed': a-side internal edges plus a/b edges, none within b.
-    Two blocks A, B are adjacent when N(A) meets B.  Blocks within a side
-    must be disjoint (for 'full', across sides too); empty blocks rejected.
-    """
-    ab, af = _coerce_blocks(a)
-    bb, bf = _coerce_blocks(b)
-    blocks = ab + bb
-    flags = af + bf
-    if mode not in ("full", "mixed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    for blk in blocks:
-        if blk == 0:
-            raise ValueError("empty block")
-    seen = 0
-    for blk in ab:
-        if blk & seen:
-            raise ValueError("a-side blocks overlap")
-        seen |= blk
-    if mode == "full":
-        for blk in bb:
-            if blk & seen:
-                raise ValueError("blocks overlap in full mode")
-            seen |= blk
-    na = len(ab)
-    nbhd = [neighborhood(g, blk) for blk in blocks]
-    edges = []
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if mode == "mixed" and i >= na:
-                continue
-            if nbhd[i] & blocks[j]:
-                edges.append((i, j))
-    return BlockGraph(Graph(len(blocks), edges), blocks, flags, na)
 
 
 def is_forest(g: Graph, x: int) -> bool:

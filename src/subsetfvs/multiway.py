@@ -10,9 +10,9 @@ weight exceeding the total, which keeps them out of every optimal deletion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .graphs import CheckError, Graph, Instance, bits, components_masks, lex_key, mask_of
+from .graphs import CheckError, Graph, Instance, bits, components_masks, mask_of
 from .layouts import RootedLayout
 from .dp import solve
 
@@ -101,26 +101,3 @@ def solve_nmc(
         raise CheckError("the cut does not separate the terminals")
     return NmcResult(sum(nmc.weights[v] for v in bits(cut)), cut)
 
-
-def brute_force_nmc(
-    nmc: NmcInstance, deletable_terminals: bool = False
-) -> Optional[NmcResult]:
-    """Exhaustive minimum-weight cut; ties to the lexicographically smallest
-    cut.  None when no cut works (adjacent terminals)."""
-    g = nmc.graph
-    if g.n > 20:
-        raise ValueError("graph too large for exhaustive search")
-    tmask = mask_of(nmc.terminals)
-    best: Optional[Tuple[int, Tuple[int, ...], int]] = None
-    for cut in range(1 << g.n):
-        if cut & tmask and not deletable_terminals:
-            continue
-        if not separates(g, cut, nmc.terminals):
-            continue
-        w = sum(nmc.weights[v] for v in bits(cut))
-        cand = (w, lex_key(cut), cut)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return None
-    return NmcResult(best[0], best[2])

@@ -41,22 +41,6 @@ from .graphs import CheckError, Graph, bits, lex_order
 from .layouts import RootedLayout
 
 
-def neighbor_counts(g: Graph, a: int, d: int, x: int) -> Tuple[int, ...]:
-    """min(d, |x & N(u)|) for each u outside a, in increasing id order."""
-    if x & ~a:
-        raise ValueError("x must be a subset of the side a")
-    out = []
-    for u in bits(g.vertices & ~a):
-        c = (g.adj[u] & x).bit_count()
-        out.append(c if c < d else d)
-    return tuple(out)
-
-
-def same_class(g: Graph, a: int, d: int, x: int, y: int) -> bool:
-    """Direct d-equivalence test over side a; no family required."""
-    return neighbor_counts(g, a, d, x) == neighbor_counts(g, a, d, y)
-
-
 @dataclass
 class NecFamily:
     """All canonical representatives for one (side, d) pair.

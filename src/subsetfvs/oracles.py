@@ -2,10 +2,13 @@
 
 Everything here reaches the answer by a route independent of the dynamic
 program: subset enumeration with a connectivity-based cycle test, a direct
-contraction construction for crossing forests, and a semantic completion
-check that compares tables against every possible far side.
+contraction construction for crossing forests (the block partitions and
+block graphs of the paper's proofs), the d-neighbor equivalence read off
+neighbor counts by definition, and a semantic completion check that
+compares tables against every possible far side.
 
-`check_represents` is the property both routes of `dp.reduce_table` keep.
+`check_represents` is the property all three routes of `dp.reduce_table`
+(completion, signature and key) keep.
 The literal index route is here too: `enumerate_indices` streams the full
 index family of a layout node, `is_partial_solution` and `cc_signature` are
 the admissibility test and the connection signature the key route's bucket
@@ -17,30 +20,155 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .graphs import (
-    BlockGraph,
-    BlockPartition,
-    Graph,
-    Instance,
-    bits,
-    components_masks,
-    connected_components,
-    contract_partial,
-    contracted,
-    is_forest,
-    is_s_forest,
-    lex_key,
-)
+from .graphs import Graph, Instance, bits, components_masks, is_forest, is_s_forest, mask_of
 from .dp import _XN, _XS, _YN, _YS, NodeContext, SolutionTable, _label_bit, _Profile
 from .layouts import mim_bipartite
+from .multiway import NmcInstance, NmcResult, separates
 from .nec import NecFamily
 
 BRUTE_LIMIT = 20
 NEG_INF = float("-inf")
+
+
+def lex_key(mask: int) -> Tuple[int, ...]:
+    """Sorted vertex tuple; the lexicographic tie-break order for vertex sets."""
+    return tuple(bits(mask))
+
+
+def neighborhood(g: Graph, u: int) -> int:
+    """Open neighborhood N(U) of a vertex set: union of adjacencies minus U."""
+    out = 0
+    for v in bits(u):
+        out |= g.adj[v]
+    return out & ~u
+
+
+@dataclass(frozen=True)
+class BlockPartition:
+    """Ordered list of disjoint nonempty vertex sets, each tagged as an
+    S-singleton block or a plain block of vertices outside S."""
+
+    blocks: Tuple[int, ...]
+    s_flags: Tuple[bool, ...]
+
+    def __post_init__(self):
+        if len(self.blocks) != len(self.s_flags):
+            raise ValueError("blocks and flags length mismatch")
+        for b in self.blocks:
+            if b == 0:
+                raise ValueError("empty block")
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
+def connected_components(g: Graph, x: int) -> BlockPartition:
+    comps = components_masks(g, x)
+    return BlockPartition(tuple(comps), tuple(False for _ in comps))
+
+
+def contract_partial(x: int, p: BlockPartition, s: int) -> BlockPartition:
+    """Blocks of p plus one S-singleton block per vertex of x & s.
+
+    p must partition x minus s exactly and contain no S vertex.
+    """
+    covered = 0
+    for b in p.blocks:
+        if b & s:
+            raise ValueError("partition block contains an S vertex")
+        if b & covered:
+            raise ValueError("partition blocks overlap")
+        covered |= b
+    if covered != x & ~s:
+        raise ValueError("partition does not cover the non-S part of x")
+    entries = [(b, False) for b in p.blocks]
+    entries.extend(((1 << v), True) for v in bits(x & s))
+    entries.sort(key=lambda e: e[0] & -e[0])
+    return BlockPartition(tuple(e[0] for e in entries), tuple(e[1] for e in entries))
+
+
+@dataclass(frozen=True)
+class BlockGraph:
+    """A graph whose vertices are blocks of an underlying graph.
+
+    graph is indexed by block position: first the a-side blocks, then the
+    b-side ones.  s_flags marks S-singleton blocks.
+    """
+
+    graph: Graph
+    blocks: Tuple[int, ...]
+    s_flags: Tuple[bool, ...]
+    a_count: int
+
+
+def _coerce_blocks(side) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
+    if isinstance(side, BlockPartition):
+        return side.blocks, side.s_flags
+    blocks = tuple(side)
+    return blocks, tuple(False for _ in blocks)
+
+
+def contracted(g: Graph, a, b=(), mode: str = "full") -> BlockGraph:
+    """Contract blocks into single vertices.
+
+    mode 'full': every pair of blocks is adjacent iff one sees the other.
+    mode 'mixed': a-side internal edges plus a/b edges, none within b.
+    Two blocks A, B are adjacent when N(A) meets B.  Blocks within a side
+    must be disjoint (for 'full', across sides too); empty blocks rejected.
+    """
+    ab, af = _coerce_blocks(a)
+    bb, bf = _coerce_blocks(b)
+    blocks = ab + bb
+    flags = af + bf
+    if mode not in ("full", "mixed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    for blk in blocks:
+        if blk == 0:
+            raise ValueError("empty block")
+    seen = 0
+    for blk in ab:
+        if blk & seen:
+            raise ValueError("a-side blocks overlap")
+        seen |= blk
+    if mode == "full":
+        for blk in bb:
+            if blk & seen:
+                raise ValueError("blocks overlap in full mode")
+            seen |= blk
+    na = len(ab)
+    nbhd = [neighborhood(g, blk) for blk in blocks]
+    edges = []
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if mode == "mixed" and i >= na:
+                continue
+            if nbhd[i] & blocks[j]:
+                edges.append((i, j))
+    return BlockGraph(Graph(len(blocks), edges), blocks, flags, na)
+
+
+def neighbor_counts(g: Graph, a: int, d: int, x: int) -> Tuple[int, ...]:
+    """min(d, |x & N(u)|) for each u outside a, in increasing id order."""
+    if x & ~a:
+        raise ValueError("x must be a subset of the side a")
+    out = []
+    for u in bits(g.vertices & ~a):
+        c = (g.adj[u] & x).bit_count()
+        out.append(c if c < d else d)
+    return tuple(out)
+
+
+def same_class(g: Graph, a: int, d: int, x: int, y: int) -> bool:
+    """Direct d-equivalence test over side a; no family required."""
+    return neighbor_counts(g, a, d, x) == neighbor_counts(g, a, d, y)
 
 
 def _connected(g: Graph, inside: int, a: int, b: int) -> bool:
@@ -129,6 +257,30 @@ def brute_force_fvs(g: Graph, weights: Sequence[int]) -> Tuple[int, int]:
             best = cand
     assert best is not None
     return -best[0], best[2]
+
+
+def brute_force_nmc(
+    nmc: NmcInstance, deletable_terminals: bool = False
+) -> Optional[NmcResult]:
+    """Exhaustive minimum-weight cut; ties to the lexicographically smallest
+    cut.  None when no cut works (adjacent terminals)."""
+    g = nmc.graph
+    if g.n > BRUTE_LIMIT:
+        raise ValueError("graph too large for exhaustive search")
+    tmask = mask_of(nmc.terminals)
+    best: Optional[Tuple[int, Tuple[int, ...], int]] = None
+    for cut in range(1 << g.n):
+        if cut & tmask and not deletable_terminals:
+            continue
+        if not separates(g, cut, nmc.terminals):
+            continue
+        w = sum(nmc.weights[v] for v in bits(cut))
+        cand = (w, lex_key(cut), cut)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return None
+    return NmcResult(best[0], best[2])
 
 
 def sforest_table(inst: Instance) -> np.ndarray:

@@ -13,11 +13,12 @@ import time
 from subsetfvs.cli import main
 from subsetfvs.graphs import Graph, Instance, bits, is_forest, is_s_forest, mask_of
 from subsetfvs.layouts import cut_rank, layout_from_order, mim_bipartite, mim_cut
-from subsetfvs.multiway import NmcInstance, brute_force_nmc, separates, solve_nmc
+from subsetfvs.multiway import NmcInstance, separates, solve_nmc
 from subsetfvs.nec import compute_reps
 from subsetfvs.dp import build_context, solve
 from subsetfvs.oracles import (
     brute_force_fvs,
+    brute_force_nmc,
     brute_force_sfvs,
     build_index_from_cover,
     check_represents,

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,14 @@ def test_exit_code_on_fvs_oracle_mismatch(tmp_path, capsys, monkeypatch):
     assert "oracle" in capsys.readouterr().err
 
 
+def test_exit_code_on_nmc_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    gr = write(tmp_path, "path.gr", PATH_T)
+    monkeypatch.setattr("subsetfvs.oracles.brute_force_nmc", lambda nmc: multiway.NmcResult(99, 0))
+    argv = ["solve", "--graph", gr, "--problem", "nmc", "--terminals", "t1,t2", "--oracle"]
+    assert main(argv) == 2
+    assert "oracle" in capsys.readouterr().err
+
+
 def test_exit_codes_for_failed_checks_and_memory(tmp_path, capsys, monkeypatch):
     tri = write(tmp_path, "tri.gr", TRIANGLE)
     path = write(tmp_path, "path.gr", PATH_T)
@@ -286,10 +295,15 @@ def test_oracle_checks_fvs_and_nmc(tmp_path, capsys):
     assert report["oracle_checked"] is True
 
 
-def test_exit_code_on_oracle_size_guard(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "problem_args",
+    [["--problem", "sfvs"], ["--problem", "fvs"], ["--problem", "nmc", "--terminals", "v0,v1"]],
+    ids=["sfvs", "fvs", "nmc"],
+)
+def test_exit_code_on_oracle_size_guard(tmp_path, capsys, problem_args):
     big = Graph(21, [])
     gr = write(tmp_path, "big.gr", write_graph_file(big, [1] * 21, 0, [f"v{i}" for i in range(21)]))
-    assert main(["solve", "--graph", gr, "--oracle"]) == 3
+    assert main(["solve", "--graph", gr, "--oracle"] + problem_args) == 3
     capsys.readouterr()
 
 
@@ -346,7 +360,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_plain_import_leaves_oracles_and_numpy_unloaded():
     probe = (
-        "import sys; import subsetfvs.cli; "
+        "import sys; import subsetfvs.cli; from subsetfvs import *; "
         "print(sorted({'numpy', 'subsetfvs.oracles'} & set(sys.modules)))"
     )
     out = subprocess.run(
@@ -356,6 +370,18 @@ def test_plain_import_leaves_oracles_and_numpy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_workflow_names_existing_tests():
+    """Every `tests/<file>.py::<name>` the CI workflow runs by node id is a
+    test function of that file; a renamed test would otherwise show up only
+    when the workflow runs."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    node_ids = re.findall(r"\btests/(\w+)\.py::(\w+)", workflow)
+    assert node_ids
+    for module, name in node_ids:
+        source = (ROOT / "tests" / f"{module}.py").read_text()
+        assert re.search(rf"^def {name}\(", source, re.M), f"tests/{module}.py::{name}"
 
 
 def test_benchmark_tracer_targets_exist():

@@ -14,7 +14,6 @@ from subsetfvs.graphs import (
     bits,
     components_masks,
     is_s_forest,
-    lex_key,
     lex_order,
     mask_of,
 )
@@ -49,6 +48,7 @@ from subsetfvs.oracles import (
     far_candidates,
     index_count,
     is_partial_solution,
+    lex_key,
     profile_solution,
     sforest_table,
     xs_pool,

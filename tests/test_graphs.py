@@ -5,19 +5,21 @@ import random
 import pytest
 
 from subsetfvs.graphs import (
-    BlockPartition,
     Graph,
     Instance,
     bits,
     components_masks,
+    is_forest,
+    is_s_forest,
+    lex_order,
+    mask_of,
+)
+from subsetfvs.oracles import (
+    BlockPartition,
     connected_components,
     contract_partial,
     contracted,
-    is_forest,
-    is_s_forest,
     lex_key,
-    lex_order,
-    mask_of,
     neighborhood,
 )
 

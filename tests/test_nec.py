@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from subsetfvs.graphs import CheckError, Graph, bits, lex_key, mask_of
+from subsetfvs.graphs import CheckError, Graph, bits, mask_of
 from subsetfvs.layouts import (
     cut_rank,
     interval_layout,
@@ -14,7 +14,8 @@ from subsetfvs.layouts import (
     mim_cut,
     parse_layout,
 )
-from subsetfvs.nec import compute_reps, join, layout_families, neighbor_counts, same_class
+from subsetfvs.nec import compute_reps, join, layout_families
+from subsetfvs.oracles import lex_key, neighbor_counts, same_class
 
 
 def classes_by_definition(g, a, d):

@@ -10,12 +10,12 @@ from subsetfvs.layouts import layout_from_order, width
 from subsetfvs.multiway import (
     NmcInstance,
     NmcResult,
-    brute_force_nmc,
     extend_layout,
     reduce_to_sfvs,
     separates,
     solve_nmc,
 )
+from subsetfvs.oracles import brute_force_nmc
 
 
 def caterpillar(n):

@@ -5,24 +5,18 @@ import random
 
 import pytest
 
-from subsetfvs.graphs import (
-    BlockPartition,
-    Graph,
-    Instance,
-    bits,
-    connected_components,
-    is_forest,
-    is_s_forest,
-)
+from subsetfvs.graphs import Graph, Instance, bits, is_forest, is_s_forest
 from subsetfvs.layouts import layout_from_order, mim_bipartite
 from subsetfvs.dp import SolutionTable, build_context
 from subsetfvs.oracles import (
+    BlockPartition,
     IndexTuple,
     brute_force_fvs,
     brute_force_sfvs,
     build_index_from_cover,
     check_represents,
     check_x2plus,
+    connected_components,
     extract_vertex_cover,
     find_scontraction,
     is_complement_solution,

@@ -70,6 +70,8 @@ def parse_graph_file(text: str) -> Tuple[Graph, Tuple[int, ...], int, List[str]]
                 raise CliError(f"line {lineno}: bad header counts")
             if min(header) < 0:
                 raise CliError(f"line {lineno}: header counts must be >= 0")
+            if header[0] == 0:
+                raise CliError(f"line {lineno}: header vertex count is 0, not >= 1")
         elif parts[0] == "v":
             if len(parts) != 4:
                 raise CliError(f"line {lineno}: vertex line needs name, weight, s-flag")
@@ -188,9 +190,6 @@ def _run_solve(args) -> int:
         res = solve_nmc(nmc, layout)
         deletion = res.cut
         objective = res.weight
-        if args.oracle:
-            ref = oracles.brute_force_nmc(nmc)
-            ref_w = None if ref is None else ref.weight
     else:
         s_set = g.vertices if args.problem == "fvs" else s_mask
         if args.s is not None:
@@ -203,15 +202,19 @@ def _run_solve(args) -> int:
         w_mim = max(cut_mims)
         deletion = res.deletion
         objective = res.weight
-        if args.oracle:
-            if args.problem == "fvs":
-                ref_w, _ = oracles.brute_force_fvs(g, weights)
-            else:
-                ref_w, _ = oracles.brute_force_sfvs(inst)
-    if args.oracle and ref_w != objective:
-        print("error: oracle disagrees with the solver", file=sys.stderr)
-        return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+
+    if args.oracle:
+        if args.problem == "nmc":
+            ref = oracles.brute_force_nmc(nmc)
+            ref_w = None if ref is None else ref.weight
+        elif args.problem == "fvs":
+            ref_w, _ = oracles.brute_force_fvs(g, weights)
+        else:
+            ref_w, _ = oracles.brute_force_sfvs(inst)
+        if ref_w != objective:
+            print("error: oracle disagrees with the solver", file=sys.stderr)
+            return 2
 
     kept = g.vertices & ~deletion
     report = {

@@ -69,10 +69,14 @@ attachment type.  A far-side candidate's attachment is the set of solution
 blocks it sees, and every chosen candidate must see one.  Candidates with
 one attachment set exclude each other, so a far-side choice is a set of
 attachment types plus one candidate label per type.  A type attached to a
-single block can only stem from an isolated crossing edge, so that block
-stays unmatched and no other type may hook it.  A type that hooks two
-blocks of one tree, or two trees already joined, would close a cycle.  Each
-side of the cover holds at most twice the cut's induced matching value.
+single block (a lone type) can only stem from an isolated crossing edge, so
+that block stays unmatched and no other type may hook it.  A type that
+hooks two blocks of one tree, or two trees already joined, would close a
+cycle.  `_bucket_keys` searches the type sets depth first in one loop: a
+chosen type merges the trees it hooks, a lone type's one tree included,
+and drops the types it clashes with, and a type whose trees are joined
+already is skipped.  Each side of the cover holds at most twice the cut's
+induced matching value.
 Indices outside this family never decide a completion, so the trimmed table
 represents the merged one.  The literal route lives with the test
 oracles: `oracles.enumerate_indices` streams the full index family,
@@ -355,7 +359,7 @@ class SolutionTable:
         return len(self.solutions)
 
 
-def merge_tables(a: SolutionTable, b: SolutionTable, node: int = -1) -> SolutionTable:
+def merge_tables(a: SolutionTable, b: SolutionTable, node: int) -> SolutionTable:
     """All unions of one solution per child; weights add."""
     ua = 0
     for m in a.solutions:
@@ -485,20 +489,24 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
 
     Candidates with one attachment set exclude each other, so a far-side
     choice (q) is a set of attachment types plus one label per type.  The
-    search runs over type sets, one state per set: `allowed` holds the types
-    that may still join, as a bitmask, and choosing one strikes the types it
-    clashes with (a lone hook on a block excludes every other type hooking
-    that block).  A state keeps `root[t]`, the root of tree t in a flat
+    search runs depth first over type sets, one state per set, on an
+    explicit stack.  `allowed` holds the types that may still join, as a
+    bitmask; choosing a type drops those it clashes with, the types whose
+    attachment meets its own when one of the two is lone (a lone type
+    hooks a single block, which then stays unmatched and takes no other
+    hook).  A state keeps `root[t]`, the root of tree t in a flat
     union-find of the solution's trees, and `opts[r]`, one label mask per
-    label choice of the types joined to root r.  A type that hooks two trees
-    already joined would close a cycle.  Roots only merge deeper, so such a
-    type is struck from `allowed` in the state where that check fails, and
-    no deeper state checks it again.
+    label choice of the types joined to root r.  Choosing a type merges the
+    roots of its trees into their least one, a lone type's single root
+    included.  A type whose trees have fewer roots than it has trees would
+    close a cycle and is skipped; roots only merge deeper, so it never
+    joins below that state.  `lone` holds the blocks that lone types hook,
+    and the matched near-side subsets (p) that use one of them are skipped.
 
-    The matched near-side subsets (p) do not depend on q and are built once.
-    Each state expands its label choices with `itertools.product`, one
-    column per group, instead of one step per choice.  A key is x_rest, then
-    the groups holding matched labels sorted by those labels, then the other
+    The p-subsets do not depend on q and are built once.  Each state
+    expands its label choices with `itertools.product`, one column per
+    group, instead of one step per choice.  A key is x_rest, then the
+    groups holding matched labels sorted by those labels, then the other
     groups sorted.  That order is a function of the set of groups, so the
     keys are in bijection with (x_rest, *sorted group masks).  Each side
     holds at most 2 * mim sets, so the two never exceed the joint bound of
@@ -512,10 +520,7 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
     # The p-subsets: the blocks each one matches, its trees (bitmask), its
     # label mask per tree, and its key while none of its trees has a type:
     # x_rest, then those masks in sorted order.
-    p_used: List[int] = []
-    p_tmask: List[int] = []
-    p_trees: List[Dict[int, int]] = []
-    p_heads: List[BucketKey] = []
+    ps: List[Tuple[int, int, Dict[int, int], BucketKey]] = []
     for size in range(min(cap_side, len(x_cands)) + 1):
         for sub in combinations(x_cands, size):
             used = vc_mask = tmask = 0
@@ -526,41 +531,18 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
                 t = tree_of[bi]
                 tmask |= 1 << t
                 by_tree[t] = by_tree.get(t, 0) | bit
-            p_used.append(used)
-            p_tmask.append(tmask)
-            p_trees.append(by_tree)
-            p_heads.append((fam1.rep_of(x_bnd & ~vc_mask), *sorted(by_tree.values())))
-    # A block hooked by a lone type stays unmatched, so each set of
-    # lone-hooked blocks keeps the p-subsets that avoid it.
-    p_pools: Dict[int, List[int]] = {}
-
-    nb = len(blocks)
-    hooks_on = [0] * nb
-    lone_on = [0] * nb
-    multi = 0
-    for j, (att, trees, _) in enumerate(types):
-        for b in bits(att):
-            hooks_on[b] |= 1 << j
-        if len(trees) == 1:
-            lone_on[att.bit_length() - 1] |= 1 << j
-        else:
-            multi |= 1 << j
-    clashes: List[int] = []
-    for att, trees, _ in types:
-        clash = 0
-        if len(trees) == 1:
-            clash = hooks_on[att.bit_length() - 1]
-        else:
-            for b in bits(att):
-                clash |= lone_on[b]
-        clashes.append(clash)
-
+            head = (fam1.rep_of(x_bnd & ~vc_mask), *sorted(by_tree.values()))
+            ps.append((used, tmask, by_tree, head))
+    clashes = [
+        sum(1 << k for k, (att_k, trees_k, _) in enumerate(types)
+            if att & att_k and min(len(trees), len(trees_k)) == 1)
+        for att, trees, _ in types
+    ]
     update = keys.update
 
-    def emit(lone: int, root: List[int], opts: Dict[int, List[int]]) -> None:
-        pool = p_pools.get(lone)
-        if pool is None:
-            pool = p_pools[lone] = [i for i, used in enumerate(p_used) if not used & lone]
+    stack = [((1 << len(types)) - 1, 0, 0, list(range(len(blocks))), {})]
+    while stack:
+        allowed, size, lone, root, opts = stack.pop()
         # Trees under a root with types.  A p-subset that avoids them keeps
         # its head, since only a type can join two trees.
         typed = 0
@@ -568,56 +550,43 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
             if r in opts:
                 typed |= 1 << t
         heads = []
-        for i in pool:
-            if not p_tmask[i] & typed:
-                heads.append(p_heads[i])
+        for used, tmask, by_tree, head in ps:
+            if used & lone:
+                continue
+            if not tmask & typed:
+                heads.append(head)
                 continue
             by_root: Dict[int, int] = {}
-            for t, f in p_trees[i].items():
+            for t, f in by_tree.items():
                 r = root[t]
                 by_root[r] = by_root.get(r, 0) | f
-            cols: List[Iterable[int]] = [(p_heads[i][0],)]
+            cols: List[Iterable[int]] = [(head[0],)]
             free = opts.copy()
             for f, r in sorted(zip(by_root.values(), by_root)):
                 col = free.pop(r, None)
                 cols.append(map(f.__or__, col) if col else (f,))
             update(starmap(add, product(product(*cols), _sorted_choices(free.values()))))
         update(starmap(add, product(heads, _sorted_choices(opts.values()))))
-
-    # Depth first over the type sets, with an explicit stack.  A recursive
-    # closure is a reference cycle: everything it reaches, `keys` included,
-    # would outlive the call until the cycle collector runs.
-    stack = [((1 << len(types)) - 1, 0, 0, list(range(nb)), {})]
-    while stack:
-        allowed, size, lone, root, opts = stack.pop()
-        emit(lone, root, opts)
         if size == cap_side:
             continue
-        for j in bits(allowed & multi):
-            trees = types[j][1]
-            if len({root[t] for t in trees}) < len(trees):
-                allowed &= ~(1 << j)
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             j = low.bit_length() - 1
-            att, trees, label_bits = types[j]
-            nxt = opts.copy()
-            if len(trees) == 1:
-                r = root[trees[0]]
-                col = opts.get(r)
-                nxt[r] = [o | b for o in col for b in label_bits] if col else label_bits
-                stack.append((allowed & ~clashes[j], size + 1, lone | att, root, nxt))
-                continue
+            att, trees, col = types[j]
             rs = {root[t] for t in trees}
-            anchor = min(rs)
-            col = label_bits
+            if len(rs) < len(trees):
+                continue  # two of its trees are joined already
+            nxt = opts.copy()
             for r in rs:
                 other = nxt.pop(r, None)
                 if other:
                     col = [o | b for o in other for b in col]
+            anchor = min(rs)
             nxt[anchor] = col
-            stack.append((allowed & ~clashes[j], size + 1, lone, [anchor if r in rs else r for r in root], nxt))
+            merged = [anchor if r in rs else r for r in root]
+            hooked = lone | att if len(rs) == 1 else lone
+            stack.append((allowed & ~clashes[j], size + 1, hooked, merged, nxt))
 
 
 def completion_route(ctx: NodeContext) -> bool:

@@ -210,15 +210,6 @@ def mim_cut(g: Graph, a: int) -> int:
     return mim_bipartite(g, a, g.vertices & ~a)
 
 
-@dataclass(frozen=True)
-class CutReport:
-    """Per-node cut values for one cut function, indexed by node id."""
-
-    kind: str
-    below: Tuple[int, ...]
-    values: Tuple[int, ...]
-
-
 def boundaries(g: Graph, layout: RootedLayout) -> List[int]:
     """Per node id, the boundary of its cut: the vertices below the node
     with a neighbor outside it.  A vertex that leaves a boundary never
@@ -235,9 +226,10 @@ def boundaries(g: Graph, layout: RootedLayout) -> List[int]:
     return out
 
 
-def width(g: Graph, layout: RootedLayout, kind: str = "gf2") -> Tuple[int, CutReport]:
-    """Maximum cut value over all layout nodes plus the per-node report.
-    Each node's value is read from its boundary rows alone."""
+def width(g: Graph, layout: RootedLayout, kind: str = "gf2") -> Tuple[int, Tuple[int, ...]]:
+    """Maximum cut value over all layout nodes, and the value of every
+    node's cut, indexed by node id.  Each node's value is read from its
+    boundary rows alone."""
     if layout.n != g.n:
         raise ValueError("layout and graph disagree on the vertex count")
     if kind not in ("gf2", "rational", "mim"):
@@ -247,7 +239,7 @@ def width(g: Graph, layout: RootedLayout, kind: str = "gf2") -> Tuple[int, CutRe
     for x in layout.postorder():
         a, b = bnd[x], g.vertices & ~layout.below[x]
         values.append(mim_bipartite(g, a, b) if kind == "mim" else rank_bipartite(g, a, b, kind))
-    return max(values), CutReport(kind, layout.below, tuple(values))
+    return max(values), tuple(values)
 
 
 def mim_bipartite_at_most_one(g: Graph, a: int, b: int) -> bool:

@@ -79,6 +79,7 @@ def test_parse_round_trip():
         "p sfvs 1 0\nv a(b 1 0\n",
         "p sfvs 1 0\nv a) 1 0\n",
         "p sfvs 2 0\nv a 1 0\nv b,c 1 0\n",
+        "p sfvs 0 0\n",  # no vertex: no layout exists
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -238,6 +239,31 @@ def test_exit_code_on_fvs_oracle_mismatch(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("subsetfvs.oracles.brute_force_fvs", lambda g, weights: (99, 0))
     assert main(["solve", "--graph", gr, "--problem", "fvs", "--oracle"]) == 2
     assert "oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem, oracle", [("sfvs", "brute_force_sfvs"), ("fvs", "brute_force_fvs"), ("nmc", "brute_force_nmc")]
+)
+def test_elapsed_ms_leaves_out_the_oracle(tmp_path, capsys, monkeypatch, problem, oracle):
+    """The reported time covers the solve, not the brute-force check: here
+    the oracle moves the clock on by 1000 s and still agrees."""
+    from subsetfvs import oracles
+
+    clock = [0.0]
+    real = getattr(oracles, oracle)
+
+    def slow_oracle(*args):
+        clock[0] += 1000.0
+        return real(*args)
+
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(oracles, oracle, slow_oracle)
+    argv = ["solve", "--graph", write(tmp_path, "path.gr", PATH_T), "--problem", problem, "--oracle"]
+    if problem == "nmc":
+        argv += ["--terminals", "t1,t2"]
+    code, report = run_json(tmp_path, capsys, argv)
+    assert code == 0 and report["oracle_checked"] is True
+    assert report["elapsed_ms"] < 1000.0
 
 
 def test_exit_code_on_nmc_oracle_mismatch(tmp_path, capsys, monkeypatch):

@@ -507,18 +507,29 @@ def test_bucket_keys_match_per_candidate_reference(key_route):
     every merged solution gets the same keys from the search over
     attachment types as from the per-candidate reference, label for label.
     Label numbering is shared across the solutions of a node, as in
-    `reduce_table`."""
-    checked = 0
-    for name, inst, lay in _golden_cases():
-        calls = []
-        solve(inst, lay, trace=lambda node, ctx, merged, reduced: calls.append((ctx, merged)))
-        for ctx, merged in calls:
-            labels, ref_labels = {}, {}
-            for x in merged.solutions:
-                got = _keys_by_type(inst, ctx, x, labels)
-                assert got == _keys_by_candidate(inst, ctx, x, ref_labels), (name, ctx.node, x)
-                checked += got is not None
-    assert checked > 3000
+    `reduce_table`.  The same holds on wide boundaries: permutation graphs
+    (n = 14, 16) and an interval graph (n = 40) on their mim-1 layouts."""
+
+    def compare(cases):
+        checked = 0
+        for name, inst, lay in cases:
+            calls = []
+            solve(inst, lay, trace=lambda node, ctx, merged, reduced: calls.append((ctx, merged)))
+            for ctx, merged in calls:
+                labels, ref_labels = {}, {}
+                for x in merged.solutions:
+                    got = _keys_by_type(inst, ctx, x, labels)
+                    assert got == _keys_by_candidate(inst, ctx, x, ref_labels), (name, ctx.node, x)
+                    checked += got is not None
+        return checked
+
+    assert compare(_golden_cases()) > 3000
+    wide = [
+        ("permutation-n14", *_permutation_case(1, 14)),
+        ("permutation-n16", *_permutation_case(1, 16)),
+        ("interval-n40", *_interval_case(2, 40)),
+    ]
+    assert compare(wide) > 2000
 
 
 def _interval_case(seed, n):
@@ -532,6 +543,18 @@ def _interval_case(seed, n):
     g = Graph(n, edges)
     s = mask_of(rng.sample(range(n), n // 3))
     return Instance(g, s, (1,) * n), interval_layout(iv, g)
+
+
+def _permutation_case(seed, n):
+    """The instance of `sfvs generate permutation --n n --seed seed`: a
+    permutation graph on its position-order caterpillar (mim 1), each
+    vertex in S with probability 1/3."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]])
+    s = mask_of(v for v in range(n) if rng.random() < 1 / 3)
+    return Instance(g, s, (1,) * n), layouts.permutation_layout(perm, g)
 
 
 def _balanced_case(seed, n):

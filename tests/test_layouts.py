@@ -292,9 +292,9 @@ def test_width_p4_caterpillar():
     lay = layout_from_order([0, 1, 2, 3])
     # reference: rank every one of the layout's cuts directly
     expected = max(cut_rank(g, lay.below[x], "gf2") for x in lay.postorder())
-    w, report = width(g, lay, "gf2")
+    w, values = width(g, lay, "gf2")
     assert w == expected == 1
-    assert len(report.values) == lay.node_count
+    assert len(values) == lay.node_count
 
 
 def test_width_edge_cases():
@@ -353,12 +353,12 @@ def test_width_values_match_cut_functions():
     value of the cut function on the node's whole side."""
     for name, g, lay in _boundary_cases():
         for kind in ("gf2", "rational", "mim"):
-            w, report = width(g, lay, kind)
+            w, values = width(g, lay, kind)
             for x in lay.postorder():
                 a = lay.below[x]
                 want = mim_cut(g, a) if kind == "mim" else cut_rank(g, a, kind)
-                assert report.values[x] == want, (name, kind, x)
-            assert w == max(report.values)
+                assert values[x] == want, (name, kind, x)
+            assert w == max(values)
 
 
 def test_intervals_intersect():

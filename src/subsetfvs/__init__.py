@@ -13,7 +13,7 @@ from .layouts import (
     width,
 )
 from .nec import NecFamily
-from .dp import SolutionTable, SolveResult, solve
+from .dp import SolveResult, solve
 from .multiway import NmcInstance, NmcResult, solve_nmc
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "NmcInstance",
     "NmcResult",
     "RootedLayout",
-    "SolutionTable",
     "SolveResult",
     "cut_rank",
     "interval_layout",

@@ -5,7 +5,9 @@ side below the node).  After merging child tables, `reduce_table` keeps a
 subset that represents the merged table: for every set Y on the far side
 of the cut, some kept row completes Y to an S-forest with the best weight
 any merged row reaches.  Rows are visited best first, by (-weight,
-lexicographic order), and kept by one of three routes.
+lexicographic order), in one pass that keeps the first row per boundary
+signature (the signature route, below).  The completion route or the key
+route may then refine those survivors.
 
 The completion route decides representativity directly.  It lists F, the
 far sets Y with G[Y] an S-forest, and keeps a row exactly when it
@@ -28,7 +30,9 @@ edges end in x & near_bnd, and which pieces of x they merge is read from
 the pieces' boundary parts.  So for rows of excess 0, whether x | Y is an
 S-forest depends on x only through its signature.  For each Y, the first
 row in best-first order that completes Y is then the first row of its
-signature, and is kept.
+signature, and is kept.  So the completion route keeps the same rows
+whether it starts from the survivors or from all rows of excess 0, and
+the key route does too (see below).
 
 The key route keeps one maximum-weight member per bucket, with the same
 ties.  Two solutions share a bucket when they admit the same index (a
@@ -40,12 +44,12 @@ signature, so the key route only ever reduces the signature route's rows
 further: it runs on those rows and keeps exactly what it would keep from
 all of them.
 
-A node takes the completion route exactly when 2^|far side| is at most the
+Every node pays O(boundary) per row for the signature pass.  A node then
+takes the completion route exactly when 2^|far side| is at most the
 number of far-side candidates an index can name (`completion_route`): the
 completion route's work per row grows with the far subsets, the key
 route's with those candidates.  So it runs near the root of a layout,
-where the far side has a handful of vertices.  Elsewhere the first row per
-signature survives, at O(boundary) cost per row, and those survivors are
+where the far side has a handful of vertices.  Elsewhere the survivors are
 the table unless they outnumber `fam_x2.class_count` times the bit length
 of `len(far_cands)` (`signature_route`); then the key route reduces them.
 The key route pays at least one scan of the far candidates per survivor,
@@ -105,8 +109,8 @@ two rows along the edges between them and keeps only the pieces on the
 boundary.  For the same reason a row's keys are a function of its
 boundary signature, so the key route sees only the signature route's
 survivors and profiles no repeat.  A row can still become an S-forest
-exactly when its excess is 0, so `reduce_table` drops the others first
-and every root row is an S-forest.
+exactly when its excess is 0, so `reduce_table`'s signature pass skips
+the others and every root row is an S-forest.
 """
 
 from __future__ import annotations
@@ -348,34 +352,20 @@ def build_context(
     )
 
 
-@dataclass
-class SolutionTable:
-    """Partial solutions of one layout node: vertex mask -> weight."""
-
-    node: int
-    solutions: Dict[int, int]
-
-    def __len__(self) -> int:
-        return len(self.solutions)
+Table = Dict[int, int]  # partial solutions of one layout node: vertex mask -> weight
 
 
-def merge_tables(a: SolutionTable, b: SolutionTable, node: int) -> SolutionTable:
+def merge_tables(a: Table, b: Table) -> Table:
     """All unions of one solution per child; weights add."""
     ua = 0
-    for m in a.solutions:
+    for m in a:
         ua |= m
     ub = 0
-    for m in b.solutions:
+    for m in b:
         ub |= m
     if ua & ub:
         raise ValueError("child tables overlap")
-    if not a.solutions or not b.solutions:
-        return SolutionTable(node, {})
-    merged: Dict[int, int] = {}
-    for ma, wa in a.solutions.items():
-        for mb, wb in b.solutions.items():
-            merged[ma | mb] = wa + wb
-    return SolutionTable(node, merged)
+    return {ma | mb: wa + wb for ma, wa in a.items() for mb, wb in b.items()}
 
 
 def _label_bit(labels: Dict[int, int], label: int) -> int:
@@ -626,13 +616,15 @@ _EMPTY_PART = frozenset([0])  # the boundary part of a piece off the boundary
 
 
 def _first_per_signature(ctx: NodeContext, rows: Sequence[int]) -> List[int]:
-    """The rows, best first, whose boundary signature no earlier row had:
-    x & near_bnd, and the boundary parts of its boundary components and
-    trees, as sets."""
+    """The rows of excess 0, best first, whose boundary signature no earlier
+    such row had: x & near_bnd, and the boundary parts of its boundary
+    components and trees, as sets.  Rows of nonzero excess are skipped."""
     of, node, bnd = ctx.blocks.of, ctx.node, ctx.near_bnd
     first: Dict[Tuple[int, FrozenSet[int], FrozenSet[int]], int] = {}
     for mask in rows:
         st = of(node, mask)
+        if st.excess:
+            continue
         sig = (
             mask & bnd,
             frozenset([c & bnd for c in st.comps]) - _EMPTY_PART,
@@ -673,26 +665,25 @@ def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List
     return keep
 
 
-def reduce_table(table: SolutionTable, ctx: NodeContext, inst: Instance) -> SolutionTable:
+def reduce_table(table: Table, ctx: NodeContext, inst: Instance) -> Table:
     """A subset of the merged table that represents it: for every far-side
     set, some kept row completes it to an S-forest with the best weight any
     merged row reaches; ties fall to the lexicographically smallest vertex
-    set.  Rows go best first, by (-weight, lex_order).  A row whose excess
-    is not 0 can never be extended and is dropped first.  The rest take the
-    completion route when `completion_route` holds.  Otherwise the first
-    row per boundary signature survives; the survivors are the table when
-    `signature_route` holds, and the key route reduces them when it does
-    not.  All three routes are exact (see the module docstring)."""
-    sols = table.solutions
-    of, node = ctx.blocks.of, ctx.node
-    rows = [m for m in sorted(sols, key=lambda m: (-sols[m], lex_order(m))) if not of(node, m).excess]
+    set.  The result is in lex_order.
+
+    Rows go best first, by (-weight, lex_order), through one pass: a row
+    whose excess is not 0 can never be extended and is skipped, and of the
+    rest the first row per boundary signature survives.  When
+    `completion_route` holds, the completion route refines the survivors.
+    Otherwise they are the table when `signature_route` holds, and the key
+    route refines them when it does not.  Either refinement keeps what it
+    would keep from all the rows of excess 0 (see the module docstring)."""
+    rows = _first_per_signature(ctx, sorted(table, key=lambda m: (-table[m], lex_order(m))))
     if completion_route(ctx):
-        keep = _keep_by_completions(ctx, inst, rows)
-    else:
-        keep = _first_per_signature(ctx, rows)
-        if not signature_route(ctx, len(keep)):
-            keep = _keep_by_keys(ctx, inst, keep)
-    return SolutionTable(table.node, {m: sols[m] for m in sorted(keep, key=lex_order)})
+        rows = _keep_by_completions(ctx, inst, rows)
+    elif not signature_route(ctx, len(rows)):
+        rows = _keep_by_keys(ctx, inst, rows)
+    return {m: table[m] for m in sorted(rows, key=lex_order)}
 
 
 @dataclass(frozen=True)
@@ -702,7 +693,7 @@ class SolveResult:
     deletion: int
 
 
-TraceFn = Callable[[int, NodeContext, SolutionTable, SolutionTable], None]
+TraceFn = Callable[[int, NodeContext, Table, Table], None]
 
 
 def solve(
@@ -717,26 +708,25 @@ def solve(
 
     families = layout_families(g, layout)
     blocks = BlockStore(inst, layout)
-    tables: Dict[int, SolutionTable] = {}
+    tables: Dict[int, Table] = {}
     for x in layout.postorder():
         if layout.is_leaf(x):
             v = layout.leaf_vertex[x]
-            tables[x] = SolutionTable(x, {0: 0, 1 << v: inst.weights[v]})
+            tables[x] = {0: 0, 1 << v: inst.weights[v]}
             continue
         ctx = build_context(inst, layout, x, families, blocks)
         children = tables.pop(layout.left[x]), tables.pop(layout.right[x])
-        merged = merge_tables(*children, x)
+        merged = merge_tables(*children)
         reduced = reduce_table(merged, ctx, inst)
         if trace is not None:
             trace(x, ctx, merged, reduced)
         tables[x] = reduced
         # Keep the structures of live rows only.
-        kept = reduced.solutions
-        blocks.forget(m for t in (merged, *children) for m in t.solutions if m not in kept)
+        blocks.forget(m for t in (merged, *children) for m in t if m not in reduced)
 
     # Every root row has excess 0, so each is an S-forest; the winner is
     # checked from scratch all the same.
-    sols = tables[layout.root].solutions
+    sols = tables[layout.root]
     mask = min(sols, key=lambda m: (-sols[m], lex_order(m)))
     if not is_s_forest(g, mask, s):
         raise CheckError("the best root row is not an S-forest")

@@ -5,8 +5,8 @@ vertices; the subtree below a node x induces the cut (V_x, complement).
 Three cut values are supported: GF(2) rank and rational rank of the
 cross-adjacency matrix, and the maximum induced matching size of the
 crossing bipartite graph.  Only a side's boundary (see `boundaries`) adds to
-any of them, so each is computed on two sides (a, b); `cut_rank`, `mim_cut`
-and `cut_mim_at_most_one` take b to be the complement of a.
+any of them, so each is computed on two sides (a, b); `cut_rank` and
+`mim_cut` take b to be the complement of a.
 """
 
 from __future__ import annotations
@@ -252,11 +252,6 @@ def mim_bipartite_at_most_one(g: Graph, a: int, b: int) -> bool:
     far ends, so no two edges form an induced matching."""
     chain = sorted({g.adj[v] & b for v in bits(a)} - {0}, key=int.bit_count)
     return all(not p & ~q for p, q in zip(chain, chain[1:]))
-
-
-def cut_mim_at_most_one(g: Graph, a: int) -> bool:
-    """Whether the cut (a, complement) has induced-matching value at most 1."""
-    return mim_bipartite_at_most_one(g, a, g.vertices & ~a)
 
 
 def intervals_intersect(p: Tuple[int, int], q: Tuple[int, int]) -> bool:

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from .graphs import Graph, Instance, bits, components_masks, is_forest, is_s_forest, mask_of
-from .dp import _XN, _XS, _YN, _YS, NodeContext, SolutionTable, _label_bit, _Profile
+from .dp import _XN, _XS, _YN, _YS, NodeContext, Table, _label_bit, _Profile
 from .layouts import mim_bipartite
 from .multiway import NmcInstance, NmcResult, separates
 from .nec import NecFamily
@@ -298,8 +298,8 @@ def sforest_table(inst: Instance) -> np.ndarray:
 def check_represents(
     inst: Instance,
     vx: int,
-    untrimmed: SolutionTable,
-    reduced: SolutionTable,
+    untrimmed: Table,
+    reduced: Table,
     flags: Optional[np.ndarray] = None,
 ) -> bool:
     """Whether the reduced table preserves, for every subset of the far
@@ -311,8 +311,8 @@ def check_represents(
     outside = g.vertices & ~vx
     if outside.bit_count() > 12:
         raise ValueError("far side too large to enumerate")
-    for m, w in reduced.solutions.items():
-        if untrimmed.solutions.get(m) != w:
+    for m, w in reduced.items():
+        if untrimmed.get(m) != w:
             return False
     if flags is None:
         flags = sforest_table(inst)
@@ -322,11 +322,11 @@ def check_represents(
     for k, v in enumerate(out_bits):
         y_masks[1 << k : 2 << k] = y_masks[: 1 << k] | (1 << v)
 
-    def best_per_y(table: SolutionTable) -> np.ndarray:
-        if not table.solutions:
+    def best_per_y(table: Table) -> np.ndarray:
+        if not table:
             return np.full(len(y_masks), np.iinfo(np.int64).min, dtype=np.int64)
-        xs = np.fromiter(table.solutions.keys(), dtype=np.int64, count=len(table.solutions))
-        ws = np.fromiter(table.solutions.values(), dtype=np.int64, count=len(table.solutions))
+        xs = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+        ws = np.fromiter(table.values(), dtype=np.int64, count=len(table))
         ok = flags[xs[:, None] | y_masks[None, :]]
         vals = np.where(ok, ws[:, None], np.iinfo(np.int64).min)
         return vals.max(axis=0)
@@ -334,12 +334,12 @@ def check_represents(
     return bool(np.array_equal(best_per_y(untrimmed), best_per_y(reduced)))
 
 
-def best(inst: Instance, table: SolutionTable, y: int):
+def best(inst: Instance, table: Table, y: int):
     """Best weight of a table member that stays an S-forest with y; -inf
     when no member does."""
     g, s = inst.graph, inst.s_set
     top = NEG_INF
-    for mask, w in table.solutions.items():
+    for mask, w in table.items():
         if w > top and is_s_forest(g, mask | y, s):
             top = w
     return top

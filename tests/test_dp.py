@@ -26,7 +26,6 @@ from subsetfvs.layouts import (
     width,
 )
 from subsetfvs.dp import (
-    SolutionTable,
     SolveResult,
     _bucket_keys,
     _profile,
@@ -267,22 +266,21 @@ def test_signature_requires_admissibility():
 
 
 def test_merge_crosses_tables():
-    a = SolutionTable(0, {0: 0, 0b001: 2})
-    b = SolutionTable(1, {0: 0, 0b010: 3})
-    merged = merge_tables(a, b, 2)
-    assert merged.node == 2
-    assert merged.solutions == {0: 0, 0b001: 2, 0b010: 3, 0b011: 5}
+    a = {0: 0, 0b001: 2}
+    b = {0: 0, 0b010: 3}
+    merged = merge_tables(a, b)
+    assert merged == {0: 0, 0b001: 2, 0b010: 3, 0b011: 5}
 
 
 def test_merge_with_empty_table_is_empty():
-    a = SolutionTable(0, {0: 0, 0b001: 2})
-    assert merge_tables(a, SolutionTable(1, {}), 2).solutions == {}
+    a = {0: 0, 0b001: 2}
+    assert merge_tables(a, {}) == {}
 
 
 def test_merge_rejects_overlap():
-    a = SolutionTable(0, {0b001: 2})
+    a = {0b001: 2}
     with pytest.raises(ValueError):
-        merge_tables(a, SolutionTable(1, {0b001: 1}), 2)
+        merge_tables(a, {0b001: 1})
 
 
 # --------------------------------------------------------------- reduction
@@ -293,8 +291,8 @@ def test_reduce_keeps_empty_solution():
     lay = layout_from_order([0, 1, 2])
     node = node_for(lay, 0b011)
     ctx = build_context(inst, lay, node)
-    red = reduce_table(SolutionTable(node, {0: 0}), ctx, inst)
-    assert red.solutions == {0: 0}
+    red = reduce_table({0: 0}, ctx, inst)
+    assert red == {0: 0}
 
 
 def test_reduce_collapses_twins_onto_heavier(key_route):
@@ -305,10 +303,10 @@ def test_reduce_collapses_twins_onto_heavier(key_route):
     lay = layout_from_order([0, 1, 2])
     node = node_for(lay, 0b011)
     ctx = build_context(inst, lay, node)
-    untrimmed = SolutionTable(node, {m: inst.weight_of(m) for m in range(4)})
+    untrimmed = {m: inst.weight_of(m) for m in range(4)}
     red = reduce_table(untrimmed, ctx, inst)
-    assert 0b001 in red.solutions
-    assert 0b010 not in red.solutions
+    assert 0b001 in red
+    assert 0b010 not in red
     assert check_represents(inst, 0b011, untrimmed, red)
 
 
@@ -316,9 +314,9 @@ def test_reduce_drops_locally_dead_members():
     inst = Instance(triangle(), 0b111, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
     ctx = build_context(inst, lay, lay.root)
-    untrimmed = SolutionTable(lay.root, {m: inst.weight_of(m) for m in range(8)})
+    untrimmed = {m: inst.weight_of(m) for m in range(8)}
     red = reduce_table(untrimmed, ctx, inst)
-    assert 0b111 not in red.solutions
+    assert 0b111 not in red
     assert check_represents(inst, 0b111, untrimmed, red)
 
 
@@ -337,13 +335,13 @@ def test_reduce_agrees_with_index_by_index_route():
         lay = layout_from_order([0, 1, 2, 3])
         node = node_for(lay, 0b0011)
         ctx = build_context(inst, lay, node)
-        untrimmed = SolutionTable(node, {m: inst.weight_of(m) for m in range(4)})
+        untrimmed = {m: inst.weight_of(m) for m in range(4)}
 
         fast = reduce_table(untrimmed, ctx, inst)
 
         buckets = {}
         for i in enumerate_indices(ctx):
-            for m, w in untrimmed.solutions.items():
+            for m, w in untrimmed.items():
                 if not is_partial_solution(inst, ctx, m, i):
                     continue
                 sig = cc_signature(inst, ctx, m, i)
@@ -351,7 +349,7 @@ def test_reduce_agrees_with_index_by_index_route():
                 cur = buckets.get((i, sig))
                 if cur is None or entry < cur:
                     buckets[(i, sig)] = entry
-        literal = SolutionTable(node, {e[2]: untrimmed.solutions[e[2]] for e in buckets.values()})
+        literal = {e[2]: untrimmed[e[2]] for e in buckets.values()}
 
         assert check_represents(inst, 0b0011, untrimmed, fast)
         assert check_represents(inst, 0b0011, untrimmed, literal)
@@ -369,11 +367,11 @@ def test_reduce_ignores_insertion_order():
         calls = []
         solve(inst, layout_from_order(order), trace=lambda node, ctx, m, r: calls.append((ctx, m, r)))
         for ctx, merged, reduced in calls:
-            items = list(merged.solutions.items())
+            items = list(merged.items())
             for _ in range(3):
                 rng.shuffle(items)
-                again = reduce_table(SolutionTable(merged.node, dict(items)), ctx, inst)
-                assert list(again.solutions.items()) == list(reduced.solutions.items())
+                again = reduce_table(dict(items), ctx, inst)
+                assert list(again.items()) == list(reduced.items())
 
 
 def test_reduce_tie_keeps_lexicographically_smallest_twin():
@@ -386,10 +384,10 @@ def test_reduce_tie_keeps_lexicographically_smallest_twin():
     node = node_for(lay, 0b01111)
     ctx = build_context(inst, lay, node)
     for items in ([(0b0110, 2), (0b1001, 2)], [(0b1001, 2), (0b0110, 2)]):
-        assert reduce_table(SolutionTable(node, dict(items)), ctx, inst).solutions == {0b1001: 2}
+        assert reduce_table(dict(items), ctx, inst) == {0b1001: 2}
     # a heavier twin beats a lexicographically smaller one
-    heavier = SolutionTable(node, {0b0110: 3, 0b1001: 2})
-    assert reduce_table(heavier, ctx, inst).solutions == {0b0110: 3}
+    heavier = {0b0110: 3, 0b1001: 2}
+    assert reduce_table(heavier, ctx, inst) == {0b0110: 3}
 
 
 def _golden_layout(seed, n):
@@ -453,8 +451,8 @@ def _golden_digests():
         def watch(node, ctx, merged, reduced):
             h.update(repr((
                 node,
-                sorted(merged.solutions.items()),
-                sorted(reduced.solutions.items()),
+                sorted(merged.items()),
+                sorted(reduced.items()),
             )).encode())
 
         solve(inst, lay, trace=watch)
@@ -517,7 +515,7 @@ def test_bucket_keys_match_per_candidate_reference(key_route):
             solve(inst, lay, trace=lambda node, ctx, merged, reduced: calls.append((ctx, merged)))
             for ctx, merged in calls:
                 labels, ref_labels = {}, {}
-                for x in merged.solutions:
+                for x in merged:
                     got = _keys_by_type(inst, ctx, x, labels)
                     assert got == _keys_by_candidate(inst, ctx, x, ref_labels), (name, ctx.node, x)
                     checked += got is not None
@@ -623,7 +621,7 @@ def test_carried_profile_matches_from_scratch_reference():
             nonlocal checked
             labels, ref_labels = {}, {}
             far_cands = far_candidates(inst.graph, ctx)
-            for x in merged.solutions:
+            for x in merged:
                 got = _plain_profile(_profile_solution(inst, ctx, x, labels), labels)
                 ref = profile_solution(inst, ctx, x, ref_labels, far_cands)
                 want = _plain_profile(ref, ref_labels)
@@ -678,12 +676,12 @@ def test_carried_excess_matches_definition():
         dead.setdefault(kind, 0)
 
         def watch(node, ctx, merged, reduced):
-            for x in merged.solutions:
+            for x in merged:
                 excess = ctx.blocks.of(node, x).excess
                 assert excess == _excess_by_definition(g, s, x), (name, node, x)
                 assert (excess == 0) == is_s_forest(g, x, s), (name, node, x)
                 dead[kind] += excess > 0
-            for x in reduced.solutions:
+            for x in reduced:
                 assert is_s_forest(g, x, s), (name, node, x)
 
         solve(inst, lay, trace=watch)
@@ -706,17 +704,19 @@ def _signature_by_definition(g, s, bnd, x):
 def test_both_routes_represent_the_merged_table():
     """At every internal node, the reduced table is a subset of the merged
     one, represents it (`check_represents`), and holds S-forests only; the
-    three routes are told apart and checked each.  A node takes the
-    completion route exactly when 2^|far side| <= len(far_cands).  There
-    the table is exactly the first row, in (-weight, lex_order) order, that
-    completes each far S-forest Y, so it has at most |F| rows for the set F
-    of those Y.  Elsewhere the first S-forest row per boundary signature
-    survives, the signature taken from scratch.  The key route's kept rows
-    (the full keep rule replayed) are among them.  When the survivors
-    number at most fam_x2.class_count * len(far_cands).bit_length(), they
-    are the table; otherwise the table is the key route's.  Covers the
-    golden cases, the nmc hub case and 30 random binary layouts (n <= 12,
-    random S, weights in -1..4); each kind of case takes every route."""
+    three routes are told apart and checked each.  On every route each
+    kept row is the first S-forest row, in (-weight, lex_order) order, of
+    its boundary signature, the signature taken from scratch.  A node takes
+    the completion route exactly when 2^|far side| <= len(far_cands).
+    There the table is exactly the first row that completes each far
+    S-forest Y, so it has at most |F| rows for the set F of those Y.
+    Elsewhere the first S-forest row per signature survives, and the key
+    route's kept rows (the full keep rule replayed) are among them.  When
+    the survivors number at most fam_x2.class_count *
+    len(far_cands).bit_length(), they are the table; otherwise the table
+    is the key route's.  Covers the golden cases, the nmc hub case and 30
+    random binary layouts (n <= 12, random S, weights in -1..4); each kind
+    of case takes every route."""
     rng = random.Random(15)
     cases = [("nmc" if name.startswith("nmc") else "golden", inst, lay) for name, inst, lay in _golden_cases()]
     for _ in range(30):
@@ -730,13 +730,19 @@ def test_both_routes_represent_the_merged_table():
         flags = sforest_table(inst)
 
         def watch(node, ctx, merged, reduced):
-            got = reduced.solutions
-            assert got.items() <= merged.solutions.items()
+            got = reduced
+            assert got.items() <= merged.items()
             assert check_represents(inst, ctx.vx, merged, reduced, flags), (kind, node)
             assert all(is_s_forest(g, x, s) for x in got), (kind, node)
-            sols = merged.solutions
+            sols = merged
             order = sorted(sols, key=lambda m: (-sols[m], lex_order(m)))
             counts = routes.setdefault(kind, {"completion": 0, "signature": 0, "key": 0})
+            first = {}
+            for x in order:
+                if is_s_forest(g, x, s):
+                    first.setdefault(_signature_by_definition(g, s, ctx.near_bnd, x), x)
+            survivors = set(first.values())
+            assert set(got) <= survivors, (kind, node)
             far = ctx.cvx.bit_count()
             route = dp.completion_route(ctx)
             assert route == (2 ** far <= len(ctx.far_cands))
@@ -747,11 +753,6 @@ def test_both_routes_represent_the_merged_table():
                 assert set(got) == want - {None}, (kind, node)
                 assert len(got) <= len(forests)
                 return
-            first = {}
-            for x in order:
-                if is_s_forest(g, x, s):
-                    first.setdefault(_signature_by_definition(g, s, ctx.near_bnd, x), x)
-            survivors = set(first.values())
             keyed, _ = _literal_keep(inst, ctx, merged)
             assert keyed.keys() <= survivors, (kind, node)
             if len(survivors) <= ctx.fam_x2.class_count * len(ctx.far_cands).bit_length():
@@ -814,7 +815,7 @@ def _literal_keep(inst, ctx, table):
     """The keep rule replayed row by row: best first, every extendable row
     profiled and its keys enumerated, kept when the seen set grows.
     Returns the kept dict and the number of rows whose keys it enumerated."""
-    sols = table.solutions
+    sols = table
     labels, seen, keep, enumerated = {}, set(), [], 0
     for x in sorted(sols, key=lambda m: (-sols[m], lex_order(m))):
         prof = _profile_solution(inst, ctx, x, labels)
@@ -857,7 +858,7 @@ def test_signature_skip_matches_full_keep_rule(monkeypatch, key_route):
         def watch(node, ctx, merged, reduced):
             nonlocal dropped, nodes
             want, enumerated = _literal_keep(inst, ctx, merged)
-            assert list(reduced.solutions.items()) == list(want.items()), (name, node)
+            assert list(reduced.items()) == list(want.items()), (name, node)
             assert len(calls) <= enumerated, (name, node)
             dropped += enumerated - len(calls)
             nodes += 1
@@ -877,10 +878,10 @@ def test_signature_skip_keeps_heavier_of_boundary_twins(monkeypatch, key_route):
     lay = layout_from_order([0, 1, 2, 3])
     ctx = build_context(inst, lay, node_for(lay, 0b0111))
     assert ctx.near_bnd == 0b0100
-    table = SolutionTable(ctx.node, {0b0101: 6, 0b0110: 4})
+    table = {0b0101: 6, 0b0110: 4}
     assert _literal_keep(inst, ctx, table) == ({0b0101: 6}, 2)
     calls = _counting_bucket_keys(monkeypatch)
-    assert reduce_table(table, ctx, inst).solutions == {0b0101: 6}
+    assert reduce_table(table, ctx, inst) == {0b0101: 6}
     assert calls == [0b0101]
 
 
@@ -903,11 +904,11 @@ def test_signature_skip_keeps_rows_with_other_boundary_partitions(monkeypatch, k
     lay = layout_from_order([0, 1, 2, 3, 4])
     ctx = build_context(inst, lay, node_for(lay, 0b01111))
     assert ctx.near_bnd == 0b00011
-    table = SolutionTable(ctx.node, {x: inst.weight_of(x) for x in rows})
+    table = {x: inst.weight_of(x) for x in rows}
     calls = _counting_bucket_keys(monkeypatch)
-    kept = reduce_table(table, ctx, inst).solutions
+    kept = reduce_table(table, ctx, inst)
     assert sorted(calls) == sorted(rows)
-    assert (kept, 2) == _literal_keep(inst, ctx, table) == (table.solutions, 2)
+    assert (kept, 2) == _literal_keep(inst, ctx, table) == (table, 2)
 
 
 def _show(label):
@@ -987,13 +988,13 @@ def test_bucket_keys_pinned_many_labels_and_groups():
 
 def test_best_of_trivial_tables():
     inst = Instance(path(3), 0b111, (1, 1, 1))
-    assert best(inst, SolutionTable(0, {0: 0}), 0) == 0
-    assert best(inst, SolutionTable(0, {}), 0) == NEG_INF
+    assert best(inst, {0: 0}, 0) == 0
+    assert best(inst, {}, 0) == NEG_INF
 
 
 def test_best_rejects_cycle_closing_completion():
     inst = Instance(triangle(), 0b100, (1, 1, 1))
-    table = SolutionTable(0, {0b011: 2})
+    table = {0b011: 2}
     assert best(inst, table, 0b100) == NEG_INF
     assert best(inst, table, 0) == 2
 

@@ -12,13 +12,13 @@ from subsetfvs.layouts import (
     RootedLayout,
     _rational_rank,
     boundaries,
-    cut_mim_at_most_one,
     cut_rank,
     gf2_rank,
     interval_layout,
     intervals_intersect,
     layout_from_order,
     mim_bipartite,
+    mim_bipartite_at_most_one,
     mim_cut,
     parse_layout,
     permutation_layout,
@@ -403,7 +403,7 @@ def test_mim_at_most_one_criterion_matches_mim_cut():
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         a = rng.randrange(1 << n)
         want = mim_cut(g, a) <= 1
-        assert cut_mim_at_most_one(g, a) == want, (n, sorted(g.edges()), a)
+        assert mim_bipartite_at_most_one(g, a, g.vertices & ~a) == want, (n, sorted(g.edges()), a)
         verdicts.add(want)
     assert verdicts == {True, False}
     values = set()
@@ -419,7 +419,7 @@ def test_mim_at_most_one_criterion_matches_mim_cut():
             for x in cat.postorder():
                 a = cat.below[x]
                 m = mim_cut(g, a)
-                assert cut_mim_at_most_one(g, a) == (m <= 1), (n, swaps, x)
+                assert mim_bipartite_at_most_one(g, a, g.vertices & ~a) == (m <= 1), (n, swaps, x)
                 values.add(min(m, 2))
                 most_crossing = max(most_crossing, sum((g.adj[v] & ~a).bit_count() for v in bits(a)))
     assert values == {0, 1, 2}

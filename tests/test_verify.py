@@ -7,7 +7,7 @@ import pytest
 
 from subsetfvs.graphs import Graph, Instance, bits, is_forest, is_s_forest
 from subsetfvs.layouts import layout_from_order, mim_bipartite
-from subsetfvs.dp import SolutionTable, build_context
+from subsetfvs.dp import build_context
 from subsetfvs.oracles import (
     BlockPartition,
     IndexTuple,
@@ -157,12 +157,12 @@ def test_sforest_table_size_guard():
 
 def test_check_represents_reflexive_and_subset():
     inst = Instance(Graph(2, []), 0b11, (1, 1))
-    table = SolutionTable(0, {0: 0, 0b01: 1})
+    table = {0: 0, 0b01: 1}
     assert check_represents(inst, 0b01, table, table)
     # an empty reduction loses the answer for every completion
-    assert not check_represents(inst, 0b01, table, SolutionTable(0, {}))
+    assert not check_represents(inst, 0b01, table, {})
     # reduced entries must literally come from the untrimmed table
-    assert not check_represents(inst, 0b01, table, SolutionTable(0, {0: 1}))
+    assert not check_represents(inst, 0b01, table, {0: 1})
 
 
 def test_check_represents_accepts_dominated_drop():
@@ -170,16 +170,16 @@ def test_check_represents_accepts_dominated_drop():
     # the completion {2} is answered by a lone twin: the heavy one must stay
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     inst = Instance(g, 0b111, (5, 3, 1))
-    full = SolutionTable(0, {m: inst.weight_of(m) for m in range(4)})
-    no_light_twin = SolutionTable(0, {m: w for m, w in full.solutions.items() if m != 0b010})
+    full = {m: inst.weight_of(m) for m in range(4)}
+    no_light_twin = {m: w for m, w in full.items() if m != 0b010}
     assert check_represents(inst, 0b011, full, no_light_twin)
-    no_heavy_twin = SolutionTable(0, {m: w for m, w in full.solutions.items() if m != 0b001})
+    no_heavy_twin = {m: w for m, w in full.items() if m != 0b001}
     assert not check_represents(inst, 0b011, full, no_heavy_twin)
 
 
 def test_check_represents_far_side_guard():
     inst = Instance(Graph(14, []), 0, (0,) * 14)
-    table = SolutionTable(0, {0: 0})
+    table = {0: 0}
     with pytest.raises(ValueError):
         check_represents(inst, 0b1, table, table)
 

@@ -163,13 +163,8 @@ def _run_solve(args) -> int:
         raise CliError("--threads must be >= 0")
 
     if args.oracle:
-        # numpy and the reference route load only when a check is asked for.
-        try:
-            from . import oracles
-        except ModuleNotFoundError as exc:
-            if exc.name != "numpy":
-                raise
-            raise CliError("--oracle needs numpy, the 'oracle' extra: pip install 'subsetfvs[oracle]'")
+        # The reference route loads only when a check is asked for.
+        from . import oracles
 
         limit = oracles.BRUTE_LIMIT
         if g.n > limit:

@@ -124,6 +124,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -593,7 +594,7 @@ def signature_route(ctx: NodeContext, survivors: int) -> bool:
     return survivors <= ctx.fam_x2.class_count * len(ctx.far_cands).bit_length()
 
 
-def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List[int]:
+def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Iterable[int]) -> List[int]:
     """The rows, best first, that complete a far S-forest no earlier kept
     row completes; stops once every far S-forest is covered."""
     g, s = inst.graph, inst.s_set
@@ -615,12 +616,13 @@ def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Sequence[int]) 
 _EMPTY_PART = frozenset([0])  # the boundary part of a piece off the boundary
 
 
-def _first_per_signature(ctx: NodeContext, rows: Sequence[int]) -> List[int]:
+def _first_per_signature(ctx: NodeContext, rows: Iterable[int]) -> Iterator[int]:
     """The rows of excess 0, best first, whose boundary signature no earlier
     such row had: x & near_bnd, and the boundary parts of its boundary
-    components and trees, as sets.  Rows of nonzero excess are skipped."""
+    components and trees, as sets.  Rows of nonzero excess are skipped.
+    Lazy, so a caller that stops early builds no more structures."""
     of, node, bnd = ctx.blocks.of, ctx.node, ctx.near_bnd
-    first: Dict[Tuple[int, FrozenSet[int], FrozenSet[int]], int] = {}
+    seen: Set[Tuple[int, FrozenSet[int], FrozenSet[int]]] = set()
     for mask in rows:
         st = of(node, mask)
         if st.excess:
@@ -630,8 +632,9 @@ def _first_per_signature(ctx: NodeContext, rows: Sequence[int]) -> List[int]:
             frozenset([c & bnd for c in st.comps]) - _EMPTY_PART,
             frozenset([t & bnd for t in st.trees]) - _EMPTY_PART,
         )
-        first.setdefault(sig, mask)
-    return list(first.values())
+        if sig not in seen:
+            seen.add(sig)
+            yield mask
 
 
 def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List[int]:
@@ -681,8 +684,10 @@ def reduce_table(table: Table, ctx: NodeContext, inst: Instance) -> Table:
     rows = _first_per_signature(ctx, sorted(table, key=lambda m: (-table[m], lex_order(m))))
     if completion_route(ctx):
         rows = _keep_by_completions(ctx, inst, rows)
-    elif not signature_route(ctx, len(rows)):
-        rows = _keep_by_keys(ctx, inst, rows)
+    else:
+        rows = list(rows)
+        if not signature_route(ctx, len(rows)):
+            rows = _keep_by_keys(ctx, inst, rows)
     return {m: table[m] for m in sorted(rows, key=lex_order)}
 
 

@@ -5,10 +5,13 @@ program: subset enumeration with a connectivity-based cycle test, a direct
 contraction construction for crossing forests (the block partitions and
 block graphs of the paper's proofs), the d-neighbor equivalence read off
 neighbor counts by definition, and a semantic completion check that
-compares tables against every possible far side.
+compares tables against every possible far side.  Like the solver, it
+needs only the standard library.
 
 `check_represents` is the property all three routes of `dp.reduce_table`
-(completion, signature and key) keep.
+(completion, signature and key) keep, read by its definition: every far
+subset's best completion, row by row.  It runs at any n once the far side
+has at most 12 vertices.
 The literal index route is here too: `enumerate_indices` streams the full
 index family of a layout node, `is_partial_solution` and `cc_signature` are
 the admissibility test and the connection signature the key route's bucket
@@ -22,8 +25,6 @@ import math
 from itertools import combinations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from .graphs import Graph, Instance, bits, components_masks, is_forest, is_s_forest, mask_of
 from .dp import _XN, _XS, _YN, _YS, NodeContext, Table, _label_bit, _Profile
@@ -283,55 +284,20 @@ def brute_force_nmc(
     return NmcResult(best[0], best[2])
 
 
-def sforest_table(inst: Instance) -> np.ndarray:
-    """Boolean table over all vertex masks: entry m is True when the graph
-    induced on m is an S-forest.  Sized 2**n, so only for small n."""
-    g, s = inst.graph, inst.s_set
-    if g.n > 22:
-        raise ValueError("graph too large for a full subset table")
-    flags = np.zeros(1 << g.n, dtype=bool)
-    for mask in range(1 << g.n):
-        flags[mask] = is_s_forest(g, mask, s)
-    return flags
-
-
-def check_represents(
-    inst: Instance,
-    vx: int,
-    untrimmed: Table,
-    reduced: Table,
-    flags: Optional[np.ndarray] = None,
-) -> bool:
-    """Whether the reduced table preserves, for every subset of the far
-    side, the best weight among members that complete to an S-forest.
-
-    Also requires the reduced table to be a subset of the untrimmed one.
-    """
-    g = inst.graph
-    outside = g.vertices & ~vx
+def check_represents(inst: Instance, vx: int, untrimmed: Table, reduced: Table) -> bool:
+    """Whether the reduced table represents the untrimmed one: it is a
+    subset of it, and for every subset y of the far side its best
+    completion (`best`) weighs what the untrimmed table's does.  The far
+    side may have at most 12 vertices; n is not bounded."""
+    outside = inst.graph.vertices & ~vx
     if outside.bit_count() > 12:
         raise ValueError("far side too large to enumerate")
-    for m, w in reduced.items():
-        if untrimmed.get(m) != w:
-            return False
-    if flags is None:
-        flags = sforest_table(inst)
-
-    out_bits = list(bits(outside))
-    y_masks = np.zeros(1 << len(out_bits), dtype=np.int64)
-    for k, v in enumerate(out_bits):
-        y_masks[1 << k : 2 << k] = y_masks[: 1 << k] | (1 << v)
-
-    def best_per_y(table: Table) -> np.ndarray:
-        if not table:
-            return np.full(len(y_masks), np.iinfo(np.int64).min, dtype=np.int64)
-        xs = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-        ws = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-        ok = flags[xs[:, None] | y_masks[None, :]]
-        vals = np.where(ok, ws[:, None], np.iinfo(np.int64).min)
-        return vals.max(axis=0)
-
-    return bool(np.array_equal(best_per_y(untrimmed), best_per_y(reduced)))
+    if any(untrimmed.get(m) != w for m, w in reduced.items()):
+        return False
+    ys = [0]
+    for v in bits(outside):
+        ys += [y | 1 << v for y in ys]
+    return all(best(inst, untrimmed, y) == best(inst, reduced, y) for y in ys)
 
 
 def best(inst: Instance, table: Table, y: int):

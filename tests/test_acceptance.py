@@ -30,7 +30,6 @@ from subsetfvs.oracles import (
     is_partial_solution,
     s_forest_by_cycles,
     scontraction_conditions,
-    sforest_table,
 )
 
 
@@ -212,7 +211,6 @@ def test_criterion_7_representativity_and_table_sizes(capsys):
     def run(sampler):
         nonlocal audited
         for inst, layout in sampler:
-            flags = sforest_table(inst)
             far_limit = 12
 
             def audit(node, ctx, merged, reduced):
@@ -220,7 +218,7 @@ def test_criterion_7_representativity_and_table_sizes(capsys):
                 m = ctx.mim
                 assert len(reduced) <= index_count(ctx) * (4 * m) ** (4 * m)
                 if ctx.cvx.bit_count() <= far_limit:
-                    assert check_represents(inst, ctx.vx, merged, reduced, flags)
+                    assert check_represents(inst, ctx.vx, merged, reduced)
                     audited += 1
 
             solve(inst, layout, trace=audit)

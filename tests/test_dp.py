@@ -49,7 +49,6 @@ from subsetfvs.oracles import (
     is_partial_solution,
     lex_key,
     profile_solution,
-    sforest_table,
     xs_pool,
     ys_pool,
 )
@@ -727,12 +726,11 @@ def test_both_routes_represent_the_merged_table():
     routes = {}  # kind of case -> nodes per route
     for kind, inst, lay in cases:
         g, s = inst.graph, inst.s_set
-        flags = sforest_table(inst)
 
         def watch(node, ctx, merged, reduced):
             got = reduced
             assert got.items() <= merged.items()
-            assert check_represents(inst, ctx.vx, merged, reduced, flags), (kind, node)
+            assert check_represents(inst, ctx.vx, merged, reduced), (kind, node)
             assert all(is_s_forest(g, x, s) for x in got), (kind, node)
             sols = merged
             order = sorted(sols, key=lambda m: (-sols[m], lex_order(m)))
@@ -765,6 +763,22 @@ def test_both_routes_represent_the_merged_table():
         solve(inst, lay, trace=watch)
     assert set(routes) == {"golden", "nmc", "binary"}
     assert all(min(counts.values()) > 0 for counts in routes.values()), routes
+
+
+def test_reduced_tables_represent_at_n85():
+    """On the n = 85 interval case, every node whose far side has at most
+    12 vertices keeps a table that represents the merged one: the audit's
+    cost depends on the far side and the table sizes, not on n."""
+    inst, lay = _interval_case(1, 85)
+    audited = []
+
+    def watch(node, ctx, merged, reduced):
+        if ctx.cvx.bit_count() <= 12:
+            assert check_represents(inst, ctx.vx, merged, reduced), node
+            audited.append(node)
+
+    solve(inst, lay, trace=watch)
+    assert len(audited) == 13
 
 
 def _reach_by_adjacency(g, side, u_set):

@@ -24,7 +24,6 @@ from subsetfvs.oracles import (
     lies_on_cycle,
     s_forest_by_cycles,
     scontraction_conditions,
-    sforest_table,
 )
 
 EMPTY_INDEX = IndexTuple(frozenset(), frozenset(), 0, frozenset(), frozenset())
@@ -132,24 +131,6 @@ def test_brute_force_fvs_matches_all_tracked_sfvs():
         weights = tuple(rng.randint(-2, 8) for _ in range(g.n))
         inst = Instance(g, g.vertices, weights)
         assert brute_force_fvs(g, weights)[0] == brute_force_sfvs(inst)[0]
-
-
-# ------------------------------------------------------------ subset table
-
-
-def test_sforest_table_matches_pointwise():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    inst = Instance(g, 0b0101, (1, 1, 1, 1))
-    flags = sforest_table(inst)
-    assert len(flags) == 16
-    for mask in range(16):
-        assert flags[mask] == is_s_forest(g, mask, inst.s_set)
-
-
-def test_sforest_table_size_guard():
-    inst = Instance(Graph(23, []), 0, (0,) * 23)
-    with pytest.raises(ValueError):
-        sforest_table(inst)
 
 
 # -------------------------------------------------------- representativity

@@ -327,17 +327,9 @@ def build_context(
     vx = layout.below[node]
     cvx = g.vertices & ~vx
     fam_y1, fam_y2 = far1[node], far2[node]
-    # The lookups list the keys in the order of the representatives.
-    sets, singles = fam_y2.representatives, fam_y1.representatives
     low = (1 << g.n) - 1
-    far_cands = [
-        (sets[i] << 2 | _YN, key & low, key >> g.n) for key, i in fam_y2.lookup.items() if key
-    ]
-    far_cands += [
-        (singles[i] << 2 | _YS, key, 0)
-        for key, i in fam_y1.lookup.items()
-        if singles[i].bit_count() == 1
-    ]
+    far_cands = [(u << 2 | _YN, key & low, key >> g.n) for key, u in fam_y2.reps.items() if key]
+    far_cands += [(u << 2 | _YS, key, 0) for key, u in fam_y1.reps.items() if u.bit_count() == 1]
     return NodeContext(
         node,
         vx,
@@ -672,7 +664,7 @@ def reduce_table(table: Table, ctx: NodeContext, inst: Instance) -> Table:
     """A subset of the merged table that represents it: for every far-side
     set, some kept row completes it to an S-forest with the best weight any
     merged row reaches; ties fall to the lexicographically smallest vertex
-    set.  The result is in lex_order.
+    set.  The result lists its rows best first, by (-weight, lex_order).
 
     Rows go best first, by (-weight, lex_order), through one pass: a row
     whose excess is not 0 can never be extended and is skipped, and of the
@@ -688,7 +680,7 @@ def reduce_table(table: Table, ctx: NodeContext, inst: Instance) -> Table:
         rows = list(rows)
         if not signature_route(ctx, len(rows)):
             rows = _keep_by_keys(ctx, inst, rows)
-    return {m: table[m] for m in sorted(rows, key=lex_order)}
+    return {m: table[m] for m in rows}
 
 
 @dataclass(frozen=True)

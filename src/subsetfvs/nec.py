@@ -28,8 +28,9 @@ at d = 2 only.  `layout_families` runs it over a layout, near sides bottom-up
 and far sides top-down; `compute_reps` folds it over the singletons of an
 arbitrary side.  `coarsen` reads a side's d = 1 family off its d = 2 family:
 min(1, c) is a function of min(2, c), so a d = 1 class is the union of the
-d = 2 classes sharing its `once` mask, key & (2^n - 1).  A lookup visits the
-classes in (size, lex) order, so the first met per `once` holds the minimum.
+d = 2 classes sharing its `once` mask, key & (2^n - 1).  A family lists its
+classes in (size, lex) order of their representatives, so the first met per
+`once` holds the minimum.
 """
 
 from __future__ import annotations
@@ -45,24 +46,22 @@ from .layouts import RootedLayout
 class NecFamily:
     """All canonical representatives for one (side, d) pair.
 
-    lookup maps a class key to the index of its representative; both are in
-    (size, lex) order, so iterating lookup visits the representatives in
-    order.  out is the vertex mask the classes are seen from: the complement
-    of the side, except in the partial families of `compute_reps`, which see
-    only the complement of the whole side.
+    reps maps each class key to the class's representative, in (size, lex)
+    order of the representatives.  out is the vertex mask the classes are
+    seen from: the complement of the side, except in the partial families
+    of `compute_reps`, which see only the complement of the whole side.
     """
 
     graph: Graph
     side: int
     d: int
     out: int
-    representatives: Tuple[int, ...]
-    lookup: Dict[int, int]
+    reps: Dict[int, int]
     _rep_cache: Dict[int, int] = field(default_factory=dict, repr=False)
 
     @property
     def class_count(self) -> int:
-        return len(self.representatives)
+        return len(self.reps)
 
     def key_of(self, x: int) -> int:
         if x & ~self.side:
@@ -85,16 +84,15 @@ class NecFamily:
         cached = self._rep_cache.get(x)
         if cached is not None:
             return cached
-        idx = self.lookup.get(self.key_of(x))
-        if idx is None:
+        rep = self.reps.get(self.key_of(x))
+        if rep is None:
             raise CheckError("equivalence class missing from the family")
-        rep = self.representatives[idx]
         self._rep_cache[x] = rep
         return rep
 
 
 def _empty_family(g: Graph, out: int) -> NecFamily:
-    return NecFamily(g, 0, 2, out, (0,), {0: 0})
+    return NecFamily(g, 0, 2, out, {0: 0})
 
 
 def _singleton_family(g: Graph, v: int) -> NecFamily:
@@ -102,22 +100,21 @@ def _singleton_family(g: Graph, v: int) -> NecFamily:
     out = g.vertices & ~side
     once = g.adj[v] & out
     if not once:
-        return NecFamily(g, side, 2, out, (0,), {0: 0})
-    return NecFamily(g, side, 2, out, (0, side), {0: 0, once: 1})
+        return NecFamily(g, side, 2, out, {0: 0})
+    return NecFamily(g, side, 2, out, {0: 0, once: side})
 
 
 def _parts(fam: NecFamily, out: int) -> List[Tuple[int, int, int]]:
     """(rep, once, twice) with the masks cut down to out, first rep per
     cut-down key only: the others give the same keys with later unions."""
     shift = fam.graph.n
-    reps = fam.representatives
     seen: Dict[int, Tuple[int, int, int]] = {}
-    for key, idx in fam.lookup.items():
+    for key, rep in fam.reps.items():
         once = key & out
         twice = key >> shift & out
         k = once | twice << shift
         if k not in seen:
-            seen[k] = (reps[idx], once, twice)
+            seen[k] = (rep, once, twice)
     return list(seen.values())
 
 
@@ -144,23 +141,17 @@ def join(fa: NecFamily, fb: NecFamily) -> NecFamily:
             cr, cc = r.bit_count(), cur.bit_count()
             if cr < cc or (cr == cc and (r ^ cur) & -(r ^ cur) & r):
                 best[key] = r
-    ordered = sorted(best.items(), key=lambda kv: (kv[1].bit_count(), lex_order(kv[1])))
-    reps = tuple(r for _, r in ordered)
-    lookup = {key: i for i, (key, _) in enumerate(ordered)}
-    return NecFamily(g, side, 2, out, reps, lookup)
+    reps = dict(sorted(best.items(), key=lambda kv: (kv[1].bit_count(), lex_order(kv[1]))))
+    return NecFamily(g, side, 2, out, reps)
 
 
 def coarsen(fam: NecFamily) -> NecFamily:
     """d = 1 family of a d = 2 family's side: the first class per `once`."""
     low = (1 << fam.graph.n) - 1
-    reps: List[int] = []
-    lookup: Dict[int, int] = {}
-    for key, idx in fam.lookup.items():
-        once = key & low
-        if once not in lookup:
-            lookup[once] = len(reps)
-            reps.append(fam.representatives[idx])
-    return NecFamily(fam.graph, fam.side, 1, fam.out, tuple(reps), lookup)
+    reps: Dict[int, int] = {}
+    for key, rep in fam.reps.items():
+        reps.setdefault(key & low, rep)
+    return NecFamily(fam.graph, fam.side, 1, fam.out, reps)
 
 
 def compute_reps(g: Graph, a: int, d: int) -> NecFamily:

@@ -361,7 +361,7 @@ def far_candidates(g: Graph, ctx: NodeContext) -> List[Tuple[int, int, int]]:
     nonzero entry of `ys_pool`, with ext and e_bad counted from adjacency.
     `dp` reads the same list, as `ctx.far_cands`, from the far families'
     class keys."""
-    cands = [(u << 2 | _YN, *_reach(g, ctx.vx, u)) for u in ctx.fam_y2.representatives if u]
+    cands = [(u << 2 | _YN, *_reach(g, ctx.vx, u)) for u in ctx.fam_y2.reps.values() if u]
     cands += [(u << 2 | _YS, *_reach(g, ctx.vx, u)) for u in ys_pool(ctx) if u]
     return cands
 
@@ -370,9 +370,9 @@ def index_count(ctx: NodeContext) -> int:
     """Closed-form size of the full index stream."""
     budget = 4 * ctx.mim
     pools = (
-        len(ctx.fam_x2.representatives),
+        ctx.fam_x2.class_count,
         len(xs_pool(ctx)),
-        len(ctx.fam_y2.representatives),
+        ctx.fam_y2.class_count,
         len(ys_pool(ctx)),
     )
     total = 0
@@ -384,7 +384,7 @@ def index_count(ctx: NodeContext) -> int:
                 c3 = c2 * math.comb(pools[2], k3)
                 for k4 in range(min(budget - k1 - k2 - k3, pools[3]) + 1):
                     total += c3 * math.comb(pools[3], k4)
-    return total * len(ctx.fam_x1.representatives)
+    return total * ctx.fam_x1.class_count
 
 
 def enumerate_indices(ctx: NodeContext) -> Iterator[IndexTuple]:
@@ -394,11 +394,11 @@ def enumerate_indices(ctx: NodeContext) -> Iterator[IndexTuple]:
     and only the joint size bound of 4 * mim applies.
     """
     budget = 4 * ctx.mim
-    p_ns = ctx.fam_x2.representatives
+    p_ns = ctx.fam_x2.reps.values()
     p_s = xs_pool(ctx)
-    q_ns = ctx.fam_y2.representatives
+    q_ns = ctx.fam_y2.reps.values()
     q_s = ys_pool(ctx)
-    for x_rest in ctx.fam_x1.representatives:
+    for x_rest in ctx.fam_x1.reps.values():
         for k1 in range(min(budget, len(p_ns)) + 1):
             for c1 in combinations(p_ns, k1):
                 for k2 in range(min(budget - k1, len(p_s)) + 1):
@@ -981,7 +981,7 @@ def bucket_keys_by_candidate(
         if att and len(trees) == att.bit_count():
             y_cands.append((label_bit(label), att, tuple(trees)))
 
-    for u_set in ctx.fam_y2.representatives:
+    for u_set in ctx.fam_y2.reps.values():
         if u_set:
             hit, bad = _reach(g, x, u_set)
             if not bad & s:

@@ -371,6 +371,7 @@ def test_reduce_ignores_insertion_order():
                 rng.shuffle(items)
                 again = reduce_table(dict(items), ctx, inst)
                 assert list(again.items()) == list(reduced.items())
+            assert list(reduced) == sorted(reduced, key=lambda m: (-reduced[m], lex_order(m)))
 
 
 def test_reduce_tie_keeps_lexicographically_smallest_twin():
@@ -781,6 +782,36 @@ def test_reduced_tables_represent_at_n85():
     assert len(audited) == 13
 
 
+def _routed_weight(monkeypatch, inst, lay, route):
+    """Optimum of a solve with every node on one route: "routed" as
+    `reduce_table` picks, "key" the key route, "signature" the signature
+    pass alone."""
+    with monkeypatch.context() as m:
+        if route == "key":
+            _force_key_route(m)
+        elif route == "signature":
+            m.setattr(dp, "completion_route", lambda ctx: False)
+            m.setattr(dp, "signature_route", lambda ctx, survivors: True)
+        return solve(inst, lay).weight
+
+
+def test_routes_agree_past_brute_force(monkeypatch):
+    """The routes of `reduce_table` are independent exact reductions, so
+    they check one another where brute force cannot reach: the solve as
+    routed, with the key route at every node and with the signature pass
+    alone reach one optimum.  The signature pass alone keeps the most rows,
+    so it runs on the permutation graph at n = 24 but not at n = 28."""
+    all_routes = ("routed", "key", "signature")
+    cases = [
+        (_permutation_case(1, 24), all_routes),
+        (_interval_case(1, 85), all_routes),
+        (_permutation_case(1, 28), ("routed", "key")),
+    ]
+    for (inst, lay), routes in cases:
+        weights = {route: _routed_weight(monkeypatch, inst, lay, route) for route in routes}
+        assert len(set(weights.values())) == 1, (inst.n, weights)
+
+
 def _reach_by_adjacency(g, side, u_set):
     """The vertices of side with a neighbor in u_set, and those with two."""
     hits = {v: (g.adj[v] & u_set).bit_count() for v in bits(side)}
@@ -816,7 +847,7 @@ def test_far_candidates_match_adjacency_definition():
             ctx = build_context(inst, lay, x)
             want_x = sorted({ctx.fam_x1.rep_of(1 << v) for v in bits(ctx.vx)}, key=lex_key)
             assert list(xs_pool(ctx)) == want_x
-            want = [(u << 2 | dp._YN, u) for u in ctx.fam_y2.representatives if u]
+            want = [(u << 2 | dp._YN, u) for u in ctx.fam_y2.reps.values() if u]
             want += [(u << 2 | dp._YS, u) for u in ys_pool(ctx) if u]
             assert list(ctx.far_cands) == [
                 (label, *_reach_by_adjacency(g, ctx.vx, u)) for label, u in want
@@ -828,7 +859,8 @@ def test_far_candidates_match_adjacency_definition():
 def _literal_keep(inst, ctx, table):
     """The keep rule replayed row by row: best first, every extendable row
     profiled and its keys enumerated, kept when the seen set grows.
-    Returns the kept dict and the number of rows whose keys it enumerated."""
+    Returns the kept dict, best first, and the number of rows whose keys it
+    enumerated."""
     sols = table
     labels, seen, keep, enumerated = {}, set(), [], 0
     for x in sorted(sols, key=lambda m: (-sols[m], lex_order(m))):
@@ -840,7 +872,7 @@ def _literal_keep(inst, ctx, table):
         enumerated += 1
         if len(seen) > before:
             keep.append(x)
-    return {m: sols[m] for m in sorted(keep, key=lex_order)}, enumerated
+    return {m: sols[m] for m in keep}, enumerated
 
 
 def _counting_bucket_keys(monkeypatch):

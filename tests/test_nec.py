@@ -53,17 +53,17 @@ def test_same_class_clamping():
 def test_empty_outside_single_class():
     g = Graph(3, [(0, 1), (1, 2)])
     fam = compute_reps(g, g.vertices, 2)
-    assert fam.representatives == (0,)
+    assert list(fam.reps.values()) == [0]
     assert fam.class_count == 1
     # complement side: only the empty subset exists
     fam0 = compute_reps(g, 0, 1)
-    assert fam0.representatives == (0,)
+    assert list(fam0.reps.values()) == [0]
 
 
 def test_no_external_edges_single_class():
     g = Graph(4, [(0, 1)])
     fam = compute_reps(g, 0b0011, 1)
-    assert fam.representatives == (0,)
+    assert list(fam.reps.values()) == [0]
     assert fam.class_count == 1
 
 
@@ -71,7 +71,7 @@ def test_two_vertices_one_external_neighbor():
     # a = {0,1}, both adjacent only to external 2
     g = Graph(3, [(0, 2), (1, 2)])
     fam = compute_reps(g, 0b011, 1)
-    assert set(fam.representatives) == {0, 0b001}
+    assert set(fam.reps.values()) == {0, 0b001}
     assert fam.class_count == 2
     assert fam.rep_of(0) == 0
     assert fam.rep_of(0b010) == 0b001  # same clamped key, {0} is lex-smaller
@@ -91,7 +91,7 @@ def test_rep_of_rejects_outsiders():
 def test_rep_of_raises_check_error_on_a_missing_class():
     g = Graph(3, [(0, 2), (1, 2)])
     fam = compute_reps(g, 0b011, 1)
-    fam.lookup.clear()
+    fam.reps.clear()
     with pytest.raises(CheckError, match="class missing"):
         fam.rep_of(0b001)
 
@@ -123,7 +123,7 @@ def test_representatives_match_definition_exhaustively():
                 min(members, key=lambda m: (m.bit_count(), lex_key(m)))
                 for members in groups.values()
             }
-            assert set(fam.representatives) == expected
+            assert set(fam.reps.values()) == expected
             for members in groups.values():
                 want = min(members, key=lambda m: (m.bit_count(), lex_key(m)))
                 for m in members:
@@ -218,14 +218,15 @@ def random_subsets(rng, side, count):
 
 def assert_layout_pass_matches(g, lay, rng):
     """At every node, near and far side, d in {1, 2}: the layout pass gives
-    the representatives of compute_reps, in order, and the same rep_of."""
+    the keys and representatives of compute_reps, in order, and the same
+    rep_of."""
     near1, near2, far1, far2 = layout_families(g, lay)
     for d, near, far in ((1, near1, far1), (2, near2, far2)):
         for x in lay.postorder():
             for fam, side in ((near[x], lay.below[x]), (far[x], g.vertices & ~lay.below[x])):
                 ref = compute_reps(g, side, d)
                 assert fam.side == side
-                assert fam.representatives == ref.representatives
+                assert list(fam.reps.items()) == list(ref.reps.items())
                 for sub in random_subsets(rng, side, 8):
                     assert fam.rep_of(sub) == ref.rep_of(sub)
 
@@ -259,11 +260,11 @@ def test_layout_pass_matches_compute_reps_on_interval_graphs():
         assert_layout_pass_matches(g, interval_layout(intervals, g), rng)
 
 
-def test_lookup_iterates_in_representative_order():
-    """Iterating a family's lookup visits the indices 0, 1, ... in order, so
-    a reader that walks the keys meets the representatives in (size, lex)
-    order: every layout family, near and far, d in {1, 2}, and
-    compute_reps on random sides."""
+def test_reps_iterate_in_size_lex_order():
+    """Iterating a family's reps meets the representatives in (size, lex)
+    order, so a reader that walks the keys meets each class's minimum first:
+    every layout family, near and far, d in {1, 2}, and compute_reps on
+    random sides."""
     rng = random.Random(909)
     cases = []
     for _ in range(25):
@@ -279,7 +280,8 @@ def test_lookup_iterates_in_representative_order():
         for d in (1, 2):
             fams += [compute_reps(g, rng.randrange(1 << g.n), d) for _ in range(3)]
         for fam in fams:
-            assert list(fam.lookup.values()) == list(range(fam.class_count))
+            reps = list(fam.reps.values())
+            assert reps == sorted(reps, key=lambda r: (r.bit_count(), lex_key(r)))
             families += 1
     assert families > 500
 
@@ -310,7 +312,7 @@ def assert_coarsened(g, lay, rng, samples):
     for x in lay.postorder():
         for fam1, fam2 in ((near1[x], near2[x]), (far1[x], far2[x])):
             assert fam1.d == 1 and fam1.side == fam2.side
-            assert fam1.class_count == len({key & low for key in fam2.lookup})
+            assert fam1.class_count == len({key & low for key in fam2.reps})
             for sub in random_subsets(rng, fam1.side, samples):
                 rep = fam1.rep_of(sub)
                 assert neighbor_counts(g, fam1.side, 1, rep) == neighbor_counts(g, fam1.side, 1, sub)

@@ -17,7 +17,13 @@ Y in F the first row in best-first order that completes Y is a heaviest
 such row, and the lexicographically smallest among those, so it is kept.
 S-forests are closed under taking subsets, so a far set outside F is
 completed by no row, before or after the reduction.  The kept rows thus
-represent the merged table, and there are at most |F| of them.
+represent the merged table, and there are at most |F| of them.  F is grown
+one far vertex at a time and carries each Y's components of Y \\ S and
+trees.  Whether a row x completes Y is then read from the `BlockStore`
+join formula below, with no search: both have excess 0, so x | Y is an
+S-forest exactly when the edges between them with an end in S, plus the
+merges Y's components make among x's boundary components, minus the
+merges Y's trees make among x's boundary trees, sum to 0.
 
 The signature route keeps the first row per boundary signature: x &
 near_bnd, and the boundary parts of x's boundary components and trees, as
@@ -46,12 +52,16 @@ all of them.
 
 Every node pays O(boundary) per row for the signature pass.  A node then
 takes the completion route exactly when 2^|far side| is at most the
-number of far-side candidates an index can name (`completion_route`): the
-completion route's work per row grows with the far subsets, the key
-route's with those candidates.  So it runs near the root of a layout,
-where the far side has a handful of vertices.  Elsewhere the survivors are
-the table unless they outnumber `fam_x2.class_count` times the bit length
-of `len(far_cands)` (`signature_route`); then the key route reduces them.
+number of far-side candidates an index can name, or at most a quarter of
+the merged rows (`completion_route`): the completion route's work per row
+grows with the far subsets, the key route's with those candidates, and a
+merged table that dwarfs the far subsets is cut to at most one row per
+far S-forest.  So it runs near the root of a layout, where the far side
+has a handful of vertices.  Elsewhere the survivors are the table when
+there is at most one of them, or when they number at most
+`fam_x2.class_count` times the bit length of `len(far_cands)`
+(`signature_route`); otherwise the key route reduces them.  A lone
+survivor of excess 0 is kept by the key route too.
 The key route pays at least one scan of the far candidates per survivor,
 and more per bucket key, to keep fewer rows.  The signature route pays
 O(boundary) per row but passes more rows up, and the next merge
@@ -572,36 +582,176 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
             stack.append((allowed & ~clashes[j], size + 1, hooked, merged, nxt))
 
 
-def completion_route(ctx: NodeContext) -> bool:
-    """Whether `reduce_table` keeps rows at this node by completion sets:
-    exactly when the far side has at most `len(ctx.far_cands)` subsets."""
-    return ctx.cvx.bit_count() < len(ctx.far_cands).bit_length()
+def completion_route(ctx: NodeContext, rows: int) -> bool:
+    """Whether `reduce_table` keeps rows at this node by completion sets,
+    given the number of merged rows: exactly when the far side has at most
+    `len(ctx.far_cands)` subsets, or at most a quarter of `rows`."""
+    far = ctx.cvx.bit_count()
+    return far < len(ctx.far_cands).bit_length() or far + 2 < rows.bit_length()
 
 
 def signature_route(ctx: NodeContext, survivors: int) -> bool:
     """Whether the first rows per boundary signature, `survivors` of them,
-    are kept as they are: exactly when they number at most
-    `ctx.fam_x2.class_count` times the bit length of `len(ctx.far_cands)`.
-    Otherwise the key route reduces them further."""
-    return survivors <= ctx.fam_x2.class_count * len(ctx.far_cands).bit_length()
+    are kept as they are: exactly when there is at most one, or they
+    number at most `ctx.fam_x2.class_count` times the bit length of
+    `len(ctx.far_cands)`.  Otherwise the key route reduces them further."""
+    return survivors <= 1 or survivors <= ctx.fam_x2.class_count * len(ctx.far_cands).bit_length()
+
+
+FarForest = Tuple[int, Tuple[int, ...], Tuple[int, ...]]  # Y, its components of Y \ S, its trees
+
+
+def _far_forests(ctx: NodeContext, inst: Instance) -> List[FarForest]:
+    """Every far S-forest Y, with its components of Y \\ S and its trees.
+
+    Grown one far vertex at a time, since every subset of an S-forest is
+    one.  Adding a vertex v to Y joins {v} to Y by the `BlockStore` join
+    formula: the excess grows by the edges from v to Y with an end in S,
+    plus the components of Y \\ S that v merges (none when v is in S),
+    minus the trees of Y it merges.  Y | v is kept exactly when that sum
+    is 0."""
+    adj, s = inst.graph.adj, inst.s_set
+    forests: List[FarForest] = [(0, (), ())]
+    for v in bits(ctx.cvx):
+        nb, bit, in_s = adj[v], 1 << v, s >> v & 1
+        grown = []
+        for y, comps, trees in forests:
+            hit = nb & y
+            excess = (hit if in_s else hit & s).bit_count()
+            tree = bit
+            rest_trees = []
+            for t in trees:
+                if t & nb:
+                    tree |= t
+                    excess -= 1
+                else:
+                    rest_trees.append(t)
+            if not in_s:
+                comp = bit
+                rest_comps = []
+                for c in comps:
+                    if c & nb:
+                        comp |= c
+                        excess += 1
+                    else:
+                        rest_comps.append(c)
+                comps = (*rest_comps, comp)
+            if not excess:
+                grown.append((y | bit, comps, (*rest_trees, tree)))
+        forests += grown
+    return forests
+
+
+def _merges(atts: List[int]) -> int:
+    """Merges made by joining pieces, with these attachments, to the pieces
+    of the other side.  An attachment is the set of other-side pieces a
+    piece meets, as bits.  A piece merges once with every distinct group it
+    meets, the groups being those the pieces before it have joined."""
+    if len(atts) < 2:
+        return atts[0].bit_count() if atts else 0
+    merges = 0
+    groups: List[int] = []
+    for a in atts:
+        merges += a.bit_count()
+        rest = []
+        for grp in groups:
+            if grp & a:
+                merges += 1 - (grp & a).bit_count()
+                a |= grp
+            else:
+                rest.append(grp)
+        rest.append(a)
+        groups = rest
+    return merges
+
+
+def _incomplete(
+    ctx: NodeContext, inst: Instance, x: int, st: Structure, forests: Iterable[FarForest]
+) -> List[FarForest]:
+    """The far S-forests among `forests` that the row x, of excess 0 and
+    structure `st`, does not complete to an S-forest.
+
+    By the `BlockStore` join formula, the excess of x | Y is the sum over
+    v in Y of e_v, the edges from v to x with an end in S, plus the merges
+    Y's components of Y \\ S make among x's boundary components, minus the
+    merges Y's trees make among x's boundary trees.  A far vertex meets x
+    only in x & near_bnd, so each v is read once per row: e_v and the
+    components and trees of x it meets.  A far set that meets x nowhere is
+    completed."""
+    adj, s, bnd = inst.graph.adj, inst.s_set, ctx.near_bnd
+    xb = x & bnd
+    comps = [c for c in st.comps if c & bnd]
+    trees = [t for t in st.trees if t & bnd]
+    touch = 0
+    meets: Dict[int, Tuple[int, int, int]] = {}  # v -> e_v, x's components, x's trees
+    for v in bits(ctx.cvx):
+        hit = adj[v] & xb
+        if hit:
+            touch |= 1 << v
+            in_s = s >> v & 1
+            meets[v] = (
+                (hit if in_s else hit & s).bit_count(),
+                0 if in_s else sum(1 << i for i, c in enumerate(comps) if c & hit),
+                sum(1 << i for i, t in enumerate(trees) if t & hit),
+            )
+    rest = []
+    for f in forests:
+        y, ycomps, ytrees = f
+        if not y & touch:
+            continue
+        excess = 0
+        tree_atts = []
+        for p in ytrees:
+            att = 0
+            for v in bits(p & touch):
+                e, _, t = meets[v]
+                excess += e
+                att |= t
+            if att:
+                tree_atts.append(att)
+        comp_atts = []
+        for p in ycomps:
+            att = 0
+            for v in bits(p & touch):
+                att |= meets[v][1]
+            if att:
+                comp_atts.append(att)
+        if excess + _merges(comp_atts) != _merges(tree_atts):
+            rest.append(f)
+    return rest
+
+
+def _least(forests: List[FarForest]) -> List[FarForest]:
+    """The members of `forests` that hold no member one vertex smaller.  For
+    the open far S-forests these are the least ones (see
+    `_keep_by_completions`)."""
+    ys = {y for y, _, _ in forests}
+    return [f for f in forests if not any(f[0] ^ 1 << v in ys for v in bits(f[0]))]
 
 
 def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Iterable[int]) -> List[int]:
     """The rows, best first, that complete a far S-forest no earlier kept
-    row completes; stops once every far S-forest is covered."""
-    g, s = inst.graph, inst.s_set
-    # Grown one far vertex at a time: every subset of an S-forest is one.
-    open_ys = [0]
-    for v in bits(ctx.cvx):
-        open_ys += [y | 1 << v for y in open_ys if is_s_forest(g, y | 1 << v, s)]
+    row completes; stops once every far S-forest is covered.  The rows have
+    excess 0, and `ctx.blocks` holds their structures.
+
+    A row completes every subset of a far set it completes, so the open far
+    S-forests (those no kept row completes) are closed under supersets
+    among the far S-forests.  A row thus completes an open one exactly when
+    it completes a least one, with no open proper subset; and such a
+    subset, if any, lies one vertex below.  Each row is tried on the least
+    open ones, and only a kept row on them all."""
+    of, node = ctx.blocks.of, ctx.node
+    open_ys = _far_forests(ctx, inst)
+    least = open_ys[:1]  # the empty set
     keep = []
     for x in rows:
         if not open_ys:
             break
-        rest = [y for y in open_ys if not is_s_forest(g, x | y, s)]
-        if len(rest) < len(open_ys):
+        st = of(node, x)
+        if len(_incomplete(ctx, inst, x, st, least)) < len(least):
             keep.append(x)
-            open_ys = rest
+            open_ys = _incomplete(ctx, inst, x, st, open_ys)
+            least = _least(open_ys)
     return keep
 
 
@@ -674,7 +824,7 @@ def reduce_table(table: Table, ctx: NodeContext, inst: Instance) -> Table:
     route refines them when it does not.  Either refinement keeps what it
     would keep from all the rows of excess 0 (see the module docstring)."""
     rows = _first_per_signature(ctx, sorted(table, key=lambda m: (-table[m], lex_order(m))))
-    if completion_route(ctx):
+    if completion_route(ctx, len(table)):
         rows = _keep_by_completions(ctx, inst, rows)
     else:
         rows = list(rows)

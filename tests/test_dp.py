@@ -74,7 +74,7 @@ def context_for(inst, below_mask, order=None):
 
 
 def _force_key_route(monkeypatch):
-    monkeypatch.setattr(dp, "completion_route", lambda ctx: False)
+    monkeypatch.setattr(dp, "completion_route", lambda ctx, rows: False)
     monkeypatch.setattr(dp, "signature_route", lambda ctx, survivors: False)
 
 
@@ -410,14 +410,31 @@ def _golden_cases():
         yield f"sfvs-n{n}", Instance(g, s, tuple(rng.choice((1, 1, 2)) for _ in range(n))), lay
     _, g, lay = _golden_layout(4, 11)
     yield "fvs-n11", Instance(g, g.vertices, (1,) * 11), lay
-    rng, g, lay = _golden_layout(5, 11)
+    yield "nmc-n11", *_hub_case(*_golden_layout(5, 11))
+
+
+def _hub_case(rng, g, lay):
+    """Node multiway cut on g with up to three pairwise non-adjacent
+    terminals and weights in 1..5, drawn from rng, as the hub reduction's
+    sfvs instance on the layout extended by the hub."""
     terminals = []
-    for v in rng.sample(range(11), 11):
+    for v in rng.sample(range(g.n), g.n):
         if len(terminals) < 3 and not any(g.has_edge(v, t) for t in terminals):
             terminals.append(v)
-    nmc = NmcInstance(g, tuple(sorted(terminals)), tuple(rng.randint(1, 5) for _ in range(11)))
+    nmc = NmcInstance(g, tuple(sorted(terminals)), tuple(rng.randint(1, 5) for _ in range(g.n)))
     inst, hub = reduce_to_sfvs(nmc)
-    yield "nmc-n11", inst, extend_layout(lay, hub)
+    return inst, extend_layout(lay, hub)
+
+
+def _dense_layout(seed):
+    """G(10, 40) on a shuffled caterpillar, with the rng that drew it.  At
+    seed 3 its wide cuts send a node through the key route, both as an sfvs
+    instance and as the hub reduction of a multiway cut."""
+    rng = random.Random(f"dense:{seed}:10")
+    g = Graph(10, rng.sample([(u, v) for u in range(10) for v in range(u + 1, 10)], 40))
+    order = list(range(10))
+    rng.shuffle(order)
+    return rng, g, layout_from_order(order)
 
 
 # sha256 over repr((node, sorted merged items, sorted reduced items)) at every
@@ -707,24 +724,31 @@ def test_both_routes_represent_the_merged_table():
     three routes are told apart and checked each.  On every route each
     kept row is the first S-forest row, in (-weight, lex_order) order, of
     its boundary signature, the signature taken from scratch.  A node takes
-    the completion route exactly when 2^|far side| <= len(far_cands).
-    There the table is exactly the first row that completes each far
-    S-forest Y, so it has at most |F| rows for the set F of those Y.
+    the completion route exactly when 2^|far side| <= len(far_cands) or
+    4 * 2^|far side| <= len(merged), and some random binary node below
+    the root takes it by the second test alone.  There the table is exactly the first row
+    that completes each far S-forest Y, so it has at most |F| rows for the
+    set F of those Y.
     Elsewhere the first S-forest row per signature survives, and the key
     route's kept rows (the full keep rule replayed) are among them.  When
-    the survivors number at most fam_x2.class_count *
-    len(far_cands).bit_length(), they are the table; otherwise the table
-    is the key route's.  Covers the golden cases, the nmc hub case and 30
-    random binary layouts (n <= 12, random S, weights in -1..4); each kind
-    of case takes every route."""
+    there is at most one survivor, or they number at most
+    fam_x2.class_count * len(far_cands).bit_length(), they are the table;
+    otherwise the table is the key route's.  Covers the golden cases and
+    one sfvs and one nmc hub case on `_dense_layout(3)` (two kinds: sfvs
+    and nmc), and 30 random binary layouts (n <= 12, random S, weights in
+    -1..4); each kind of case takes every route."""
     rng = random.Random(15)
-    cases = [("nmc" if name.startswith("nmc") else "golden", inst, lay) for name, inst, lay in _golden_cases()]
+    cases = [("nmc" if name.startswith("nmc") else "sfvs", inst, lay) for name, inst, lay in _golden_cases()]
+    dense_rng, g, lay = _dense_layout(3)
+    cases.append(("sfvs", Instance(g, mask_of(dense_rng.sample(range(10), 3)), (1,) * 10), lay))
+    cases.append(("nmc", *_hub_case(*_dense_layout(3))))
     for _ in range(30):
         inst, lay = _random_binary_case(rng, rng.randint(2, 12))
         n = inst.n
         s = mask_of(v for v in range(n) if rng.random() < 0.4)
         cases.append(("binary", Instance(inst.graph, s, tuple(rng.randint(-1, 4) for _ in range(n))), lay))
     routes = {}  # kind of case -> nodes per route
+    widened = {}  # kind of case -> nodes below the root routed by table size alone
     for kind, inst, lay in cases:
         g, s = inst.graph, inst.s_set
 
@@ -743,10 +767,11 @@ def test_both_routes_represent_the_merged_table():
             survivors = set(first.values())
             assert set(got) <= survivors, (kind, node)
             far = ctx.cvx.bit_count()
-            route = dp.completion_route(ctx)
-            assert route == (2 ** far <= len(ctx.far_cands))
+            route = dp.completion_route(ctx, len(merged))
+            assert route == (2 ** far <= len(ctx.far_cands) or 4 * 2 ** far <= len(merged))
             if route:
                 counts["completion"] += 1
+                widened[kind] = widened.get(kind, 0) + (far > 0 and 2 ** far > len(ctx.far_cands))
                 forests = [y for y in range(1 << g.n) if not y & ~ctx.cvx and is_s_forest(g, y, s)]
                 want = {next((x for x in order if is_s_forest(g, x | y, s)), None) for y in forests}
                 assert set(got) == want - {None}, (kind, node)
@@ -754,7 +779,7 @@ def test_both_routes_represent_the_merged_table():
                 return
             keyed, _ = _literal_keep(inst, ctx, merged)
             assert keyed.keys() <= survivors, (kind, node)
-            if len(survivors) <= ctx.fam_x2.class_count * len(ctx.far_cands).bit_length():
+            if len(survivors) <= max(1, ctx.fam_x2.class_count * len(ctx.far_cands).bit_length()):
                 counts["signature"] += 1
                 assert set(got) == survivors, (kind, node)
             else:
@@ -762,8 +787,64 @@ def test_both_routes_represent_the_merged_table():
                 assert list(got.items()) == list(keyed.items()), (kind, node)
 
         solve(inst, lay, trace=watch)
-    assert set(routes) == {"golden", "nmc", "binary"}
+    assert set(routes) == {"sfvs", "nmc", "binary"}
     assert all(min(counts.values()) > 0 for counts in routes.values()), routes
+    assert widened.get("binary", 0) > 0, widened
+
+
+def _far_subsets(cvx):
+    subsets = [0]
+    for v in bits(cvx):
+        subsets += [y | 1 << v for y in subsets]
+    return subsets
+
+
+def test_completion_pairs_match_definition(monkeypatch):
+    """At every completion-route node, `_far_forests` lists exactly the far
+    sets Y with G[Y] an S-forest, and for every merged row x of excess 0
+    and every such Y, `_incomplete` leaves Y open exactly when x | Y is not
+    an S-forest (`is_s_forest`): the decision read from carried structures
+    is the definition.  Covers the golden cases, the nmc hub case on
+    `_dense_layout(3)`, 30 random binary layouts (n <= 12) and the n = 85
+    interval case, where the route is forced at every node whose far side
+    has at most 8 vertices."""
+    rng = random.Random(22)
+    cases = [(inst, lay) for _, inst, lay in _golden_cases()]
+    cases.append(_hub_case(*_dense_layout(3)))
+    for _ in range(30):
+        inst, lay = _random_binary_case(rng, rng.randint(2, 12))
+        s = mask_of(v for v in range(inst.n) if rng.random() < 0.4)
+        cases.append((Instance(inst.graph, s, inst.weights), lay))
+    forced = _interval_case(1, 85)
+    cases.append(forced)
+    checked = {"nodes": 0, "forced": 0, "pairs": 0, "open": 0}
+    for inst, lay in cases:
+        g, s = inst.graph, inst.s_set
+
+        def watch(node, ctx, merged, reduced):
+            if not dp.completion_route(ctx, len(merged)):
+                return
+            forests = dp._far_forests(ctx, inst)
+            ys = [y for y, _, _ in forests]
+            assert sorted(ys) == [y for y in sorted(_far_subsets(ctx.cvx)) if is_s_forest(g, y, s)]
+            for x in merged:
+                st = ctx.blocks.of(node, x)
+                if st.excess:
+                    continue
+                left = {y for y, _, _ in dp._incomplete(ctx, inst, x, st, forests)}
+                for y in ys:
+                    assert (y not in left) == is_s_forest(g, x | y, s), (node, x, y)
+                checked["pairs"] += len(ys)
+                checked["open"] += len(left)
+            checked["nodes"] += 1
+            checked["forced"] += inst is forced[0]
+
+        with monkeypatch.context() as m:
+            if inst is forced[0]:
+                m.setattr(dp, "completion_route", lambda ctx, rows: ctx.cvx.bit_count() <= 8)
+            solve(inst, lay, trace=watch)
+    assert checked["open"] > 0 and checked["pairs"] > checked["open"], checked
+    assert checked["nodes"] > 80 and checked["forced"] == 9, checked
 
 
 def test_reduced_tables_represent_at_n85():
@@ -790,7 +871,7 @@ def _routed_weight(monkeypatch, inst, lay, route):
         if route == "key":
             _force_key_route(m)
         elif route == "signature":
-            m.setattr(dp, "completion_route", lambda ctx: False)
+            m.setattr(dp, "completion_route", lambda ctx, rows: False)
             m.setattr(dp, "signature_route", lambda ctx, survivors: True)
         return solve(inst, lay).weight
 

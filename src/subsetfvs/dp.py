@@ -48,7 +48,19 @@ signature.  One winner per bucket preserves the best completion for every
 subset of the other side.  The buckets are a function of the boundary
 signature, so the key route only ever reduces the signature route's rows
 further: it runs on those rows and keeps exactly what it would keep from
-all of them.
+all of them.  A row is kept exactly when its keys add one to those of the
+rows before it.  So a row whose keys some earlier row already had adds
+none, and the key route skips the search for it.  It tells such rows by a
+fingerprint of the row's profile (below) with four parts: each block's
+class key N(block & near_bnd) & cvx, named by its d=1 representative; the
+blocks' trees (`tree_of`); the matched candidates (`x_cands`); and the
+attachment types, each as its blocks and its set of far labels.  The four
+parts fix the keys.  Each p-subset head is the d=1 class of the unmatched
+rest, the union of the unmatched blocks' boundary parts, so its class key
+is the OR of theirs.  Labels are numbered once per node, so equal parts
+name equal labels.  Everything else `_bucket_keys` reads is a node
+constant.  Two rows with one fingerprint thus have one key set, and a row
+whose fingerprint an earlier row at the node had is dropped unsearched.
 
 Every node pays O(boundary) per row for the signature pass.  A node then
 takes the completion route exactly when 2^|far side| is at most the
@@ -62,10 +74,10 @@ there is at most one of them, or when they number at most
 `fam_x2.class_count` times the bit length of `len(far_cands)`
 (`signature_route`); otherwise the key route reduces them.  A lone
 survivor of excess 0 is kept by the key route too.
-The key route pays at least one scan of the far candidates per survivor,
-and more per bucket key, to keep fewer rows.  The signature route pays
-O(boundary) per row but passes more rows up, and the next merge
-multiplies them by the other child's rows.  Every bucket key starts with
+The key route pays at least one scan of the far candidate groups per
+survivor, and more per bucket key, to keep fewer rows.  The signature
+route pays O(boundary) per row but passes more rows up, and the next
+merge multiplies them by the other child's rows.  Every bucket key starts with
 a near class, so the key route's table grows with the class count, and
 survivors within a log factor of it leave it little to shrink for the
 scans it costs.  Past that, the survivors mostly repeat how they meet the
@@ -100,12 +112,16 @@ the same keys one candidate at a time.
 
 Buckets are plain tuples of ints.  Every candidate set an index can name
 (a matched component or S-vertex on the near side, a far-side set or
-singleton) is a label, and each label met during one `reduce_table` call
-gets one bit.  A signature group is the OR of its label bits, and a bucket
-key is the class of the unmatched rest followed by the group masks in an
-order fixed by the set of groups.  On the key route a solution stays
-exactly when one of its keys is not yet seen.  That is the minimum entry
-of each bucket, without holding the buckets.
+singleton) is a label with one bit per node.  The far labels are numbered
+when the key route starts at a node, grouped by their reach into the side,
+and a profile scans those groups, not the candidates; near labels are
+numbered as rows meet them.  A signature group is the OR of its label
+bits, and a bucket key is the class of the unmatched rest followed by the
+group masks in an order fixed by the set of groups.  Keys are compared
+only for equality, and any one-to-one numbering keeps equal keys equal.  On
+the key route a solution stays exactly when one of its keys is not yet
+seen.  That is the minimum entry of each bucket, without holding the
+buckets.
 
 The work per node and per row follows the cut's boundary (the side's
 vertices with a neighbor across the cut), not the number of vertices.
@@ -118,9 +134,9 @@ forest) is carried from the child rows through `BlockStore`, which joins
 two rows along the edges between them and keeps only the pieces on the
 boundary.  For the same reason a row's keys are a function of its
 boundary signature, so the key route sees only the signature route's
-survivors and profiles no repeat.  A row can still become an S-forest
-exactly when its excess is 0, so `reduce_table`'s signature pass skips
-the others and every root row is an S-forest.
+survivors and profiles no repeated signature.  A row can still become an
+S-forest exactly when its excess is 0, so `reduce_table`'s signature pass
+skips the others and every root row is an S-forest.
 """
 
 from __future__ import annotations
@@ -378,6 +394,48 @@ def _label_bit(labels: Dict[int, int], label: int) -> int:
     return bit
 
 
+LabelPart = Tuple[int, List[int]]  # label bits as a list, and their OR
+
+
+class _FarGroup(NamedTuple):
+    ext: int
+    sets: Tuple[Tuple[int, int], ...]  # e_bad and label bit of each far set
+    all_sets: LabelPart  # all of them
+    bad: int  # the union of their e_bad
+    single: Optional[LabelPart]  # the far singleton, if one has this ext
+
+
+def _far_groups(ctx: NodeContext, labels: Dict[int, int]) -> List[_FarGroup]:
+    """`ctx.far_cands` grouped by `ext`, in order of first member, with
+    every far label numbered in `labels`.
+
+    Candidates are classes, so no two share (ext, e_bad, singleton flag);
+    but many share `ext`, and with it their hit in every row.  A profile
+    scans the groups, not the candidates, and the key route builds them
+    once per node."""
+    sets: Dict[int, List[Tuple[int, int]]] = {}
+    singles: Dict[int, int] = {}
+    for label, ext, bad in ctx.far_cands:
+        bit = _label_bit(labels, label)
+        members = sets.setdefault(ext, [])
+        if label & 3 == _YS:
+            singles[ext] = bit
+        else:
+            members.append((bad, bit))
+    groups = []
+    for ext, members in sets.items():
+        bad = 0
+        for e_bad, _ in members:
+            bad |= e_bad
+        set_bits = [bit for _, bit in members]
+        single = singles.get(ext)
+        groups.append(_FarGroup(
+            ext, tuple(members), (sum(set_bits), set_bits), bad,
+            None if single is None else (single, [single]),
+        ))
+    return groups
+
+
 class _Profile(NamedTuple):
     # the blocks of a solution with a vertex on the boundary: components of
     # x \\ S, then S-vertices; tree_of numbers their trees
@@ -387,21 +445,33 @@ class _Profile(NamedTuple):
     # attachment types: attached blocks (bitmask), the trees of those
     # blocks, the label bits of the far-side candidates with that attachment
     types: Tuple[Tuple[int, Tuple[int, ...], List[int]], ...]
+    # what `_bucket_keys` reads of the row, up to the order of labels and
+    # types (see the module docstring); None in the oracles' reference
+    # profiles
+    fingerprint: Optional[tuple] = None
 
 
 def _profile(
-    ctx: NodeContext, x: int, xs_mask: int, st: Structure, labels: Dict[int, int]
+    ctx: NodeContext,
+    x: int,
+    xs_mask: int,
+    st: Structure,
+    labels: Dict[int, int],
+    groups: List[_FarGroup],
 ) -> _Profile:
     """Profile of an extendable solution x with S-part `xs_mask` and
     structure `st`.
 
     Only the blocks on the boundary enter the profile: no index can match
-    or hook the others.  Candidate labels get their bits from `labels`.
-    The surviving far-side candidates of `ctx.far_cands` are grouped by the
-    set they hit in x, so their attachment (the blocks they see) and its
-    trees are worked out once per distinct hit, and candidates with one
+    or hook the others.  Candidate labels get their bits from `labels`, the
+    far ones through `groups`, which is `_far_groups(ctx, labels)`.  The
+    surviving members of the far groups are grouped further by the set
+    they hit in x, so their attachment (the blocks they see) and its trees
+    are worked out once per distinct hit, and candidates with one
     attachment set form one attachment type.  A type that hooks one tree
-    twice would close a cycle and is dropped.
+    twice would close a cycle and is dropped.  The fingerprint names a
+    type's label set by the OR of its bits, which the groups carry, and
+    lists the types sorted, so it copies no label list.
     """
     bnd = ctx.near_bnd
     comps = [c for c in st.comps if c & bnd]
@@ -428,22 +498,26 @@ def _profile(
         if single_reps.count(rep) == 1:
             x_cands.append((_label_bit(labels, rep << 2 | _XS), nc + si))
 
-    # hit << 1 | singleton flag -> labels.  A far set is out when a matched
-    # S-vertex sees it twice; a far singleton when it sees a component
-    # twice, which depends on its hit alone.
-    by_hit: Dict[int, List[int]] = {}
-    for label, ext, bad in ctx.far_cands:
+    # hit << 1 | singleton flag -> label parts.  A far set is out when a
+    # matched S-vertex sees it twice; a far singleton when it sees a
+    # component twice, which depends on its hit alone.
+    by_hit: Dict[int, List[LabelPart]] = {}
+    for ext, sets, all_sets, bad, single in groups:
         hit = ext & x
-        if hit and not bad & xs_mask:
-            key = hit << 1 | (label & 3 == _YS)
-            bucket = by_hit.get(key)
-            if bucket is None:
-                by_hit[key] = [label]
-            else:
-                bucket.append(label)
+        if not hit:
+            continue
+        out = hit & xs_mask & bad
+        if out:
+            kept = [bit for e_bad, bit in sets if not e_bad & out]
+            if kept:
+                by_hit.setdefault(hit << 1, []).append((sum(kept), kept))
+        elif sets:
+            by_hit.setdefault(hit << 1, []).append(all_sets)
+        if single:
+            by_hit.setdefault(hit << 1 | 1, []).append(single)
 
-    by_att: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
-    for key, hooks in by_hit.items():
+    by_att: Dict[int, Tuple[Tuple[int, ...], List[LabelPart]]] = {}
+    for key, parts in by_hit.items():
         hit = key >> 1
         if key & 1 and any((hit & c).bit_count() > 1 for c in comps):
             continue
@@ -455,15 +529,28 @@ def _profile(
                 trees.add(tree_of[bj])
         if len(trees) < att.bit_count():
             continue  # two hooks into one tree close a cycle
-        label_bits = [_label_bit(labels, label) for label in hooks]
         known = by_att.get(att)
         if known is None:
-            by_att[att] = (tuple(trees), label_bits)
+            by_att[att] = (tuple(trees), parts)
         else:
-            known[1].extend(label_bits)
+            known[1].extend(parts)
 
-    types = tuple((att, trees, label_bits) for att, (trees, label_bits) in by_att.items())
-    return _Profile(tuple(blocks), tuple(tree_of), tuple(x_cands), types)
+    types = []
+    shape = []
+    for att, (trees, parts) in by_att.items():
+        mask = 0
+        label_bits: List[int] = []
+        for m, part_bits in parts:
+            mask |= m
+            label_bits += part_bits
+        types.append((att, trees, label_bits))
+        shape.append((att, mask))
+    block_keys = (*[fam1.rep_of(c & bnd) for c in comps], *single_reps)
+    tree_of_t, x_cands_t = tuple(tree_of), tuple(x_cands)
+    return _Profile(
+        tuple(blocks), tree_of_t, x_cands_t, tuple(types),
+        (block_keys, tree_of_t, x_cands_t, tuple(sorted(shape))),
+    )
 
 
 BucketKey = Tuple[int, ...]  # x_rest, then the label masks of the groups
@@ -508,7 +595,7 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
     cap_side = 2 * ctx.mim
     fam1 = ctx.fam_x1
     x_bnd = x & ctx.near_bnd  # the part of x its classes depend on
-    blocks, tree_of, x_cands, types = prof
+    blocks, tree_of, x_cands, types, _ = prof
 
     # The p-subsets: the blocks each one matches, its trees (bitmask), its
     # label mask per tree, and its key while none of its trees has a type:
@@ -795,16 +882,24 @@ def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List
     labels a repeat would name are already numbered, so a row whose
     signature an earlier (heavier or lexicographically smaller) one had
     adds no key to the seen set.  `reduce_table` therefore passes only the
-    first row per signature, and the kept rows are those the full keep
+    first row per signature.  Of those, a row whose profile fingerprint an
+    earlier row had has that row's keys (see the module docstring) and is
+    dropped without the search.  The kept rows are those the full keep
     rule keeps.
     """
     of, node, s = ctx.blocks.of, ctx.node, inst.s_set
     labels: Dict[int, int] = {}
+    groups = _far_groups(ctx, labels)
     seen: Set[BucketKey] = set()
+    searched: Set[tuple] = set()
     keep: List[int] = []
     for mask in rows:
+        prof = _profile(ctx, mask, mask & s, of(node, mask), labels, groups)
+        if prof.fingerprint in searched:
+            continue
+        searched.add(prof.fingerprint)
         before = len(seen)
-        _bucket_keys(ctx, mask, _profile(ctx, mask, mask & s, of(node, mask), labels), seen)
+        _bucket_keys(ctx, mask, prof, seen)
         if len(seen) > before:
             keep.append(mask)
     return keep
@@ -823,7 +918,10 @@ def reduce_table(table: Table, ctx: NodeContext, inst: Instance) -> Table:
     Otherwise they are the table when `signature_route` holds, and the key
     route refines them when it does not.  Either refinement keeps what it
     would keep from all the rows of excess 0 (see the module docstring)."""
-    rows = _first_per_signature(ctx, sorted(table, key=lambda m: (-table[m], lex_order(m))))
+    # Stable sorts: by weight, heaviest first, keeping lex_order among ties.
+    order = sorted(table, key=lex_order)
+    order.sort(key=table.__getitem__, reverse=True)
+    rows = _first_per_signature(ctx, order)
     if completion_route(ctx, len(table)):
         rows = _keep_by_completions(ctx, inst, rows)
     else:

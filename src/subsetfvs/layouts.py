@@ -143,16 +143,28 @@ def _rational_rank(rows: List[List[int]]) -> int:
 
 
 def rank_bipartite(g: Graph, a: int, b: int, field: str = "gf2") -> int:
-    """Rank of the adjacency matrix rows(a) x cols(b)."""
+    """Rank of the adjacency matrix rows(a) x cols(b).
+
+    The rational rank skips elimination when the distinct nonzero rows are
+    independent over GF(2).  For a 0/1 matrix, rank over GF(2) <= rank over
+    the rationals <= the number of distinct nonzero rows.  The second holds
+    because repeated and zero rows add nothing.  For the first, take rows
+    independent over GF(2) and suppose some rational combination of them
+    is 0.  Scale the coefficients to coprime integers: at least one is odd.
+    Reduced mod 2 they give a nontrivial GF(2) combination that is 0, a
+    contradiction.  So when the GF(2) rank of the distinct rows equals
+    their count, the rational rank is that count too.
+    """
     if field == "gf2":
         # The rows keep b's vertex ids as column positions: packing them
         # densely would only relabel columns in order.
         return gf2_rank([g.adj[v] & b for v in bits(a)])
     if field == "rational":
-        # Zero rows and columns add nothing to the rank: keep the rows of
-        # the vertices with a neighbour in b, and the columns those rows
-        # touch.
-        packed = [row for row in (g.adj[v] & b for v in bits(a)) if row]
+        # Zero and repeated rows add nothing to the rank, nor do columns no
+        # row touches.
+        packed = list({g.adj[v] & b for v in bits(a)} - {0})
+        if gf2_rank(packed) == len(packed):
+            return len(packed)
         touched = 0
         for row in packed:
             touched |= row

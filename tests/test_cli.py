@@ -564,6 +564,31 @@ def test_generate_interval_n200_solve_reaches_the_ilp_optimum(tmp_path, capsys, 
     assert report["objective_weight"] == optimum
 
 
+def test_generate_permutation_n28_solve_reaches_the_ilp_optimum(tmp_path, capsys, monkeypatch):
+    """Past brute force, on an input the key route carries: `generate
+    permutation --n 28` solved through the CLI matches the optimum of
+    perfbench's integer program with lazy cycle rows (its "random"
+    family), which shares no code with the package."""
+    pytest.importorskip("scipy")
+    pytest.importorskip("networkx")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_reference", ROOT / "perfbench" / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    prefix = str(tmp_path / "perm")
+    assert main(["generate", "permutation", "--n", "28", "--seed", "1", "--out", prefix]) == 0
+    capsys.readouterr()
+    code, report = run_json(tmp_path, capsys, ["solve", "--graph", prefix + ".gr", "--layout", prefix + ".layout"])
+    assert code == 0
+    g, weights, s_mask, names = parse_graph_file((tmp_path / "perm.gr").read_text())
+    s_flags = tuple(s_mask >> v & 1 for v in range(g.n))
+    case = reference.Case("generate-permutation-28", "random", "sfvs", tuple(names), weights, s_flags,
+                          tuple(g.edges()), ())
+    optimum = reference.reference_optimum(case)
+    assert reference.check_report(case, report, optimum) == []
+    assert report["objective_weight"] == optimum == 24
+
+
 @pytest.mark.parametrize("p", ["5", "-1", "1.0001", "nan"])
 def test_generate_rejects_edge_probability_outside_unit_interval(tmp_path, capsys, p):
     prefix = tmp_path / "x"

@@ -88,9 +88,13 @@ def key_route(monkeypatch):
 
 def _profile_solution(inst, ctx, x, labels):
     """The profile `reduce_table` builds for row x, from the structure
-    `ctx.blocks` carries, or None when x can never be extended."""
+    `ctx.blocks` carries, or None when x can never be extended.  The far
+    groups are built again on each call; once `labels` numbers the far
+    labels, they come out the same."""
     st = ctx.blocks.of(ctx.node, x)
-    return None if st.excess else _profile(ctx, x, x & inst.s_set, st, labels)
+    if st.excess:
+        return None
+    return _profile(ctx, x, x & inst.s_set, st, labels, dp._far_groups(ctx, labels))
 
 
 # ---------------------------------------------------------------- indices
@@ -1036,6 +1040,71 @@ def test_signature_skip_keeps_rows_with_other_boundary_partitions(monkeypatch, k
     kept = reduce_table(table, ctx, inst)
     assert sorted(calls) == sorted(rows)
     assert (kept, 2) == _literal_keep(inst, ctx, table) == (table, 2)
+
+
+def test_profile_skip_drops_a_row_whose_fingerprint_repeats(monkeypatch, key_route):
+    # Node side {0, 1, 2} with boundary {1, 2}: 1 and 2 both see only the
+    # far vertex 3.  {1} and {2} differ on the boundary, so both pass the
+    # signature pass, but each is one block of one d=1 class hooked by the
+    # same far candidates: one fingerprint, one key set.  Only the first
+    # row is searched, and the kept dict is the full keep rule's.
+    g = Graph(4, [(1, 3), (2, 3)])
+    inst = Instance(g, 0, (1,) * 4)
+    lay = layout_from_order([0, 1, 2, 3])
+    ctx = build_context(inst, lay, node_for(lay, 0b0111))
+    assert ctx.near_bnd == 0b0110
+    table = {0b0010: 1, 0b0100: 1}
+    calls = _counting_bucket_keys(monkeypatch)
+    kept = reduce_table(table, ctx, inst)
+    assert calls == [0b0010]
+    assert kept == _literal_keep(inst, ctx, table)[0] == {0b0010: 1}
+
+
+def _random_caterpillar_case(rng):
+    """G(n, p) with n = 5..11 on a shuffled caterpillar, S of any density
+    from sparse to all of V, weights 1..3."""
+    n = rng.randint(5, 11)
+    p = rng.choice([0.2, 0.3, 0.45, 0.6])
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    s = mask_of(v for v in range(n) if rng.random() < rng.choice([0.1, 0.3, 0.6, 1.0]))
+    order = list(range(n))
+    rng.shuffle(order)
+    return Instance(g, s, tuple(rng.choice((1, 1, 2, 3)) for _ in range(n))), layout_from_order(order)
+
+
+def test_profile_skip_matches_full_keep_rule(monkeypatch, key_route):
+    """With the key route at every node, the kept dicts (order included)
+    are those of the full keep rule.  Covers the wide cases of
+    `test_bucket_keys_match_per_candidate_reference` and 150 small random
+    caterpillars; on the latter, a fingerprint without the blocks' classes
+    or without the types' far labels keeps other rows.  On the wide cases
+    the skip fires: `_bucket_keys` runs for fewer rows than pass the
+    signature pass, so for fewer than the full rule enumerates."""
+    calls = _counting_bucket_keys(monkeypatch)
+    rng = random.Random(7)
+    small = [(f"random-{i}", _random_caterpillar_case(rng)) for i in range(150)]
+    wide = [
+        ("permutation-n14", _permutation_case(1, 14)),
+        ("permutation-n16", _permutation_case(1, 16)),
+        ("interval-n40", _interval_case(2, 40)),
+    ]
+    for name, (inst, lay) in small + wide:
+        searched = survivors = enumerated = 0
+
+        def watch(node, ctx, merged, reduced):
+            nonlocal searched, survivors, enumerated
+            want, count = _literal_keep(inst, ctx, merged)
+            assert list(reduced.items()) == list(want.items()), (name, node)
+            order = sorted(merged, key=lambda m: (-merged[m], lex_order(m)))
+            survivors += len(list(dp._first_per_signature(ctx, order)))
+            searched += len(calls)
+            enumerated += count
+            calls.clear()
+
+        solve(inst, lay, trace=watch)
+        assert searched <= survivors <= enumerated, name
+        if name in dict(wide):
+            assert searched < survivors, name
 
 
 def _show(label):

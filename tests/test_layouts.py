@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from subsetfvs import layouts
 from subsetfvs.graphs import Graph, bits, mask_of
 from subsetfvs.layouts import (
     RootedLayout,
@@ -158,6 +159,43 @@ def test_cut_rank_symmetry_random():
         a = rng.randrange(1 << n)
         for kind in ("gf2", "rational"):
             assert cut_rank(g, a, kind) == cut_rank(g, g.vertices & ~a, kind)
+
+
+def test_rational_rank_shortcut_matches_bareiss_on_random_cuts(monkeypatch):
+    """The rational rank returns the count of distinct nonzero rows, with no
+    elimination, when they are independent over GF(2).  On random cuts of
+    random graphs, shortcut or not, it equals Bareiss elimination on the
+    whole cut matrix, and both paths run."""
+    calls = []
+    monkeypatch.setattr(layouts, "_rational_rank", lambda rows: calls.append(rows) or _rational_rank(rows))
+    rng = random.Random(505)
+    cuts = shortcuts = 0
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        a = rng.randrange(1 << n)
+        b = g.vertices & ~a
+        full = [[g.adj[v] >> u & 1 for u in bits(b)] for v in bits(a)]
+        before = len(calls)
+        assert layouts.rank_bipartite(g, a, b, "rational") == (_rational_rank(full) if full else 0)
+        cuts += 1
+        shortcuts += len(calls) == before
+    assert cuts == 3000 and 0 < shortcuts < cuts
+
+
+def test_rational_rank_falls_back_when_gf2_rank_falls_short(monkeypatch):
+    # Side rows 110, 101 and 011 over the far vertices 3, 4, 5: their GF(2)
+    # rank is 2 (they sum to 0), their rational rank 3, so elimination runs.
+    g = Graph(6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
+    calls = []
+    monkeypatch.setattr(layouts, "_rational_rank", lambda rows: calls.append(rows) or _rational_rank(rows))
+    assert layouts.rank_bipartite(g, 0b000111, 0b111000, "gf2") == 2
+    assert layouts.rank_bipartite(g, 0b000111, 0b111000, "rational") == 3
+    assert len(calls) == 1
+    # Two of those rows are independent over GF(2): no elimination.
+    assert layouts.rank_bipartite(g, 0b000011, 0b111000, "rational") == 2
+    assert len(calls) == 1
 
 
 def packed_gf2_cut_rank(g, a):

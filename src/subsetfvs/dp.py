@@ -50,17 +50,19 @@ signature, so the key route only ever reduces the signature route's rows
 further: it runs on those rows and keeps exactly what it would keep from
 all of them.  A row is kept exactly when its keys add one to those of the
 rows before it.  So a row whose keys some earlier row already had adds
-none, and the key route skips the search for it.  It tells such rows by a
-fingerprint of the row's profile (below) with four parts: each block's
-class key N(block & near_bnd) & cvx, named by its d=1 representative; the
-blocks' trees (`tree_of`); the matched candidates (`x_cands`); and the
-attachment types, each as its blocks and its set of far labels.  The four
-parts fix the keys.  Each p-subset head is the d=1 class of the unmatched
-rest, the union of the unmatched blocks' boundary parts, so its class key
-is the OR of theirs.  Labels are numbered once per node, so equal parts
-name equal labels.  Everything else `_bucket_keys` reads is a node
-constant.  Two rows with one fingerprint thus have one key set, and a row
-whose fingerprint an earlier row at the node had is dropped unsearched.
+none, and the key route skips the search for it.  It tells such rows by
+their fingerprint: the row's profile (below) without its blocks.  That
+leaves four parts: the blocks' trees (`tree_of`); the matched candidates
+(`x_cands`); the attachment types, sorted, each as its blocks, their
+trees and the OR of its far labels; and each block's class key
+N(block & near_bnd) & cvx, named by its d=1 representative (`classes`).
+The four parts fix the keys.  Each p-subset head is the d=1 class of the
+unmatched rest, the union of the unmatched blocks' boundary parts, so its
+class key is the OR of theirs.  Labels are numbered once per node, so
+equal parts name equal labels.  Everything else `_bucket_keys` reads is a
+node constant.  Two rows with one fingerprint thus have one key set, and
+a row whose fingerprint an earlier row at the node had is dropped
+unsearched.
 
 Every node pays O(boundary) per row for the signature pass.  A node then
 takes the completion route exactly when 2^|far side| is at most the
@@ -115,13 +117,14 @@ Buckets are plain tuples of ints.  Every candidate set an index can name
 singleton) is a label with one bit per node.  The far labels are numbered
 when the key route starts at a node, grouped by their reach into the side,
 and a profile scans those groups, not the candidates; near labels are
-numbered as rows meet them.  A signature group is the OR of its label
-bits, and a bucket key is the class of the unmatched rest followed by the
-group masks in an order fixed by the set of groups.  Keys are compared
-only for equality, and any one-to-one numbering keeps equal keys equal.  On
-the key route a solution stays exactly when one of its keys is not yet
-seen.  That is the minimum entry of each bucket, without holding the
-buckets.
+numbered as rows meet them.  A profile holds each attachment type's far
+labels as the OR of their bits, and `_bucket_keys` splits that mask into
+single labels.  A signature group is the OR of its label bits, and a
+bucket key is the class of the unmatched rest followed by the group masks
+in an order fixed by the set of groups.  Keys are compared only for
+equality, and any one-to-one numbering keeps equal keys equal.  On the key
+route a solution stays exactly when one of its keys is not yet seen.  That
+is the minimum entry of each bucket, without holding the buckets.
 
 The work per node and per row follows the cut's boundary (the side's
 vertices with a neighbor across the cut), not the number of vertices.
@@ -187,6 +190,20 @@ class Structure(NamedTuple):
     comps: Tuple[int, ...]  # components of x \\ S on the boundary
     trees: Tuple[int, ...]  # components of x on the boundary
     excess: int
+
+
+def _glue(out: Sequence[int], piece: int, reach: int) -> List[int]:
+    """The pieces `out` with `piece` joined to each of them that meets
+    `reach`, the piece's neighbors on their side: the others first, then
+    the joined piece."""
+    rest = []
+    for other in out:
+        if other & reach:
+            piece |= other
+        else:
+            rest.append(other)
+    rest.append(piece)
+    return rest
 
 
 class BlockStore:
@@ -272,10 +289,9 @@ class BlockStore:
             excess,
         )
 
-    def _glue(self, out: Sequence[int], pieces: Sequence[int], crossing: int) -> List[int]:
+    def _glue(self, out: Sequence[int], pieces: Sequence[int], crossing: int) -> Sequence[int]:
         """Left pieces `out` joined with right pieces `pieces`; only the
         vertices of `crossing` reach the left side."""
-        out = list(out)
         for piece in pieces:
             hook = piece & crossing
             reach = self._reach.get(hook)
@@ -284,15 +300,7 @@ class BlockStore:
                 for v in bits(hook):
                     reach |= self.adj[v]
                 self._reach[hook] = reach
-            grown = piece
-            rest = []
-            for comp in out:
-                if comp & reach:
-                    grown |= comp
-                else:
-                    rest.append(comp)
-            rest.append(grown)
-            out = rest
+            out = _glue(out, piece, reach)
         return out
 
     def forget(self, masks: Iterable[int]) -> None:
@@ -394,15 +402,12 @@ def _label_bit(labels: Dict[int, int], label: int) -> int:
     return bit
 
 
-LabelPart = Tuple[int, List[int]]  # label bits as a list, and their OR
-
-
 class _FarGroup(NamedTuple):
     ext: int
     sets: Tuple[Tuple[int, int], ...]  # e_bad and label bit of each far set
-    all_sets: LabelPart  # all of them
+    all_sets: int  # the OR of their label bits
     bad: int  # the union of their e_bad
-    single: Optional[LabelPart]  # the far singleton, if one has this ext
+    single: int  # the label bit of the far singleton with this ext, or 0
 
 
 def _far_groups(ctx: NodeContext, labels: Dict[int, int]) -> List[_FarGroup]:
@@ -424,15 +429,11 @@ def _far_groups(ctx: NodeContext, labels: Dict[int, int]) -> List[_FarGroup]:
             members.append((bad, bit))
     groups = []
     for ext, members in sets.items():
-        bad = 0
-        for e_bad, _ in members:
+        bad = all_sets = 0
+        for e_bad, bit in members:
             bad |= e_bad
-        set_bits = [bit for _, bit in members]
-        single = singles.get(ext)
-        groups.append(_FarGroup(
-            ext, tuple(members), (sum(set_bits), set_bits), bad,
-            None if single is None else (single, [single]),
-        ))
+            all_sets |= bit
+        groups.append(_FarGroup(ext, tuple(members), all_sets, bad, singles.get(ext, 0)))
     return groups
 
 
@@ -442,13 +443,11 @@ class _Profile(NamedTuple):
     blocks: Tuple[int, ...]
     tree_of: Tuple[int, ...]
     x_cands: Tuple[Tuple[int, int], ...]  # label bit, block index
-    # attachment types: attached blocks (bitmask), the trees of those
-    # blocks, the label bits of the far-side candidates with that attachment
-    types: Tuple[Tuple[int, Tuple[int, ...], List[int]], ...]
-    # what `_bucket_keys` reads of the row, up to the order of labels and
-    # types (see the module docstring); None in the oracles' reference
-    # profiles
-    fingerprint: Optional[tuple] = None
+    # attachment types, sorted: attached blocks (bitmask), the trees of
+    # those blocks, the OR of the label bits of the far-side candidates
+    # with that attachment
+    types: Tuple[Tuple[int, Tuple[int, ...], int], ...]
+    classes: Tuple[int, ...]  # each block's d=1 representative
 
 
 def _profile(
@@ -468,10 +467,11 @@ def _profile(
     surviving members of the far groups are grouped further by the set
     they hit in x, so their attachment (the blocks they see) and its trees
     are worked out once per distinct hit, and candidates with one
-    attachment set form one attachment type.  A type that hooks one tree
-    twice would close a cycle and is dropped.  The fingerprint names a
-    type's label set by the OR of its bits, which the groups carry, and
-    lists the types sorted, so it copies no label list.
+    attachment set form one attachment type, its labels ORed into one
+    mask.  A type that hooks one tree twice would close a cycle and is
+    dropped.  The types are sorted, so the profile without its blocks,
+    `prof[1:]`, is the fingerprint the key route compares (see the module
+    docstring).
     """
     bnd = ctx.near_bnd
     comps = [c for c in st.comps if c & bnd]
@@ -498,59 +498,45 @@ def _profile(
         if single_reps.count(rep) == 1:
             x_cands.append((_label_bit(labels, rep << 2 | _XS), nc + si))
 
-    # hit << 1 | singleton flag -> label parts.  A far set is out when a
+    # hit << 1 | singleton flag -> label mask.  A far set is out when a
     # matched S-vertex sees it twice; a far singleton when it sees a
     # component twice, which depends on its hit alone.
-    by_hit: Dict[int, List[LabelPart]] = {}
+    by_hit: Dict[int, int] = {}
     for ext, sets, all_sets, bad, single in groups:
         hit = ext & x
         if not hit:
             continue
         out = hit & xs_mask & bad
         if out:
-            kept = [bit for e_bad, bit in sets if not e_bad & out]
-            if kept:
-                by_hit.setdefault(hit << 1, []).append((sum(kept), kept))
-        elif sets:
-            by_hit.setdefault(hit << 1, []).append(all_sets)
+            kept = 0
+            for e_bad, bit in sets:
+                if not e_bad & out:
+                    kept |= bit
+        else:
+            kept = all_sets
+        if kept:
+            by_hit[hit << 1] = by_hit.get(hit << 1, 0) | kept
         if single:
-            by_hit.setdefault(hit << 1 | 1, []).append(single)
+            by_hit[hit << 1 | 1] = by_hit.get(hit << 1 | 1, 0) | single
 
-    by_att: Dict[int, Tuple[Tuple[int, ...], List[LabelPart]]] = {}
-    for key, parts in by_hit.items():
+    by_att: Dict[int, int] = {}
+    for key, label_mask in by_hit.items():
         hit = key >> 1
         if key & 1 and any((hit & c).bit_count() > 1 for c in comps):
             continue
         att = 0
-        trees = set()
         for bj, block in enumerate(blocks):
             if hit & block:
                 att |= 1 << bj
-                trees.add(tree_of[bj])
-        if len(trees) < att.bit_count():
-            continue  # two hooks into one tree close a cycle
-        known = by_att.get(att)
-        if known is None:
-            by_att[att] = (tuple(trees), parts)
-        else:
-            known[1].extend(parts)
+        by_att[att] = by_att.get(att, 0) | label_mask
 
     types = []
-    shape = []
-    for att, (trees, parts) in by_att.items():
-        mask = 0
-        label_bits: List[int] = []
-        for m, part_bits in parts:
-            mask |= m
-            label_bits += part_bits
-        types.append((att, trees, label_bits))
-        shape.append((att, mask))
-    block_keys = (*[fam1.rep_of(c & bnd) for c in comps], *single_reps)
-    tree_of_t, x_cands_t = tuple(tree_of), tuple(x_cands)
-    return _Profile(
-        tuple(blocks), tree_of_t, x_cands_t, tuple(types),
-        (block_keys, tree_of_t, x_cands_t, tuple(sorted(shape))),
-    )
+    for att, label_mask in sorted(by_att.items()):
+        trees = {tree_of[bj] for bj in bits(att)}
+        if len(trees) == att.bit_count():  # two hooks into one tree close a cycle
+            types.append((att, tuple(trees), label_mask))
+    classes = (*[fam1.rep_of(c & bnd) for c in comps], *single_reps)
+    return _Profile(tuple(blocks), tuple(tree_of), tuple(x_cands), tuple(types), classes)
 
 
 BucketKey = Tuple[int, ...]  # x_rest, then the label masks of the groups
@@ -596,6 +582,8 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
     fam1 = ctx.fam_x1
     x_bnd = x & ctx.near_bnd  # the part of x its classes depend on
     blocks, tree_of, x_cands, types, _ = prof
+    # each type's label bits, as a list
+    label_cols = [[1 << b for b in bits(label_mask)] for _, _, label_mask in types]
 
     # The p-subsets: the blocks each one matches, its trees (bitmask), its
     # label mask per tree, and its key while none of its trees has a type:
@@ -653,7 +641,8 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
             low = allowed & -allowed
             allowed ^= low
             j = low.bit_length() - 1
-            att, trees, col = types[j]
+            att, trees, _ = types[j]
+            col = label_cols[j]
             rs = {root[t] for t in trees}
             if len(rs) < len(trees):
                 continue  # two of its trees are joined already
@@ -685,46 +674,33 @@ def signature_route(ctx: NodeContext, survivors: int) -> bool:
     return survivors <= 1 or survivors <= ctx.fam_x2.class_count * len(ctx.far_cands).bit_length()
 
 
-FarForest = Tuple[int, Tuple[int, ...], Tuple[int, ...]]  # Y, its components of Y \ S, its trees
+FarForest = Tuple[int, List[int], List[int]]  # Y, its components of Y \ S, its trees
 
 
 def _far_forests(ctx: NodeContext, inst: Instance) -> List[FarForest]:
     """Every far S-forest Y, with its components of Y \\ S and its trees.
 
     Grown one far vertex at a time, since every subset of an S-forest is
-    one.  Adding a vertex v to Y joins {v} to Y by the `BlockStore` join
-    formula: the excess grows by the edges from v to Y with an end in S,
-    plus the components of Y \\ S that v merges (none when v is in S),
-    minus the trees of Y it merges.  Y | v is kept exactly when that sum
-    is 0."""
+    one.  Adding a vertex v to Y joins {v} to Y's pieces by `_glue` and
+    reads the `BlockStore` join formula: the excess grows by the edges from
+    v to Y with an end in S, plus the components of Y \\ S that v merges
+    (none when v is in S), minus the trees of Y it merges.  Y | v is kept
+    exactly when that sum is 0."""
     adj, s = inst.graph.adj, inst.s_set
-    forests: List[FarForest] = [(0, (), ())]
+    forests: List[FarForest] = [(0, [], [])]
     for v in bits(ctx.cvx):
         nb, bit, in_s = adj[v], 1 << v, s >> v & 1
         grown = []
         for y, comps, trees in forests:
             hit = nb & y
-            excess = (hit if in_s else hit & s).bit_count()
-            tree = bit
-            rest_trees = []
-            for t in trees:
-                if t & nb:
-                    tree |= t
-                    excess -= 1
-                else:
-                    rest_trees.append(t)
+            joined = _glue(trees, bit, nb)
+            excess = (hit if in_s else hit & s).bit_count() - (len(trees) + 1 - len(joined))
             if not in_s:
-                comp = bit
-                rest_comps = []
-                for c in comps:
-                    if c & nb:
-                        comp |= c
-                        excess += 1
-                    else:
-                        rest_comps.append(c)
-                comps = (*rest_comps, comp)
+                before = comps
+                comps = _glue(before, bit, nb)
+                excess += len(before) + 1 - len(comps)
             if not excess:
-                grown.append((y | bit, comps, (*rest_trees, tree)))
+                grown.append((y | bit, comps, joined))
         forests += grown
     return forests
 
@@ -882,10 +858,10 @@ def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List
     labels a repeat would name are already numbered, so a row whose
     signature an earlier (heavier or lexicographically smaller) one had
     adds no key to the seen set.  `reduce_table` therefore passes only the
-    first row per signature.  Of those, a row whose profile fingerprint an
-    earlier row had has that row's keys (see the module docstring) and is
-    dropped without the search.  The kept rows are those the full keep
-    rule keeps.
+    first row per signature.  Of those, a row whose profile without its
+    blocks, `prof[1:]`, an earlier row had has that row's keys (see the
+    module docstring) and is dropped without the search.  The kept rows
+    are those the full keep rule keeps.
     """
     of, node, s = ctx.blocks.of, ctx.node, inst.s_set
     labels: Dict[int, int] = {}
@@ -895,9 +871,10 @@ def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List
     keep: List[int] = []
     for mask in rows:
         prof = _profile(ctx, mask, mask & s, of(node, mask), labels, groups)
-        if prof.fingerprint in searched:
+        fingerprint = prof[1:]
+        if fingerprint in searched:
             continue
-        searched.add(prof.fingerprint)
+        searched.add(fingerprint)
         before = len(seen)
         _bucket_keys(ctx, mask, prof, seen)
         if len(seen) > before:

@@ -504,10 +504,11 @@ def profile_solution(
     """Reference for `dp._profile`, built from scratch: the
     components of x minus S by breadth-first search, the trees and the
     forbidden cycles by union-find over every block, and the class
-    representatives from whole blocks.  As in `dp`, the profile keeps the
-    blocks with a vertex that has a neighbor across the cut; tree ids are
-    the union-find roots.  `far_cands` is `far_candidates(inst.graph, ctx)`,
-    built once per node by the caller."""
+    representatives and the blocks' d=1 classes from whole blocks.  As in
+    `dp`, the profile keeps the blocks with a vertex that has a neighbor
+    across the cut, and each attachment type holds the OR of its label
+    bits; tree ids are the union-find roots.  `far_cands` is
+    `far_candidates(inst.graph, ctx)`, built once per node by the caller."""
     g, s = inst.graph, inst.s_set
     comps = components_masks(g, x & ~s)
     singles = list(bits(x & s))
@@ -558,7 +559,7 @@ def profile_solution(
 
     # Far-side candidates by attachment set, as in dp, but each candidate
     # on its own: its hit, its own degree checks, its own trees.
-    by_att: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
+    by_att: Dict[int, Tuple[Tuple[int, ...], int]] = {}  # att -> trees, label mask
     for label, ext, bad in far_cands:
         hit = ext & x
         if not hit or bad & x & s:
@@ -573,10 +574,11 @@ def profile_solution(
                 trees.add(tree_of[j])
         if len(trees) < att.bit_count():
             continue
-        known = by_att.setdefault(att, (tuple(trees), []))
-        known[1].append(_label_bit(labels, label))
-    types = tuple((att, trees, label_bits) for att, (trees, label_bits) in by_att.items())
-    return _Profile(tuple(blocks[bi] for bi in kept), tree_of, tuple(x_cands), types)
+        known = by_att.get(att, (tuple(trees), 0))
+        by_att[att] = (known[0], known[1] | _label_bit(labels, label))
+    types = tuple(sorted((att, trees, label_mask) for att, (trees, label_mask) in by_att.items()))
+    classes = tuple(ctx.fam_x1.rep_of(blocks[bi]) for bi in kept)
+    return _Profile(tuple(blocks[bi] for bi in kept), tree_of, tuple(x_cands), types, classes)
 
 
 Signature = Tuple[Tuple[Tuple[str, int], ...], ...]

@@ -597,28 +597,28 @@ def _balanced_case(seed, n):
 
 
 def _plain_profile(prof, labels):
-    """A profile free of block order, tree ids and label bits: the blocks,
-    the tree partition, the matched candidates with their blocks, and per
-    attachment type its blocks, labels and trees."""
+    """A profile free of block order, tree ids and label bits: the blocks
+    with their d=1 classes, the tree partition, the matched candidates with
+    their blocks, and per attachment type its blocks, labels and trees."""
     if prof is None:
         return None
     names = {bit: label for label, bit in labels.items()}
-    assert len(set(prof.blocks)) == len(prof.blocks)
+    assert len(set(prof.blocks)) == len(prof.blocks) == len(prof.classes)
     members = {}
     for block, t in zip(prof.blocks, prof.tree_of):
         members.setdefault(t, set()).add(block)
     tree = {t: frozenset(m) for t, m in members.items()}
     return (
-        frozenset(prof.blocks),
+        frozenset(zip(prof.blocks, prof.classes)),
         frozenset(tree.values()),
         frozenset((names[bit], prof.blocks[bi]) for bit, bi in prof.x_cands),
         frozenset(
             (
                 frozenset(prof.blocks[j] for j in bits(att)),
-                frozenset(names[bit] for bit in label_bits),
+                frozenset(names[1 << b] for b in bits(label_mask)),
                 frozenset(tree[t] for t in trees),
             )
-            for att, trees, label_bits in prof.types
+            for att, trees, label_mask in prof.types
         ),
     )
 
@@ -1060,6 +1060,32 @@ def test_profile_skip_drops_a_row_whose_fingerprint_repeats(monkeypatch, key_rou
     assert kept == _literal_keep(inst, ctx, table)[0] == {0b0010: 1}
 
 
+def test_profile_skip_searches_rows_that_differ_only_in_block_classes(monkeypatch, key_route):
+    # S = V, node side {0, 1, 2, 3}, every vertex on the boundary.  The rows
+    # {0, 1} and {2, 3} are each one tree of two S-vertices that both see
+    # the far vertex 4, so every far candidate would hook a tree twice and
+    # no type is left; no block is matched either.  Their profiles differ
+    # only in the blocks' d=1 classes, {0} against {2}, and so do their key
+    # sets.  The fingerprint must hold the classes, so both
+    # rows are searched and both are kept, as the full keep rule keeps them.
+    g = Graph(6, [(0, 1), (2, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 4)])
+    inst = Instance(g, g.vertices, (1,) * 6)
+    lay = layout_from_order(list(range(6)))
+    ctx = build_context(inst, lay, node_for(lay, 0b1111))
+    assert ctx.near_bnd == 0b1111
+    table = {0b0011: 2, 0b1100: 2}
+    profs = {x: _profile_solution(inst, ctx, x, {}) for x in table}
+    assert [profs[x][1:] for x in table] == [((0, 0), (), (), (1, 1)), ((0, 0), (), (), (4, 4))]
+    for x, classes in ((0b0011, 1), (0b1100, 4)):
+        keys = set()
+        _bucket_keys(ctx, x, profs[x], keys)
+        assert keys == {(classes,)}
+    calls = _counting_bucket_keys(monkeypatch)
+    kept = reduce_table(table, ctx, inst)
+    assert calls == [0b0011, 0b1100]
+    assert kept == _literal_keep(inst, ctx, table)[0] == table
+
+
 def _random_caterpillar_case(rng):
     """G(n, p) with n = 5..11 on a shuffled caterpillar, S of any density
     from sparse to all of V, weights 1..3."""
@@ -1079,7 +1105,9 @@ def test_profile_skip_matches_full_keep_rule(monkeypatch, key_route):
     caterpillars; on the latter, a fingerprint without the blocks' classes
     or without the types' far labels keeps other rows.  On the wide cases
     the skip fires: `_bucket_keys` runs for fewer rows than pass the
-    signature pass, so for fewer than the full rule enumerates."""
+    signature pass, so for fewer than the full rule enumerates.  At every
+    node, the signature survivors with one fingerprint (`prof[1:]`) get one
+    key set from `_bucket_keys`."""
     calls = _counting_bucket_keys(monkeypatch)
     rng = random.Random(7)
     small = [(f"random-{i}", _random_caterpillar_case(rng)) for i in range(150)]
@@ -1096,10 +1124,24 @@ def test_profile_skip_matches_full_keep_rule(monkeypatch, key_route):
             want, count = _literal_keep(inst, ctx, merged)
             assert list(reduced.items()) == list(want.items()), (name, node)
             order = sorted(merged, key=lambda m: (-merged[m], lex_order(m)))
-            survivors += len(list(dp._first_per_signature(ctx, order)))
+            first = list(dp._first_per_signature(ctx, order))
+            survivors += len(first)
             searched += len(calls)
             enumerated += count
             calls.clear()
+            # One fingerprint, one key set: the claim the skip rests on.
+            labels, by_fingerprint = {}, {}
+            for x in first:
+                prof = _profile_solution(inst, ctx, x, labels)
+                by_fingerprint.setdefault(prof[1:], []).append((x, prof))
+            for group in by_fingerprint.values():
+                if len(group) < 2:
+                    continue
+                key_sets = []
+                for x, prof in group:
+                    key_sets.append(set())
+                    _bucket_keys(ctx, x, prof, key_sets[-1])
+                    assert key_sets[-1] == key_sets[0], (name, node, x)
 
         solve(inst, lay, trace=watch)
         assert searched <= survivors <= enumerated, name
@@ -1127,7 +1169,8 @@ def test_bucket_keys_pinned_small_profile():
     prof = _profile_solution(inst, ctx, 0b0011, labels)
     names = {bit: label for label, bit in labels.items()}
     assert sorted(
-        (att, sorted(_show(names[bit]) for bit in label_bits)) for att, _, label_bits in prof.types
+        (att, sorted(_show(names[1 << b]) for b in bits(label_mask)))
+        for att, _, label_mask in prof.types
     ) == [(0b01, ["yn3", "ys3"]), (0b11, ["yn2", "yn23", "ys2"])]
     got = {
         (x_rest, frozenset(frozenset(map(_show, grp)) for grp in groups))
@@ -1170,7 +1213,7 @@ def test_bucket_keys_pinned_many_labels_and_groups():
         ctx = build_context(inst, lay, node_for(lay, 0b111111))
         assert ctx.mim == 4
         prof = _profile_solution(inst, ctx, 0b111, {})
-        assert {att: len(label_bits) for att, _, label_bits in prof.types} == per_att
+        assert {att: label_mask.bit_count() for att, _, label_mask in prof.types} == per_att
         got = _keys_by_type(inst, ctx, 0b111, {})
         assert got == _keys_by_candidate(inst, ctx, 0b111, {})
         assert len(got) == n_keys

@@ -26,8 +26,8 @@ merges Y's components make among x's boundary components, minus the
 merges Y's trees make among x's boundary trees, sum to 0.
 
 The signature route keeps the first row per boundary signature: x &
-near_bnd, and the boundary parts of x's boundary components and trees, as
-sets (see below for the boundary).  It is exact because a row meets a
+near_bnd, and the boundary parts of x's boundary components and trees,
+sorted (see below for the boundary).  It is exact because a row meets a
 completion only through the cut.  By the `BlockStore` join formula, the
 excess of x | Y, for a far set Y, is the excess of x plus that of Y plus
 one per edge between x and Y with an end in S, plus the merges that those
@@ -134,10 +134,11 @@ into the side are read from the class keys of the far families, which
 already hold them.  A row's block structure (its components, its trees,
 and its excess, the number of edges its S-contraction has beyond a
 forest) is carried from the child rows through `BlockStore`, which joins
-two rows along the edges between them and keeps only the pieces on the
-boundary.  For the same reason a row's keys are a function of its
-boundary signature, so the key route sees only the signature route's
-survivors and profiles no repeated signature.  A row can still become an
+two rows along the edges between them and keeps the boundary parts of
+the pieces on the boundary, sorted: at the node that joins a row, its
+signature is its structure as stored.  For the same reason a row's keys
+are a function of its boundary signature, so the key route sees only the
+signature route's survivors and profiles no repeated signature.  A row can still become an
 S-forest exactly when its excess is 0, so `reduce_table`'s signature pass
 skips the others and every root row is an S-forest.
 """
@@ -151,7 +152,6 @@ from typing import (
     Callable,
     Collection,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -179,9 +179,10 @@ class Structure(NamedTuple):
     """Block structure of a vertex set x below a layout node, as far as a
     merge further up can still change it.
 
-    The pieces listed are those with a vertex on the node's boundary (a
-    vertex with a neighbor outside the node): no later edge reaches the
-    others.  `excess` is over all of x.  It counts the edges of x's
+    The pieces listed are those with a vertex on the boundary (a vertex with
+    a neighbor outside the node) of the node that built the structure, as
+    their boundary parts, sorted: no later edge reaches the rest of x.
+    `excess` is over all of x.  It counts the edges of x's
     S-contraction (a node per component of x \\ S and per S-vertex, an
     edge per edge of x with an end in S) beyond a forest: edges minus nodes
     plus components.  x can still be extended to an S-forest exactly when
@@ -206,6 +207,11 @@ def _glue(out: Sequence[int], piece: int, reach: int) -> List[int]:
     return rest
 
 
+def _boundary_parts(pieces: Iterable[int], bnd: int) -> Tuple[int, ...]:
+    """The nonempty parts of `pieces` in `bnd`, sorted."""
+    return tuple(sorted([p & bnd for p in pieces if p & bnd]))
+
+
 class BlockStore:
     """Block structures of vertex sets below the nodes of one layout.
 
@@ -216,13 +222,16 @@ class BlockStore:
     plus one per such edge with an end in S (a new contraction edge), plus
     one per listed component of x \\ S that the join merges into another
     (one contraction node fewer), minus one per listed tree it merges into
-    another (one component fewer).  The structure of a set is kept by set
-    alone: asked at an ancestor of the node it was built at, it may list
-    pieces that have left the boundary since, and readers filter by their
-    own boundary.  `solve` asks for the rows of each merged table, whose
-    parts are rows of the child tables and already known, and then forgets
-    the rows no live table holds.  A set with unknown parts is built the
-    same way, from the leaves up.
+    another (one component fewer).  Pieces are stored as their boundary
+    parts at the node that joins the set, sorted.  That is exact: a join
+    reads a piece only in vertices with a neighbor across the child cut,
+    which lie on the boundary of every node below that holds them.  The
+    structure is kept by set alone: asked at an ancestor of that node, its
+    parts may hold vertices that have left the boundary since, and readers
+    cut them down to their own.  `solve` asks for the rows of each merged
+    table, whose parts (child rows, leaf sets) are known, so each row is
+    joined straight from them; it then forgets the rows no live table
+    holds.  A set with unknown parts is built from the leaves up.
     """
 
     def __init__(self, inst: Instance, layout: RootedLayout):
@@ -231,43 +240,46 @@ class BlockStore:
         self.s = inst.s_set
         self.layout = layout
         self.boundary = boundaries(inst.graph, layout)
+        self.known: Dict[int, Structure] = {0: Structure((), (), 0)}
         # crossing[y]: the vertices below y's right child with a neighbor
         # below its left child.
         self.crossing: List[int] = []
         for y in layout.postorder():
             crossing = 0
-            if not layout.is_leaf(y):
+            if layout.is_leaf(y):
+                v = 1 << layout.leaf_vertex[y]
+                listed = (v,) if v & self.boundary[y] else ()
+                self.known[v] = Structure(() if v & self.s else listed, listed, 0)
+            else:
                 for u in bits(self.boundary[layout.right[y]]):
                     if adj[u] & layout.below[layout.left[y]]:
                         crossing |= 1 << u
             self.crossing.append(crossing)
-        self.known: Dict[int, Structure] = {0: Structure((), (), 0)}
         self._reach: Dict[int, int] = {}  # neighbors of a set of right-side vertices
 
     def of(self, node: int, x: int) -> Structure:
         """Block structure of a vertex set x below `node`."""
-        got = self.known.get(x)
+        known = self.known
+        got = known.get(x)
         if got is not None:
             return got
-        lay, known = self.layout, self.known
+        lay = self.layout
+        left = x & lay.below[lay.left[node]]
+        if left in known and x ^ left in known:
+            got = known[x] = self._join(node, x)
+            return got
         # Preorder down to the nodes whose part of x is known, then join
-        # those parts children first.
+        # those parts children first.  A leaf's sets are always known.
         walk = []
         todo = [node]
         while todo:
             y = todo.pop()
             if x & lay.below[y] not in known:
                 walk.append(y)
-                if not lay.is_leaf(y):
-                    todo += (lay.left[y], lay.right[y])
+                todo += (lay.left[y], lay.right[y])
         for y in reversed(walk):
             part = x & lay.below[y]
-            if part in known:
-                continue
-            if lay.is_leaf(y):
-                listed = (part,) if part & self.boundary[y] else ()
-                known[part] = Structure(() if part & self.s else listed, listed, 0)
-            else:
+            if part not in known:
                 known[part] = self._join(y, part)
         return known[x]
 
@@ -283,11 +295,7 @@ class BlockStore:
             seen = adj[u] & left
             excess += (seen if s >> u & 1 else seen & s).bit_count()
         bnd = self.boundary[node]
-        return Structure(
-            tuple(c for c in comps if c & bnd),
-            tuple(t for t in trees if t & bnd),
-            excess,
-        )
+        return Structure(_boundary_parts(comps, bnd), _boundary_parts(trees, bnd), excess)
 
     def _glue(self, out: Sequence[int], pieces: Sequence[int], crossing: int) -> Sequence[int]:
         """Left pieces `out` joined with right pieces `pieces`; only the
@@ -304,10 +312,10 @@ class BlockStore:
         return out
 
     def forget(self, masks: Iterable[int]) -> None:
-        """Drop the structures of these sets, and the neighbor cache."""
+        """Drop the structures of these sets but a leaf's, and the neighbor cache."""
         known = self.known
         for m in masks:
-            if m:
+            if m & (m - 1):
                 known.pop(m, None)
         self._reach.clear()
 
@@ -438,8 +446,8 @@ def _far_groups(ctx: NodeContext, labels: Dict[int, int]) -> List[_FarGroup]:
 
 
 class _Profile(NamedTuple):
-    # the blocks of a solution with a vertex on the boundary: components of
-    # x \\ S, then S-vertices; tree_of numbers their trees
+    # the boundary parts of a solution's blocks on the boundary: components
+    # of x \\ S, then S-vertices; tree_of numbers their trees
     blocks: Tuple[int, ...]
     tree_of: Tuple[int, ...]
     x_cands: Tuple[Tuple[int, int], ...]  # label bit, block index
@@ -474,7 +482,7 @@ def _profile(
     docstring).
     """
     bnd = ctx.near_bnd
-    comps = [c for c in st.comps if c & bnd]
+    comps = [c & bnd for c in st.comps if c & bnd]
     singles = list(bits(xs_mask & bnd))
     nc = len(comps)
     blocks = comps + [1 << v for v in singles]
@@ -488,7 +496,7 @@ def _profile(
             t += 1
 
     fam1, fam2 = ctx.fam_x1, ctx.fam_x2
-    comp_reps = [fam2.rep_of(c & bnd) for c in comps]
+    comp_reps = [fam2.rep_of(c) for c in comps]
     single_reps = [fam1.rep_of(1 << v) for v in singles]
     x_cands: List[Tuple[int, int]] = []
     for bi, rep in enumerate(comp_reps):
@@ -535,7 +543,7 @@ def _profile(
         trees = {tree_of[bj] for bj in bits(att)}
         if len(trees) == att.bit_count():  # two hooks into one tree close a cycle
             types.append((att, tuple(trees), label_mask))
-    classes = (*[fam1.rep_of(c & bnd) for c in comps], *single_reps)
+    classes = (*[fam1.rep_of(c) for c in comps], *single_reps)
     return _Profile(tuple(blocks), tuple(tree_of), tuple(x_cands), tuple(types), classes)
 
 
@@ -728,25 +736,19 @@ def _merges(atts: List[int]) -> int:
     return merges
 
 
-def _incomplete(
-    ctx: NodeContext, inst: Instance, x: int, st: Structure, forests: Iterable[FarForest]
-) -> List[FarForest]:
-    """The far S-forests among `forests` that the row x, of excess 0 and
-    structure `st`, does not complete to an S-forest.
+# The far vertices that meet a row, and per such v: e_v, x's components, x's trees
+Meets = Tuple[int, Dict[int, Tuple[int, int, int]]]
 
-    By the `BlockStore` join formula, the excess of x | Y is the sum over
-    v in Y of e_v, the edges from v to x with an end in S, plus the merges
-    Y's components of Y \\ S make among x's boundary components, minus the
-    merges Y's trees make among x's boundary trees.  A far vertex meets x
-    only in x & near_bnd, so each v is read once per row: e_v and the
-    components and trees of x it meets.  A far set that meets x nowhere is
-    completed."""
+
+def _meets(ctx: NodeContext, inst: Instance, x: int, st: Structure) -> Meets:
+    """How the far vertices meet the row x of structure `st`.  A far vertex
+    meets x only in x & near_bnd, so each is read once per row."""
     adj, s, bnd = inst.graph.adj, inst.s_set, ctx.near_bnd
     xb = x & bnd
     comps = [c for c in st.comps if c & bnd]
     trees = [t for t in st.trees if t & bnd]
     touch = 0
-    meets: Dict[int, Tuple[int, int, int]] = {}  # v -> e_v, x's components, x's trees
+    meets: Dict[int, Tuple[int, int, int]] = {}
     for v in bits(ctx.cvx):
         hit = adj[v] & xb
         if hit:
@@ -757,6 +759,19 @@ def _incomplete(
                 0 if in_s else sum(1 << i for i, c in enumerate(comps) if c & hit),
                 sum(1 << i for i, t in enumerate(trees) if t & hit),
             )
+    return touch, meets
+
+
+def _incomplete(met: Meets, forests: Iterable[FarForest]) -> List[FarForest]:
+    """The far S-forests among `forests` that a row of excess 0, met by the
+    far vertices as `met` (`_meets`) says, does not complete to an S-forest.
+
+    By the `BlockStore` join formula, the excess of x | Y is the sum over
+    v in Y of e_v, the edges from v to x with an end in S, plus the merges
+    Y's components of Y \\ S make among x's boundary components, minus the
+    merges Y's trees make among x's boundary trees.  A far set that meets x
+    nowhere is completed."""
+    touch, meets = met
     rest = []
     for f in forests:
         y, ycomps, ytrees = f
@@ -802,7 +817,7 @@ def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Iterable[int]) 
     among the far S-forests.  A row thus completes an open one exactly when
     it completes a least one, with no open proper subset; and such a
     subset, if any, lies one vertex below.  Each row is tried on the least
-    open ones, and only a kept row on them all."""
+    open ones, and only a kept row on them all, both from one `_meets`."""
     of, node = ctx.blocks.of, ctx.node
     open_ys = _far_forests(ctx, inst)
     least = open_ys[:1]  # the empty set
@@ -810,33 +825,38 @@ def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Iterable[int]) 
     for x in rows:
         if not open_ys:
             break
-        st = of(node, x)
-        if len(_incomplete(ctx, inst, x, st, least)) < len(least):
+        met = _meets(ctx, inst, x, of(node, x))
+        if len(_incomplete(met, least)) < len(least):
             keep.append(x)
-            open_ys = _incomplete(ctx, inst, x, st, open_ys)
+            open_ys = _incomplete(met, open_ys)
             least = _least(open_ys)
     return keep
 
 
-_EMPTY_PART = frozenset([0])  # the boundary part of a piece off the boundary
+def _signature(x: int, st: Structure, bnd: int, left: int) -> tuple:
+    """Boundary signature of x, of structure `st`, at the node of boundary
+    `bnd` whose left child holds `left`: x & bnd, and the boundary parts of
+    x's boundary components and trees, sorted.  Joined at this node, x
+    carries exactly those; with all of it below one child, it carries the
+    child's parts, which are cut down here."""
+    if 0 < x & left < x:
+        return x & bnd, st.comps, st.trees
+    return x & bnd, _boundary_parts(st.comps, bnd), _boundary_parts(st.trees, bnd)
 
 
 def _first_per_signature(ctx: NodeContext, rows: Iterable[int]) -> Iterator[int]:
-    """The rows of excess 0, best first, whose boundary signature no earlier
-    such row had: x & near_bnd, and the boundary parts of its boundary
-    components and trees, as sets.  Rows of nonzero excess are skipped.
-    Lazy, so a caller that stops early builds no more structures."""
+    """The rows of excess 0, best first, whose `_signature` no earlier such
+    row had; rows of nonzero excess are skipped.  Lazy, so a caller that
+    stops early builds no more structures."""
     of, node, bnd = ctx.blocks.of, ctx.node, ctx.near_bnd
-    seen: Set[Tuple[int, FrozenSet[int], FrozenSet[int]]] = set()
+    lay = ctx.blocks.layout
+    left = lay.below[lay.left[node]]
+    seen: Set[tuple] = set()
     for mask in rows:
         st = of(node, mask)
         if st.excess:
             continue
-        sig = (
-            mask & bnd,
-            frozenset([c & bnd for c in st.comps]) - _EMPTY_PART,
-            frozenset([t & bnd for t in st.trees]) - _EMPTY_PART,
-        )
+        sig = _signature(mask, st, bnd, left)
         if sig not in seen:
             seen.add(sig)
             yield mask
@@ -850,7 +870,7 @@ def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List
     masks of the signature's groups, in an order fixed by the set of groups
     (see `_bucket_keys`).  A row meets a completion only through the
     boundary, so its keys are a function of its boundary signature (see
-    `_first_per_signature`).  Every input of the profile and of the keys
+    `_signature`).  Every input of the profile and of the keys
     reads only that much.  Far-side hits lie in x & near_bnd, since a
     vertex with a far neighbor is on the boundary.  Representatives come
     from a block's boundary part, the unmatched rest from x & near_bnd, and

@@ -26,11 +26,14 @@ representatives of A and B:
 `join` scans these unions and keeps the first per key in (size, lex) order,
 at d = 2 only.  `layout_families` runs it over a layout, near sides bottom-up
 and far sides top-down; `compute_reps` folds it over the singletons of an
-arbitrary side.  `coarsen` reads a side's d = 1 family off its d = 2 family:
-min(1, c) is a function of min(2, c), so a d = 1 class is the union of the
-d = 2 classes sharing its `once` mask, key & (2^n - 1).  A family lists its
-classes in (size, lex) order of their representatives, so the first met per
-`once` holds the minimum.
+arbitrary side.  A leaf's sides need no join: its near side is one vertex
+v, and its far side V \\ {v} is seen from v alone, so it has at most three
+d = 2 classes (no, one, or two or more neighbors of v), read off N(v).
+`coarsen` reads a side's d = 1 family off its d = 2 family: min(1, c) is a
+function of min(2, c), so a d = 1 class is the union of the d = 2 classes
+sharing its `once` mask, key & (2^n - 1).  A family lists its classes in
+(size, lex) order of their representatives, so the first met per `once`
+holds the minimum.
 """
 
 from __future__ import annotations
@@ -102,6 +105,22 @@ def _singleton_family(g: Graph, v: int) -> NecFamily:
     if not once:
         return NecFamily(g, side, 2, out, {0: 0})
     return NecFamily(g, side, 2, out, {0: 0, once: side})
+
+
+def _leaf_far_family(g: Graph, v: int) -> NecFamily:
+    """d = 2 family of V \\ {v}, seen from {v}.  A set's class is whether it
+    holds no neighbor of v, one, or two or more; the least members are the
+    empty set, v's least neighbor and v's two least neighbors."""
+    out = 1 << v
+    reps = {0: 0}
+    nb = g.adj[v]
+    if nb:
+        least = nb & -nb
+        reps[out] = least
+        nb ^= least
+        if nb:
+            reps[out | out << g.n] = least | nb & -nb
+    return NecFamily(g, g.vertices & ~out, 2, out, reps)
 
 
 def _parts(fam: NecFamily, out: int) -> List[Tuple[int, int, int]]:
@@ -184,6 +203,9 @@ def layout_families(g: Graph, layout: RootedLayout) -> Tuple[List[NecFamily], ..
     for x in reversed(layout.postorder()):
         if not layout.is_leaf(x):
             left, right = layout.left[x], layout.right[x]
-            far[left] = join(far[x], near[right])
-            far[right] = join(far[x], near[left])
+            for child, sibling in ((left, right), (right, left)):
+                if layout.is_leaf(child):
+                    far[child] = _leaf_far_family(g, layout.leaf_vertex[child])
+                else:
+                    far[child] = join(far[x], near[sibling])
     return [coarsen(f) for f in near], near, [coarsen(f) for f in far], far

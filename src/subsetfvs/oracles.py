@@ -506,8 +506,9 @@ def profile_solution(
     forbidden cycles by union-find over every block, and the class
     representatives and the blocks' d=1 classes from whole blocks.  As in
     `dp`, the profile keeps the blocks with a vertex that has a neighbor
-    across the cut, and each attachment type holds the OR of its label
-    bits; tree ids are the union-find roots.  `far_cands` is
+    across the cut, each as its boundary part (`block & near_bnd`),
+    and each attachment type holds the OR of its label bits; tree ids are
+    the union-find roots.  `far_cands` is
     `far_candidates(inst.graph, ctx)`, built once per node by the caller."""
     g, s = inst.graph, inst.s_set
     comps = components_masks(g, x & ~s)
@@ -578,7 +579,8 @@ def profile_solution(
         by_att[att] = (known[0], known[1] | _label_bit(labels, label))
     types = tuple(sorted((att, trees, label_mask) for att, (trees, label_mask) in by_att.items()))
     classes = tuple(ctx.fam_x1.rep_of(blocks[bi]) for bi in kept)
-    return _Profile(tuple(blocks[bi] for bi in kept), tree_of, tuple(x_cands), types, classes)
+    parts = tuple(blocks[bi] & ctx.near_bnd for bi in kept)
+    return _Profile(parts, tree_of, tuple(x_cands), types, classes)
 
 
 Signature = Tuple[Tuple[Tuple[str, int], ...], ...]

@@ -714,12 +714,50 @@ def test_carried_excess_matches_definition():
 
 def _signature_by_definition(g, s, bnd, x):
     """x's boundary signature from scratch: x & bnd, and the nonempty
-    boundary parts of the components of x \\ S and of x."""
-    return (
-        x & bnd,
-        frozenset(c & bnd for c in components_masks(g, x & ~s)) - {0},
-        frozenset(t & bnd for t in components_masks(g, x)) - {0},
-    )
+    boundary parts of the components of x \\ S and of x, sorted."""
+
+    def parts(pieces):
+        return tuple(sorted(p & bnd for p in pieces if p & bnd))
+
+    return x & bnd, parts(components_masks(g, x & ~s)), parts(components_masks(g, x))
+
+
+def test_carried_signature_matches_definition():
+    """At every internal node, the boundary signature `reduce_table` reads
+    off each merged row's carried structure (`dp._signature`) equals the
+    one from scratch, for every row of excess 0.  A row joined at the node
+    carries its boundary parts as they are; a row that passes up unjoined
+    carries a child's and is cut down.  Covers the golden cases, an n = 85
+    interval graph, a balanced layout and 30 random binary layouts; rows
+    pass up unjoined from inner children on both sides."""
+    rng = random.Random(31)
+    cases = [(inst, lay) for _, inst, lay in _golden_cases()]
+    cases += [_interval_case(1, 85), _balanced_case(1, 12)]
+    for _ in range(30):
+        inst, lay = _random_binary_case(rng, rng.randint(2, 12))
+        s = mask_of(v for v in range(inst.n) if rng.random() < 0.4)
+        cases.append((Instance(inst.graph, s, inst.weights), lay))
+    checked = 0
+    unjoined = {"left": 0, "right": 0}  # rows from an inner child, unjoined
+    for inst, lay in cases:
+        g, s = inst.graph, inst.s_set
+
+        def watch(node, ctx, merged, reduced):
+            nonlocal checked
+            bnd, left = ctx.near_bnd, lay.below[lay.left[node]]
+            for x in merged:
+                st = ctx.blocks.of(node, x)
+                if st.excess:
+                    continue
+                want = _signature_by_definition(g, s, bnd, x)
+                assert dp._signature(x, st, bnd, left) == want, (node, x)
+                checked += 1
+                for side, child in (("left", lay.left[node]), ("right", lay.right[node])):
+                    if x and not x & ~lay.below[child] and not lay.is_leaf(child):
+                        unjoined[side] += 1
+
+        solve(inst, lay, trace=watch)
+    assert checked > 5000 and min(unjoined.values()) > 100, (checked, unjoined)
 
 
 def test_both_routes_represent_the_merged_table():
@@ -835,7 +873,7 @@ def test_completion_pairs_match_definition(monkeypatch):
                 st = ctx.blocks.of(node, x)
                 if st.excess:
                     continue
-                left = {y for y, _, _ in dp._incomplete(ctx, inst, x, st, forests)}
+                left = {y for y, _, _ in dp._incomplete(dp._meets(ctx, inst, x, st), forests)}
                 for y in ys:
                     assert (y not in left) == is_s_forest(g, x | y, s), (node, x, y)
                 checked["pairs"] += len(ys)

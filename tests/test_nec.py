@@ -231,6 +231,35 @@ def assert_layout_pass_matches(g, lay, rng):
                     assert fam.rep_of(sub) == ref.rep_of(sub)
 
 
+def test_leaf_far_family_is_read_off_the_neighborhood():
+    """A leaf's far family, side V \\ {v} seen from v, has one d = 2 class
+    per count of v's neighbors, 0, 1 or at least 2, with representatives
+    the empty set, v's least neighbor and v's two least neighbors, in that
+    order.  Pinned for vertices with 0, 1 and 3 neighbors.  At every leaf
+    of a caterpillar (the first leaf a left child) and of a balanced layout
+    (leaves on both sides), keys, representatives and order equal
+    compute_reps at d = 2, and the d = 1 family equals it at d = 1."""
+    g = Graph(6, [(1, 2), (4, 2), (4, 3), (4, 5)])
+    n = g.n
+    pinned = {
+        0: {0: 0},
+        1: {0: 0, 1 << 1: 1 << 2},
+        4: {0: 0, 1 << 4: 1 << 2, 1 << 4 | 1 << 4 + n: 1 << 2 | 1 << 3},
+    }
+    for lay in (layout_from_order(range(n)), split_layout(range(n))):
+        _, _, far1, far2 = layout_families(g, lay)
+        for x in lay.postorder():
+            if not lay.is_leaf(x) or x == lay.root:
+                continue
+            v = lay.leaf_vertex[x]
+            side = g.vertices & ~(1 << v)
+            assert (far2[x].side, far2[x].out) == (side, 1 << v)
+            assert list(far2[x].reps.items()) == list(compute_reps(g, side, 2).reps.items())
+            assert list(far1[x].reps.items()) == list(compute_reps(g, side, 1).reps.items())
+            if v in pinned:
+                assert list(far2[x].reps.items()) == list(pinned[v].items()), v
+
+
 def test_layout_pass_matches_compute_reps_on_random_graphs():
     rng = random.Random(515)
     for _ in range(30):

@@ -19,8 +19,8 @@ S-forests are closed under taking subsets, so a far set outside F is
 completed by no row, before or after the reduction.  The kept rows thus
 represent the merged table, and there are at most |F| of them.  F is grown
 one far vertex at a time and carries each Y's components of Y \\ S and
-trees.  Whether a row x completes Y is then read from the `BlockStore`
-join formula below, with no search: both have excess 0, so x | Y is an
+trees.  Whether a row x completes Y is then read from the join formula
+(`_joined`, below), with no search: both have excess 0, so x | Y is an
 S-forest exactly when the edges between them with an end in S, plus the
 merges Y's components make among x's boundary components, minus the
 merges Y's trees make among x's boundary trees, sum to 0.
@@ -28,7 +28,7 @@ merges Y's trees make among x's boundary trees, sum to 0.
 The signature route keeps the first row per boundary signature: x &
 near_bnd, and the boundary parts of x's boundary components and trees,
 sorted (see below for the boundary).  It is exact because a row meets a
-completion only through the cut.  By the `BlockStore` join formula, the
+completion only through the cut.  By the join formula (`_joined`), the
 excess of x | Y, for a far set Y, is the excess of x plus that of Y plus
 one per edge between x and Y with an end in S, plus the merges that those
 edges make among the components of x \\ S and among the trees of x.  The
@@ -140,14 +140,17 @@ signature is its structure as stored.  For the same reason a row's keys
 are a function of its boundary signature, so the key route sees only the
 signature route's survivors and profiles no repeated signature.  A row can still become an
 S-forest exactly when its excess is 0, so `reduce_table`'s signature pass
-skips the others and every root row is an S-forest.
+skips the others and every root row is an S-forest.  The join formula is
+coded once, in `_joined`, which `BlockStore` and `_far_forests` call;
+`_incomplete` sums its terms per (row, far set) pair through `_merges`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import combinations, product, starmap
-from operator import add
+from operator import add, or_
 from typing import (
     Callable,
     Collection,
@@ -162,7 +165,7 @@ from typing import (
     Tuple,
 )
 
-from .graphs import CheckError, Graph, Instance, bits, is_s_forest, lex_order
+from .graphs import CheckError, Instance, bits, is_s_forest, lex_order
 # compute_reps and mim_cut are unused here but stay names of this module: the
 # tracer in perfbench/tracing.py wraps dp.compute_reps, dp.build_context and
 # dp.mim_cut.
@@ -207,6 +210,30 @@ def _glue(out: Sequence[int], piece: int, reach: int) -> List[int]:
     return rest
 
 
+def _joined(a: tuple, b: tuple, s_edges: int, reach: Callable[[int], int]) -> tuple:
+    """The pieces and excess of x | y, for disjoint vertex sets x and y:
+    the join formula.  `a`, `b` and the result are (components of the set
+    minus S, trees, excess), as in `Structure`.
+
+    Each set's pieces are maximal on its own side, so only an edge between
+    x and y joins two of them: each piece p of y is glued to the pieces of
+    x it meets, `reach(p)` being p's neighbors.  The joined excess is the
+    two sets' sum, plus `s_edges`, the edges between x and y with an end
+    in S (new contraction edges), plus one per component of x \\ S or
+    y \\ S that the join merges into another (one contraction node
+    fewer), minus one per tree it merges into another (one component
+    fewer).  The pieces come back unsorted and uncut."""
+    a_comps, a_trees, excess = a
+    b_comps, b_trees, b_excess = b
+    comps, trees = a_comps, a_trees
+    for piece in b_comps:
+        comps = _glue(comps, piece, reach(piece))
+    for piece in b_trees:
+        trees = _glue(trees, piece, reach(piece))
+    excess += b_excess + s_edges + len(a_comps) + len(b_comps) - len(comps)
+    return comps, trees, excess - (len(a_trees) + len(b_trees) - len(trees))
+
+
 def _boundary_parts(pieces: Iterable[int], bnd: int) -> Tuple[int, ...]:
     """The nonempty parts of `pieces` in `bnd`, sorted."""
     return tuple(sorted([p & bnd for p in pieces if p & bnd]))
@@ -216,22 +243,17 @@ class BlockStore:
     """Block structures of vertex sets below the nodes of one layout.
 
     A leaf's set is one vertex or none.  An internal node's set is joined
-    from its parts below the two children.  Each part's components are
-    maximal on its own side, so only an edge from the right part to the
-    left one joins two of them.  The joined `excess` is the parts' sum,
-    plus one per such edge with an end in S (a new contraction edge), plus
-    one per listed component of x \\ S that the join merges into another
-    (one contraction node fewer), minus one per listed tree it merges into
-    another (one component fewer).  Pieces are stored as their boundary
-    parts at the node that joins the set, sorted.  That is exact: a join
-    reads a piece only in vertices with a neighbor across the child cut,
-    which lie on the boundary of every node below that holds them.  The
-    structure is kept by set alone: asked at an ancestor of that node, its
-    parts may hold vertices that have left the boundary since, and readers
-    cut them down to their own.  `solve` asks for the rows of each merged
-    table, whose parts (child rows, leaf sets) are known, so each row is
-    joined straight from them; it then forgets the rows no live table
-    holds.  A set with unknown parts is built from the leaves up.
+    from its parts below the two children by `_joined`, along the edges
+    from the right part to the left one.  Pieces are stored as their
+    boundary parts at the node that joins the set, sorted.  That is exact:
+    a join reads a piece only in vertices with a neighbor across the child
+    cut, which lie on the boundary of every node below that holds them.
+    The structure is kept by set alone: asked at an ancestor of that node,
+    its parts may hold vertices that have left the boundary since, and
+    readers cut them down to their own.  `solve` asks for the rows of each
+    merged table, whose parts (child rows, leaf sets) are known, so each
+    row is joined straight from them; it then forgets the rows no live
+    table holds.
     """
 
     def __init__(self, inst: Instance, layout: RootedLayout):
@@ -255,61 +277,26 @@ class BlockStore:
                     if adj[u] & layout.below[layout.left[y]]:
                         crossing |= 1 << u
             self.crossing.append(crossing)
-        self._reach: Dict[int, int] = {}  # neighbors of a set of right-side vertices
+        # neighbors of a vertex set, cached until `forget`
+        self._reach = cache(lambda piece: reduce(or_, [adj[v] for v in bits(piece)], 0))
 
     def of(self, node: int, x: int) -> Structure:
-        """Block structure of a vertex set x below `node`."""
+        """Block structure of a vertex set x below `node`: the known one, or
+        joined from x's two parts below the children, which must be known."""
         known = self.known
         got = known.get(x)
         if got is not None:
             return got
-        lay = self.layout
-        left = x & lay.below[lay.left[node]]
-        if left in known and x ^ left in known:
-            got = known[x] = self._join(node, x)
-            return got
-        # Preorder down to the nodes whose part of x is known, then join
-        # those parts children first.  A leaf's sets are always known.
-        walk = []
-        todo = [node]
-        while todo:
-            y = todo.pop()
-            if x & lay.below[y] not in known:
-                walk.append(y)
-                todo += (lay.left[y], lay.right[y])
-        for y in reversed(walk):
-            part = x & lay.below[y]
-            if part not in known:
-                known[part] = self._join(y, part)
-        return known[x]
-
-    def _join(self, node: int, x: int) -> Structure:
         adj, s, crossing = self.adj, self.s, self.crossing[node]
         left = x & self.layout.below[self.layout.left[node]]
-        a, b = self.known[left], self.known[x ^ left]
-        comps = self._glue(a.comps, b.comps, crossing)
-        trees = self._glue(a.trees, b.trees, crossing)
-        excess = a.excess + b.excess + len(a.comps) + len(b.comps) - len(comps)
-        excess -= len(a.trees) + len(b.trees) - len(trees)
+        s_edges = 0
         for u in bits(x & crossing):
             seen = adj[u] & left
-            excess += (seen if s >> u & 1 else seen & s).bit_count()
+            s_edges += (seen if s >> u & 1 else seen & s).bit_count()
+        comps, trees, excess = _joined(known[left], known[x ^ left], s_edges, self._reach)
         bnd = self.boundary[node]
-        return Structure(_boundary_parts(comps, bnd), _boundary_parts(trees, bnd), excess)
-
-    def _glue(self, out: Sequence[int], pieces: Sequence[int], crossing: int) -> Sequence[int]:
-        """Left pieces `out` joined with right pieces `pieces`; only the
-        vertices of `crossing` reach the left side."""
-        for piece in pieces:
-            hook = piece & crossing
-            reach = self._reach.get(hook)
-            if reach is None:
-                reach = 0
-                for v in bits(hook):
-                    reach |= self.adj[v]
-                self._reach[hook] = reach
-            out = _glue(out, piece, reach)
-        return out
+        got = known[x] = Structure(_boundary_parts(comps, bnd), _boundary_parts(trees, bnd), excess)
+        return got
 
     def forget(self, masks: Iterable[int]) -> None:
         """Drop the structures of these sets but a leaf's, and the neighbor cache."""
@@ -317,7 +304,7 @@ class BlockStore:
         for m in masks:
             if m & (m - 1):
                 known.pop(m, None)
-        self._reach.clear()
+        self._reach.cache_clear()
 
 
 @dataclass
@@ -354,17 +341,13 @@ def build_context(
     inst: Instance,
     layout: RootedLayout,
     node: int,
-    families: Optional[Sequence[Sequence[NecFamily]]] = None,
-    blocks: Optional[BlockStore] = None,
+    families: Sequence[Sequence[NecFamily]],
+    blocks: BlockStore,
 ) -> NodeContext:
     """Cut data of one layout node.  `families` is `layout_families` of the
     layout and `blocks` the store of row structures, which `solve` builds
-    once and shares; without them this call builds its own."""
+    once and shares."""
     g = inst.graph
-    if families is None:
-        families = layout_families(g, layout)
-    if blocks is None:
-        blocks = BlockStore(inst, layout)
     near1, near2, far1, far2 = families
     vx = layout.below[node]
     cvx = g.vertices & ~vx
@@ -392,13 +375,7 @@ Table = Dict[int, int]  # partial solutions of one layout node: vertex mask -> w
 
 def merge_tables(a: Table, b: Table) -> Table:
     """All unions of one solution per child; weights add."""
-    ua = 0
-    for m in a:
-        ua |= m
-    ub = 0
-    for m in b:
-        ub |= m
-    if ua & ub:
+    if reduce(or_, a, 0) & reduce(or_, b, 0):
         raise ValueError("child tables overlap")
     return {ma | mb: wa + wb for ma, wa in a.items() for mb, wb in b.items()}
 
@@ -689,51 +666,38 @@ def _far_forests(ctx: NodeContext, inst: Instance) -> List[FarForest]:
     """Every far S-forest Y, with its components of Y \\ S and its trees.
 
     Grown one far vertex at a time, since every subset of an S-forest is
-    one.  Adding a vertex v to Y joins {v} to Y's pieces by `_glue` and
-    reads the `BlockStore` join formula: the excess grows by the edges from
-    v to Y with an end in S, plus the components of Y \\ S that v merges
-    (none when v is in S), minus the trees of Y it merges.  Y | v is kept
-    exactly when that sum is 0."""
+    one.  Adding a vertex v to Y is a join (`_joined`) of Y's pieces with
+    those of {v}, along the edges from v to Y; Y | v is kept exactly when
+    the joined excess is 0."""
     adj, s = inst.graph.adj, inst.s_set
     forests: List[FarForest] = [(0, [], [])]
     for v in bits(ctx.cvx):
-        nb, bit, in_s = adj[v], 1 << v, s >> v & 1
+        bit = 1 << v
+        leaf = ((), (bit,), 0) if s & bit else ((bit,), (bit,), 0)
+        reach = {bit: adj[v]}.__getitem__  # {v} is its own one piece
+        s_nb = adj[v] if s & bit else adj[v] & s  # v's neighbors along edges with an end in S
         grown = []
         for y, comps, trees in forests:
-            hit = nb & y
-            joined = _glue(trees, bit, nb)
-            excess = (hit if in_s else hit & s).bit_count() - (len(trees) + 1 - len(joined))
-            if not in_s:
-                before = comps
-                comps = _glue(before, bit, nb)
-                excess += len(before) + 1 - len(comps)
+            comps, trees, excess = _joined((comps, trees, 0), leaf, (s_nb & y).bit_count(), reach)
             if not excess:
-                grown.append((y | bit, comps, joined))
+                grown.append((y | bit, comps, trees))
         forests += grown
     return forests
 
 
 def _merges(atts: List[int]) -> int:
     """Merges made by joining pieces, with these attachments, to the pieces
-    of the other side.  An attachment is the set of other-side pieces a
-    piece meets, as bits.  A piece merges once with every distinct group it
-    meets, the groups being those the pieces before it have joined."""
-    if len(atts) < 2:
+    of the other side: a merge term of `_joined`.  An attachment is the set
+    of other-side pieces a piece meets, as bits.  Glued by `_glue`, the
+    attachments fall into groups of other-side pieces, and each group
+    leaves one piece of all those it involves: the pieces involved, plus
+    the attachments, minus the groups left."""
+    if len(atts) < 2:  # the common case, one group at most
         return atts[0].bit_count() if atts else 0
-    merges = 0
     groups: List[int] = []
     for a in atts:
-        merges += a.bit_count()
-        rest = []
-        for grp in groups:
-            if grp & a:
-                merges += 1 - (grp & a).bit_count()
-                a |= grp
-            else:
-                rest.append(grp)
-        rest.append(a)
-        groups = rest
-    return merges
+        groups = _glue(groups, a, a)
+    return sum(map(int.bit_count, groups)) + len(atts) - len(groups)
 
 
 # The far vertices that meet a row, and per such v: e_v, x's components, x's trees
@@ -766,11 +730,11 @@ def _incomplete(met: Meets, forests: Iterable[FarForest]) -> List[FarForest]:
     """The far S-forests among `forests` that a row of excess 0, met by the
     far vertices as `met` (`_meets`) says, does not complete to an S-forest.
 
-    By the `BlockStore` join formula, the excess of x | Y is the sum over
-    v in Y of e_v, the edges from v to x with an end in S, plus the merges
+    By the join formula (`_joined`), the excess of x | Y is the sum over v
+    in Y of e_v, the edges from v to x with an end in S, plus the merges
     Y's components of Y \\ S make among x's boundary components, minus the
-    merges Y's trees make among x's boundary trees.  A far set that meets x
-    nowhere is completed."""
+    merges Y's trees make among x's boundary trees (`_merges` counts both).
+    A far set that meets x nowhere is completed."""
     touch, meets = met
     rest = []
     for f in forests:
@@ -838,7 +802,11 @@ def _signature(x: int, st: Structure, bnd: int, left: int) -> tuple:
     `bnd` whose left child holds `left`: x & bnd, and the boundary parts of
     x's boundary components and trees, sorted.  Joined at this node, x
     carries exactly those; with all of it below one child, it carries the
-    child's parts, which are cut down here."""
+    child's parts, which are cut down here.  Storing them back cut down
+    would be unsound: structures are kept by set alone, and `reduce_table`
+    asks for them lazily, best first, so x can be cut down before this
+    node joins it with a row of the other child, a join that reads the
+    vertices of x whose only outside neighbors lie below that child."""
     if 0 < x & left < x:
         return x & bnd, st.comps, st.trees
     return x & bnd, _boundary_parts(st.comps, bnd), _boundary_parts(st.trees, bnd)

@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graphs import Graph, Instance, bits, components_masks, is_forest, is_s_forest, mask_of
-from .dp import _XN, _XS, _YN, _YS, NodeContext, Table, _label_bit, _Profile
-from .layouts import mim_bipartite
+from .dp import _XN, _XS, _YN, _YS, BlockStore, NodeContext, Structure, Table, _label_bit, _Profile
+from .dp import build_context
+from .layouts import RootedLayout, mim_bipartite
 from .multiway import NmcInstance, NmcResult, separates
-from .nec import NecFamily
+from .nec import NecFamily, layout_families
 
 BRUTE_LIMIT = 20
 NEG_INF = float("-inf")
@@ -309,6 +310,35 @@ def best(inst: Instance, table: Table, y: int):
         if w > top and is_s_forest(g, mask | y, s):
             top = w
     return top
+
+
+class _ScratchStore(BlockStore):
+    """A `BlockStore` that builds the structure of any set below a node
+    from the leaves up, for contexts built outside a solve.  `solve` asks
+    only for sets whose two parts are known, which `BlockStore.of` joins."""
+
+    def of(self, node: int, x: int) -> Structure:
+        # Preorder down to the nodes whose part of x is known, then join
+        # those parts children first.  A leaf's sets are always known.
+        lay, known = self.layout, self.known
+        walk = []
+        todo = [node]
+        while todo:
+            y = todo.pop()
+            if x & lay.below[y] not in known:
+                walk.append(y)
+                todo += (lay.left[y], lay.right[y])
+        for y in reversed(walk):
+            super().of(y, x & lay.below[y])
+        return known[x]
+
+
+def node_context(inst: Instance, layout: RootedLayout, node: int) -> NodeContext:
+    """`dp.build_context` of one node, with layout families and a block
+    store of its own, built from scratch; the store's `of` takes any set
+    below the node."""
+    families = layout_families(inst.graph, layout)
+    return build_context(inst, layout, node, families, _ScratchStore(inst, layout))
 
 
 class IndexTuple(NamedTuple):

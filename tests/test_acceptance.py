@@ -15,7 +15,7 @@ from subsetfvs.graphs import Graph, Instance, bits, is_forest, is_s_forest, mask
 from subsetfvs.layouts import cut_rank, layout_from_order, mim_bipartite, mim_cut
 from subsetfvs.multiway import NmcInstance, separates, solve_nmc
 from subsetfvs.nec import compute_reps
-from subsetfvs.dp import build_context, solve
+from subsetfvs.dp import solve
 from subsetfvs.oracles import (
     brute_force_fvs,
     brute_force_nmc,
@@ -28,6 +28,7 @@ from subsetfvs.oracles import (
     index_count,
     is_complement_solution,
     is_partial_solution,
+    node_context,
     s_forest_by_cycles,
     scontraction_conditions,
 )
@@ -273,7 +274,7 @@ def test_criterion_8_structural_lemmas(capsys):
         assert len(cover) <= 4 * mim_bipartite(g, x, y)
         lay = layout_from_order(sorted(bits(vx)) + sorted(bits(g.vertices & ~vx)))
         node = next(z for z in lay.postorder() if lay.below[z] == vx)
-        ctx = build_context(inst, lay, node)
+        ctx = node_context(inst, lay, node)
         i = build_index_from_cover(ctx, x, cover)
         assert is_partial_solution(inst, ctx, x, i)
         assert is_complement_solution(inst, ctx, y, p, i)

@@ -29,7 +29,6 @@ from subsetfvs.dp import (
     SolveResult,
     _bucket_keys,
     _profile,
-    build_context,
     merge_tables,
     reduce_table,
     solve,
@@ -48,6 +47,7 @@ from subsetfvs.oracles import (
     index_count,
     is_partial_solution,
     lex_key,
+    node_context,
     profile_solution,
     xs_pool,
     ys_pool,
@@ -70,7 +70,7 @@ def node_for(layout, below_mask):
 
 def context_for(inst, below_mask, order=None):
     lay = layout_from_order(order or list(range(inst.n)))
-    return build_context(inst, lay, node_for(lay, below_mask))
+    return node_context(inst, lay, node_for(lay, below_mask))
 
 
 def _force_key_route(monkeypatch):
@@ -88,9 +88,10 @@ def key_route(monkeypatch):
 
 def _profile_solution(inst, ctx, x, labels):
     """The profile `reduce_table` builds for row x, from the structure
-    `ctx.blocks` carries, or None when x can never be extended.  The far
-    groups are built again on each call; once `labels` numbers the far
-    labels, they come out the same."""
+    `ctx.blocks` carries, or None when x can never be extended; the store
+    of a `node_context` builds it for any set.  The far groups are built
+    again on each call; once `labels` numbers the far labels, they come out
+    the same."""
     st = ctx.blocks.of(ctx.node, x)
     if st.excess:
         return None
@@ -110,7 +111,7 @@ def test_index_stream_matches_closed_form():
         for x in lay.postorder():
             if lay.is_leaf(x):
                 continue
-            ctx = build_context(inst, lay, x)
+            ctx = node_context(inst, lay, x)
             assert sum(1 for _ in enumerate_indices(ctx)) == index_count(ctx)
 
 
@@ -133,7 +134,7 @@ def test_index_collapse_without_crossing_edges():
     # the all-empty tuple is the only index left
     inst = Instance(triangle(), 0b111, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
-    ctx = build_context(inst, lay, lay.root)
+    ctx = node_context(inst, lay, lay.root)
     assert ctx.mim == 0
     assert index_count(ctx) == 1
     assert list(enumerate_indices(ctx)) == [EMPTY_INDEX]
@@ -181,7 +182,7 @@ def test_empty_solution_fits_empty_index():
 def test_cycle_through_s_is_rejected():
     inst = Instance(triangle(), 0b111, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
-    ctx = build_context(inst, lay, lay.root)
+    ctx = node_context(inst, lay, lay.root)
     assert not is_partial_solution(inst, ctx, 0b111, EMPTY_INDEX)
 
 
@@ -189,7 +190,7 @@ def test_s_vertex_with_two_component_neighbors_rejected():
     # 0 in S sees both endpoints of the edge 1-2; no index accepts that
     inst = Instance(triangle(), 0b001, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
-    ctx = build_context(inst, lay, lay.root)
+    ctx = node_context(inst, lay, lay.root)
     assert not is_partial_solution(inst, ctx, 0b111, EMPTY_INDEX)
 
 
@@ -293,7 +294,7 @@ def test_reduce_keeps_empty_solution():
     inst = Instance(path(3), 0b111, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
     node = node_for(lay, 0b011)
-    ctx = build_context(inst, lay, node)
+    ctx = node_context(inst, lay, node)
     red = reduce_table({0: 0}, ctx, inst)
     assert red == {0: 0}
 
@@ -305,7 +306,7 @@ def test_reduce_collapses_twins_onto_heavier(key_route):
     inst = Instance(g, 0b111, (5, 3, 1))
     lay = layout_from_order([0, 1, 2])
     node = node_for(lay, 0b011)
-    ctx = build_context(inst, lay, node)
+    ctx = node_context(inst, lay, node)
     untrimmed = {m: inst.weight_of(m) for m in range(4)}
     red = reduce_table(untrimmed, ctx, inst)
     assert 0b001 in red
@@ -316,7 +317,7 @@ def test_reduce_collapses_twins_onto_heavier(key_route):
 def test_reduce_drops_locally_dead_members():
     inst = Instance(triangle(), 0b111, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
-    ctx = build_context(inst, lay, lay.root)
+    ctx = node_context(inst, lay, lay.root)
     untrimmed = {m: inst.weight_of(m) for m in range(8)}
     red = reduce_table(untrimmed, ctx, inst)
     assert 0b111 not in red
@@ -337,7 +338,7 @@ def test_reduce_agrees_with_index_by_index_route():
         inst = Instance(Graph(4, edges), s, (2, 3, 1, 1))
         lay = layout_from_order([0, 1, 2, 3])
         node = node_for(lay, 0b0011)
-        ctx = build_context(inst, lay, node)
+        ctx = node_context(inst, lay, node)
         untrimmed = {m: inst.weight_of(m) for m in range(4)}
 
         fast = reduce_table(untrimmed, ctx, inst)
@@ -386,7 +387,7 @@ def test_reduce_tie_keeps_lexicographically_smallest_twin():
     inst = Instance(g, 0b10000, (1, 1, 1, 1, 1))
     lay = layout_from_order([0, 1, 2, 3, 4])
     node = node_for(lay, 0b01111)
-    ctx = build_context(inst, lay, node)
+    ctx = node_context(inst, lay, node)
     for items in ([(0b0110, 2), (0b1001, 2)], [(0b1001, 2), (0b0110, 2)]):
         assert reduce_table(dict(items), ctx, inst) == {0b1001: 2}
     # a heavier twin beats a lexicographically smaller one
@@ -760,6 +761,44 @@ def test_carried_signature_matches_definition():
     assert checked > 5000 and min(unjoined.values()) > 100, (checked, unjoined)
 
 
+def test_scratch_structures_match_definition():
+    """The store of a `node_context` builds the structure of any set below
+    a node from the leaves up, a walk no solve takes.  At every internal
+    node of a balanced layout and of 30 random binary layouts (random S),
+    random subsets of the side, sets no table holds, get the excess from
+    scratch and, at excess 0, the boundary signature from scratch
+    (`dp._signature`).  Some subsets lie below one inner child, so their
+    structure is joined below the node and cut down there."""
+    rng = random.Random(41)
+    cases = [_balanced_case(1, 12)]
+    for _ in range(30):
+        inst, lay = _random_binary_case(rng, rng.randint(3, 12))
+        s = mask_of(v for v in range(inst.n) if rng.random() < 0.4)
+        cases.append((Instance(inst.graph, s, inst.weights), lay))
+    checked = {"sets": 0, "excess 0": 0, "dead": 0, "below one child": 0}
+    for inst, lay in cases:
+        g, s = inst.graph, inst.s_set
+        blocks = node_context(inst, lay, lay.root).blocks
+        for node in lay.postorder():
+            if lay.is_leaf(node):
+                continue
+            bnd, left = blocks.boundary[node], lay.below[lay.left[node]]
+            side = list(bits(lay.below[node]))
+            for _ in range(8):
+                x = mask_of(rng.sample(side, rng.randint(1, len(side))))
+                st = blocks.of(node, x)
+                assert st.excess == _excess_by_definition(g, s, x), (node, x)
+                checked["sets"] += 1
+                checked["below one child"] += not 0 < x & left < x
+                if st.excess:
+                    checked["dead"] += 1
+                    continue
+                want = _signature_by_definition(g, s, bnd, x)
+                assert dp._signature(x, st, bnd, left) == want, (node, x)
+                checked["excess 0"] += 1
+    assert min(checked.values()) > 100, checked
+
+
 def test_both_routes_represent_the_merged_table():
     """At every internal node, the reduced table is a subset of the merged
     one, represents it (`check_represents`), and holds S-forests only; the
@@ -889,6 +928,47 @@ def test_completion_pairs_match_definition(monkeypatch):
     assert checked["nodes"] > 80 and checked["forced"] == 9, checked
 
 
+def _merges_by_union_find(atts):
+    """Pieces that some attachment meets, plus the attachments, minus the
+    connected groups they form, one union-find node per piece and per
+    attachment."""
+    parent = {}
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for j, att in enumerate(atts):
+        parent[("att", j)] = ("att", j)
+        for i in bits(att):
+            parent.setdefault(i, i)
+            parent[find(i)] = find(("att", j))
+    return len(parent) - len({find(u) for u in parent})
+
+
+def test_merges_match_union_find_count():
+    """`dp._merges` on random attachment lists (0 to 6 attachments, masks
+    over up to 8 pieces, each often sharing a piece with the one before, so
+    that overlaps chain) equals the union-find count of the pieces involved
+    plus the attachments minus the groups left."""
+    assert dp._merges([0b0011, 0b0110, 0b1100]) == _merges_by_union_find([0b0011, 0b0110, 0b1100]) == 6
+    assert dp._merges([0b01, 0b10]) == 2 and dp._merges([]) == 0
+    rng = random.Random(5)
+    lengths = set()
+    for _ in range(3000):
+        k = rng.randint(1, 8)
+        atts = []
+        for _ in range(rng.randint(0, 6)):
+            att = mask_of(rng.sample(range(k), rng.randint(1, min(3, k))))
+            if atts and rng.random() < 0.5:
+                att |= 1 << rng.choice(list(bits(atts[-1])))
+            atts.append(att)
+        assert dp._merges(atts) == _merges_by_union_find(atts), atts
+        lengths.add(len(atts))
+    assert lengths == set(range(7))
+
+
 def test_reduced_tables_represent_at_n85():
     """On the n = 85 interval case, every node whose far side has at most
     12 vertices keeps a table that represents the merged one: the audit's
@@ -967,7 +1047,7 @@ def test_far_candidates_match_adjacency_definition():
         for x in lay.postorder():
             if lay.is_leaf(x):
                 continue
-            ctx = build_context(inst, lay, x)
+            ctx = node_context(inst, lay, x)
             want_x = sorted({ctx.fam_x1.rep_of(1 << v) for v in bits(ctx.vx)}, key=lex_key)
             assert list(xs_pool(ctx)) == want_x
             want = [(u << 2 | dp._YN, u) for u in ctx.fam_y2.reps.values() if u]
@@ -1045,7 +1125,7 @@ def test_signature_skip_keeps_heavier_of_boundary_twins(monkeypatch, key_route):
     g = Graph(4, [(0, 2), (1, 2), (2, 3)])
     inst = Instance(g, 0, (5, 3, 1, 1))
     lay = layout_from_order([0, 1, 2, 3])
-    ctx = build_context(inst, lay, node_for(lay, 0b0111))
+    ctx = node_context(inst, lay, node_for(lay, 0b0111))
     assert ctx.near_bnd == 0b0100
     table = {0b0101: 6, 0b0110: 4}
     assert _literal_keep(inst, ctx, table) == ({0b0101: 6}, 2)
@@ -1071,7 +1151,7 @@ def test_signature_skip_keeps_rows_with_other_boundary_partitions(monkeypatch, k
     g = Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
     inst = Instance(g, s, (1,) * 5)
     lay = layout_from_order([0, 1, 2, 3, 4])
-    ctx = build_context(inst, lay, node_for(lay, 0b01111))
+    ctx = node_context(inst, lay, node_for(lay, 0b01111))
     assert ctx.near_bnd == 0b00011
     table = {x: inst.weight_of(x) for x in rows}
     calls = _counting_bucket_keys(monkeypatch)
@@ -1089,7 +1169,7 @@ def test_profile_skip_drops_a_row_whose_fingerprint_repeats(monkeypatch, key_rou
     g = Graph(4, [(1, 3), (2, 3)])
     inst = Instance(g, 0, (1,) * 4)
     lay = layout_from_order([0, 1, 2, 3])
-    ctx = build_context(inst, lay, node_for(lay, 0b0111))
+    ctx = node_context(inst, lay, node_for(lay, 0b0111))
     assert ctx.near_bnd == 0b0110
     table = {0b0010: 1, 0b0100: 1}
     calls = _counting_bucket_keys(monkeypatch)
@@ -1109,7 +1189,7 @@ def test_profile_skip_searches_rows_that_differ_only_in_block_classes(monkeypatc
     g = Graph(6, [(0, 1), (2, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 4)])
     inst = Instance(g, g.vertices, (1,) * 6)
     lay = layout_from_order(list(range(6)))
-    ctx = build_context(inst, lay, node_for(lay, 0b1111))
+    ctx = node_context(inst, lay, node_for(lay, 0b1111))
     assert ctx.near_bnd == 0b1111
     table = {0b0011: 2, 0b1100: 2}
     profs = {x: _profile_solution(inst, ctx, x, {}) for x in table}
@@ -1201,7 +1281,7 @@ def test_bucket_keys_pinned_small_profile():
     g = Graph(4, [(0, 2), (1, 2), (0, 3)])
     inst = Instance(g, 0, (1,) * 4)
     lay = layout_from_order([0, 1, 2, 3])
-    ctx = build_context(inst, lay, node_for(lay, 0b0011))
+    ctx = node_context(inst, lay, node_for(lay, 0b0011))
     assert ctx.mim == 1
     labels = {}
     prof = _profile_solution(inst, ctx, 0b0011, labels)
@@ -1248,7 +1328,7 @@ def test_bucket_keys_pinned_many_labels_and_groups():
         (0b100, 1552, {0b011: 20, 0b001: 2, 0b010: 2, 0b100: 4, 0b111: 30, 0b101: 2, 0b110: 2}),
     ):
         inst = Instance(g, s, (1,) * 13)
-        ctx = build_context(inst, lay, node_for(lay, 0b111111))
+        ctx = node_context(inst, lay, node_for(lay, 0b111111))
         assert ctx.mim == 4
         prof = _profile_solution(inst, ctx, 0b111, {})
         assert {att: label_mask.bit_count() for att, _, label_mask in prof.types} == per_att

@@ -7,7 +7,6 @@ import pytest
 
 from subsetfvs.graphs import Graph, Instance, bits, is_forest, is_s_forest
 from subsetfvs.layouts import layout_from_order, mim_bipartite
-from subsetfvs.dp import build_context
 from subsetfvs.oracles import (
     BlockPartition,
     IndexTuple,
@@ -22,6 +21,7 @@ from subsetfvs.oracles import (
     is_complement_solution,
     is_partial_solution,
     lies_on_cycle,
+    node_context,
     s_forest_by_cycles,
     scontraction_conditions,
 )
@@ -272,7 +272,7 @@ def split_context(inst, x, y, rng):
     order = sorted(bits(vx)) + sorted(bits(g.vertices & ~vx))
     lay = layout_from_order(order)
     node = next(z for z in lay.postorder() if lay.below[z] == vx)
-    return build_context(inst, lay, node)
+    return node_context(inst, lay, node)
 
 
 def test_every_sampled_split_has_a_shared_index():
@@ -306,14 +306,14 @@ def test_every_sampled_split_has_a_shared_index():
 def test_complement_empty_far_solution():
     inst = Instance(Graph(3, [(0, 1), (1, 2)]), 0b111, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
-    ctx = build_context(inst, lay, 0)
+    ctx = node_context(inst, lay, 0)
     assert is_complement_solution(inst, ctx, 0, BlockPartition((), ()), EMPTY_INDEX)
 
 
 def test_complement_rejects_unmatched_far_vertex_near_rest():
     inst = Instance(Graph(3, [(0, 1), (1, 2)]), 0b111, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
-    ctx = build_context(inst, lay, 0)
+    ctx = node_context(inst, lay, 0)
     i = EMPTY_INDEX._replace(x_rest=ctx.fam_x1.rep_of(0b001))
     assert not is_complement_solution(inst, ctx, 0b010, BlockPartition((), ()), i)
 
@@ -324,7 +324,7 @@ def test_complement_allows_untracked_cycle_inside_one_block():
     g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 1), (0, 1)])
     inst = Instance(g, 0b00001, (1,) * 5)
     lay = layout_from_order([0, 1, 2, 3, 4])
-    ctx = build_context(inst, lay, 0)
+    ctx = node_context(inst, lay, 0)
     p = BlockPartition((0b11110,), (False,))
     i = EMPTY_INDEX._replace(yvc_ns=frozenset({ctx.fam_y2.rep_of(0b11110)}))
     assert is_complement_solution(inst, ctx, 0b11110, p, i)
@@ -334,7 +334,7 @@ def test_complement_requires_unique_far_matches():
     g = Graph(3, [(0, 1), (0, 2)])
     inst = Instance(g, 0, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
-    ctx = build_context(inst, lay, 0)
+    ctx = node_context(inst, lay, 0)
     # blocks {1} and {2} share their 2-neighbor class; one far set cannot
     # pick between them
     p = BlockPartition((0b010, 0b100), (False, False))

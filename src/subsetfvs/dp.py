@@ -9,6 +9,22 @@ lexicographic order), in one pass that keeps the first row per boundary
 signature (the signature route, below).  The completion route or the key
 route may then refine those survivors.
 
+Some vertices lie in every maximum, and the weights alone show it:
+`forced_set` finds H, the longest proper heaviest-first prefix whose every
+vertex outweighs all positive weight outside it and which induces an
+S-forest (the proof is in its docstring).  The hub reduction of node
+multiway cut prices the hub and the terminals above the total, so they
+are forced.  `solve` gives a forced leaf the one row that holds its
+vertex, and keeps of each merged table only the rows x with
+x | (H beyond the node) an S-forest (`_holding`), before `reduce_table`
+and `trace` see it.  That is read by `_joined` from x's stored structure
+and the pieces of the forced vertices beyond the node.  On a hub
+instance it drops the rows that join two terminals in one tree, which
+the hub would close into a cycle at the root.  The reduction thus
+represents the table it gets, and the per-node audits check that same
+table.  A node with no forced vertex beyond it, and every node of an
+input with no forced set (unit weights, say), drops nothing.
+
 The completion route decides representativity directly.  It lists F, the
 far sets Y with G[Y] an S-forest, and keeps a row exactly when it
 completes some Y in F that no earlier kept row completes; once every Y in
@@ -165,7 +181,7 @@ from typing import (
     Tuple,
 )
 
-from .graphs import CheckError, Instance, bits, is_s_forest, lex_order
+from .graphs import CheckError, Instance, bits, components_masks, is_s_forest, lex_order, mask_of
 # compute_reps and mim_cut are unused here but stay names of this module: the
 # tracer in perfbench/tracing.py wraps dp.compute_reps, dp.build_context and
 # dp.mim_cut.
@@ -896,6 +912,61 @@ def reduce_table(table: Table, ctx: NodeContext, inst: Instance) -> Table:
     return {m: table[m] for m in rows}
 
 
+def forced_set(inst: Instance) -> int:
+    """The forced set H: the longest proper prefix of the vertices, heaviest
+    first, such that each vertex of H outweighs all positive weight outside
+    H and G[H] is an S-forest; 0 when no nonempty prefix qualifies.
+
+    Every maximum-weight S-forest holds H.  Let Z be an S-forest that
+    misses some h in H.  Z weighs at most w(Z & H) plus the positive weight
+    outside H, which is less than w(Z & H) + w(h) <= w(H), since every
+    vertex of H has positive weight.  H is itself an S-forest, so Z is not
+    a maximum.  A vertex of weight at most 0 is never forced.  The prefix
+    that is all of V is not tried: it has no outside weight, so every
+    positive weighting (unit weights included) would pass the first test,
+    and the second would read the whole graph.  Equal weights are never
+    split, since a vertex cannot outweigh a positive one of equal weight.
+    """
+    w, n = inst.weights, inst.n
+    order = sorted(range(n), key=lambda v: -w[v])
+    outside = [0] * (n + 1)  # outside[k]: positive weight of order[k:]
+    for k in range(n - 1, -1, -1):
+        outside[k] = outside[k + 1] + max(w[order[k]], 0)
+    for k in range(n - 1, 0, -1):
+        if w[order[k - 1]] > outside[k]:
+            h = mask_of(order[:k])
+            if is_s_forest(inst.graph, h, inst.s_set):
+                return h
+    return 0
+
+
+def _holding(inst: Instance, blocks: BlockStore, node: int, far: int, table: Table) -> Table:
+    """The rows x of `table` with x | far an S-forest, for `far` the forced
+    vertices beyond `node`: the rows that can still be part of a maximum.
+
+    `far` is a subset of the forced set, so an S-forest of excess 0; its
+    pieces are joined to x's stored ones by `_joined`.  Only vertices with
+    a neighbor in `far` (`touch`) can add an edge with an end in S or glue
+    two pieces, so a row that avoids them keeps its own excess."""
+    g, s = inst.graph, inst.s_set
+    adj, side, reach = g.adj, blocks.layout.below[node], blocks._reach
+    far_st = (components_masks(g, far & ~s), components_masks(g, far), 0)
+    touch = reach(far) & side
+    # per far vertex, its neighbors on the side along edges with an end in S
+    s_nbs = [m for m in ((adj[v] if s >> v & 1 else adj[v] & s) & side for v in bits(far)) if m]
+    kept: Table = {}
+    for x, wx in table.items():
+        st = blocks.of(node, x)
+        if st.excess:
+            continue
+        if x & touch:
+            s_edges = sum((m & x).bit_count() for m in s_nbs)
+            if _joined(st, far_st, s_edges, reach)[2]:
+                continue
+        kept[x] = wx
+    return kept
+
+
 @dataclass(frozen=True)
 class SolveResult:
     weight: int
@@ -911,28 +982,46 @@ def solve(
     layout: RootedLayout,
     trace: Optional[TraceFn] = None,
 ) -> SolveResult:
-    """Maximum-weight induced S-forest and its complement deletion set."""
+    """Maximum-weight induced S-forest and its complement deletion set.
+
+    Every maximum holds the forced set H (`forced_set`), so a forced
+    leaf's table is the row of its vertex alone, and every merged table
+    keeps only the rows x with x | (H beyond the node) an S-forest
+    (`_holding`) before `reduce_table` and `trace` see it.  That loses no
+    maximum.  Say a maximum Z has its part below each of a node's
+    children in the child's table.  Its part x below the node is then a
+    merged row, and x | (H beyond the node) lies in Z, which holds H, so
+    x is kept.  The reduced table holds a row x' at least as heavy with
+    x' | (Z beyond the node) an S-forest, another maximum, which agrees
+    with Z off the node's side.  So, node by node bottom-up, some maximum
+    has its part below the root in the root table.  With H empty, as
+    under unit weights, nothing is dropped."""
     g, s = inst.graph, inst.s_set
     if layout.n != g.n:
         raise ValueError("layout does not match the graph")
 
+    forced = forced_set(inst)
     families = layout_families(g, layout)
     blocks = BlockStore(inst, layout)
     tables: Dict[int, Table] = {}
     for x in layout.postorder():
         if layout.is_leaf(x):
             v = layout.leaf_vertex[x]
-            tables[x] = {0: 0, 1 << v: inst.weights[v]}
+            row = {1 << v: inst.weights[v]}
+            tables[x] = row if forced >> v & 1 else {0: 0, **row}
             continue
         ctx = build_context(inst, layout, x, families, blocks)
         children = tables.pop(layout.left[x]), tables.pop(layout.right[x])
-        merged = merge_tables(*children)
+        product = merged = merge_tables(*children)
+        far = forced & ~layout.below[x]
+        if far:
+            merged = _holding(inst, blocks, x, far, product)
         reduced = reduce_table(merged, ctx, inst)
         if trace is not None:
             trace(x, ctx, merged, reduced)
         tables[x] = reduced
         # Keep the structures of live rows only.
-        blocks.forget(m for t in (merged, *children) for m in t if m not in reduced)
+        blocks.forget(m for t in (product, *children) for m in t if m not in reduced)
 
     # Every root row has excess 0, so each is an S-forest; the winner is
     # checked from scratch all the same.

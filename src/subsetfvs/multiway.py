@@ -5,6 +5,10 @@ vertex; any cycle through the hub is a path between two surviving terminals,
 so deleting a minimum-weight vertex set to kill such cycles is exactly a
 minimum multiway cut.  The hub and (by default) the terminals receive a
 weight exceeding the total, which keeps them out of every optimal deletion.
+The same gap makes them forced (`dp.forced_set`): each outweighs all other
+positive weight, so `dp.solve` keeps only the rows that hold the terminals
+below a node, and drops every row that joins two terminals in one tree.
+With deletable terminals the hub alone is forced.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from subsetfvs.oracles import (
     IndexTuple,
     aux_graph,
     best,
+    brute_force_sfvs,
     bucket_keys_by_candidate,
     cc_signature,
     check_represents,
@@ -49,6 +50,7 @@ from subsetfvs.oracles import (
     lex_key,
     node_context,
     profile_solution,
+    s_forest_by_cycles,
     xs_pool,
     ys_pool,
 )
@@ -415,10 +417,10 @@ def _golden_cases():
         yield f"sfvs-n{n}", Instance(g, s, tuple(rng.choice((1, 1, 2)) for _ in range(n))), lay
     _, g, lay = _golden_layout(4, 11)
     yield "fvs-n11", Instance(g, g.vertices, (1,) * 11), lay
-    yield "nmc-n11", *_hub_case(*_golden_layout(5, 11))
+    yield "nmc-n14", *_hub_case(*_golden_layout(13, 14))
 
 
-def _hub_case(rng, g, lay):
+def _hub_case(rng, g, lay, deletable_terminals=False):
     """Node multiway cut on g with up to three pairwise non-adjacent
     terminals and weights in 1..5, drawn from rng, as the hub reduction's
     sfvs instance on the layout extended by the hub."""
@@ -427,7 +429,7 @@ def _hub_case(rng, g, lay):
         if len(terminals) < 3 and not any(g.has_edge(v, t) for t in terminals):
             terminals.append(v)
     nmc = NmcInstance(g, tuple(sorted(terminals)), tuple(rng.randint(1, 5) for _ in range(g.n)))
-    inst, hub = reduce_to_sfvs(nmc)
+    inst, hub = reduce_to_sfvs(nmc, deletable_terminals)
     return inst, extend_layout(lay, hub)
 
 
@@ -446,13 +448,16 @@ def _dense_layout(seed):
 # internal node, in solve order.  GOLDEN_TABLES holds them with every node on
 # the key route, as recorded with the per-bucket minimum-entry reduction that
 # preceded the best-first one; GOLDEN_ROUTED_TABLES as `solve` runs, with
-# each node on the route `completion_route` and `signature_route` pick.
+# each node on the route `completion_route` and `signature_route` pick.  The
+# nmc-n14 digests were recorded once `solve` dropped the rows that cannot
+# hold the forced hub and terminals, after a `check_represents` audit at
+# every node (far-side guard lifted) and a brute-force check of the optimum.
 GOLDEN_TABLES = {
     "sfvs-n10": "a1ea0bbb1daa6aa0512f19a37cc087eb73af36ae3d3b20bbae86169fe6dc68a9",
     "sfvs-n11": "2b71af2b52ec5c7b5b348ed2a56d1f38c19bbd1dd752e2c973579855c7bb948c",
     "sfvs-n12": "d5c1879aa4a67f7b880fd3000b6fc3172df2e2c750c91fd5ade13a2eea96fe1f",
     "fvs-n11": "d10bcd7448d83f6ac5ec994f6d1e378b3ee33929b8e969876aa5d412aa05f3a5",
-    "nmc-n11": "d484cc2de91e431780f1a843bbfd2a26a6552d5f421c469508cd7e1c26d547f0",
+    "nmc-n14": "d9b5ef915123f8e57d2a146538cb26a5689bf8e9506f6dba28c756bda23d56b8",
 }
 
 
@@ -461,7 +466,7 @@ GOLDEN_ROUTED_TABLES = {
     "sfvs-n11": "b6afcb5e89c5b507e06f7bc890f92e170aeb7591f90eafcdd272c842f1a44cf7",
     "sfvs-n12": "f183725c0448999f6e29cc142466be2debccd45334364c1a574fb303e6597e58",
     "fvs-n11": "d33191c9a0c1e0423646b0b9aabe5850a7b5ec661f4f6ecac4a507e6a19d0d5f",
-    "nmc-n11": "5458adc631a461c71a761aab9d13bbf780dc10d57ca9778bca98e1ee8d24b878",
+    "nmc-n14": "b32f1e33bd63b98022ac7ad6f255983511f9c209b0cd166457c3e3fa114d63bc",
 }
 
 
@@ -523,7 +528,8 @@ def _keys_by_candidate(inst, ctx, x, labels):
 
 def test_bucket_keys_match_per_candidate_reference(key_route):
     """At every internal node of the golden cases (G(n, 2n) with n <= 12 on
-    shuffled caterpillars of mim >= 3, an fvs case and an nmc hub case),
+    shuffled caterpillars of mim >= 3, an fvs case and an nmc hub case on
+    G(14, 28)),
     every merged solution gets the same keys from the search over
     attachment types as from the per-candidate reference, label for label.
     Label numbering is shared across the solutions of a node, as in
@@ -682,7 +688,14 @@ def test_carried_excess_matches_definition():
     the count from scratch, it is 0 exactly when the row is an S-forest,
     and every reduced row is an S-forest.  Covers the golden cases (nmc hub
     case included), an n = 85 interval graph and 30 random binary layouts
-    with random S and weights; some rows die at every kind of case."""
+    with random S and weights; some rows die at every kind of case.
+
+    `solve` drops the rows that cannot hold the forced vertices beyond the
+    node before `trace` sees the merged table, so each node's product of
+    its child tables is rebuilt here, leaves as `solve` starts them.  A
+    row is dropped exactly when the forced vertices beyond the node are
+    not empty and x | those vertices is no S-forest; a dropped row counts
+    as dead."""
     rng = random.Random(10)
     cases = list(_golden_cases()) + [("interval-n85", *_interval_case(1, 85))]
     for i in range(30):
@@ -696,8 +709,24 @@ def test_carried_excess_matches_definition():
         g, s = inst.graph, inst.s_set
         kind = name.split("-")[0]
         dead.setdefault(kind, 0)
+        forced = dp.forced_set(inst)
+        tables = {}
+
+        def table(node):
+            if not lay.is_leaf(node):
+                return tables.pop(node)
+            v = lay.leaf_vertex[node]
+            return {1 << v: inst.weights[v]} if forced >> v & 1 else {0: 0, 1 << v: inst.weights[v]}
 
         def watch(node, ctx, merged, reduced):
+            product = merge_tables(table(lay.left[node]), table(lay.right[node]))
+            tables[node] = reduced
+            far = forced & ~lay.below[node]
+            assert merged.items() <= product.items(), (name, node)
+            for x in product:
+                holds = not far or is_s_forest(g, x | far, s)
+                assert (x in merged) == holds, (name, node, x)
+                dead[kind] += not holds
             for x in merged:
                 excess = ctx.blocks.of(node, x).excess
                 assert excess == _excess_by_definition(g, s, x), (name, node, x)
@@ -814,15 +843,20 @@ def test_both_routes_represent_the_merged_table():
     route's kept rows (the full keep rule replayed) are among them.  When
     there is at most one survivor, or they number at most
     fam_x2.class_count * len(far_cands).bit_length(), they are the table;
-    otherwise the table is the key route's.  Covers the golden cases and
-    one sfvs and one nmc hub case on `_dense_layout(3)` (two kinds: sfvs
-    and nmc), and 30 random binary layouts (n <= 12, random S, weights in
-    -1..4); each kind of case takes every route."""
+    otherwise the table is the key route's.  Covers the golden cases, one
+    sfvs and two nmc hub cases on `_dense_layout(3)`, one with deletable
+    terminals (two kinds: sfvs and nmc), and 30 random binary layouts
+    (n <= 12, random S, weights in -1..4); each kind of case takes every
+    route.  The audit reads at most 12 far vertices, and the golden hub
+    case has 13 at its lowest node, so it is drawn at n = 11 here, as
+    `_golden_layout(5, 11)`."""
     rng = random.Random(15)
-    cases = [("nmc" if name.startswith("nmc") else "sfvs", inst, lay) for name, inst, lay in _golden_cases()]
+    cases = [("sfvs", inst, lay) for name, inst, lay in _golden_cases() if not name.startswith("nmc")]
+    cases.append(("nmc", *_hub_case(*_golden_layout(5, 11))))
     dense_rng, g, lay = _dense_layout(3)
     cases.append(("sfvs", Instance(g, mask_of(dense_rng.sample(range(10), 3)), (1,) * 10), lay))
     cases.append(("nmc", *_hub_case(*_dense_layout(3))))
+    cases.append(("nmc", *_hub_case(*_dense_layout(3), deletable_terminals=True)))
     for _ in range(30):
         inst, lay = _random_binary_case(rng, rng.randint(2, 12))
         n = inst.n
@@ -1446,6 +1480,89 @@ def test_solve_trace_sees_representative_tables():
 
         solve(inst, lay, trace=watch)
         assert seen == [x for x in lay.postorder() if not lay.is_leaf(x)]
+
+
+def _dominant_case(rng):
+    """A random binary layout (n <= 10) with random S and weights in -3..9,
+    up to three of them raised into 20..80: a few vertices often outweigh
+    all the others together, so the instance has a forced set."""
+    inst, lay = _random_binary_case(rng, rng.randint(2, 10))
+    n = inst.n
+    s = mask_of(v for v in range(n) if rng.random() < 0.4)
+    weights = [rng.randint(-3, 9) for _ in range(n)]
+    for v in rng.sample(range(n), rng.randint(0, min(3, n))):
+        weights[v] = rng.randint(20, 80)
+    return Instance(inst.graph, s, tuple(weights)), lay
+
+
+def _forced_by_definition(inst):
+    """The longest proper prefix of the vertices, by weight then id, whose
+    every vertex outweighs the positive weight outside it and which induces
+    an S-forest (`s_forest_by_cycles`), tried prefix by prefix."""
+    g, w = inst.graph, inst.weights
+    order = sorted(range(g.n), key=lambda v: (-w[v], v))
+    for k in range(g.n - 1, 0, -1):
+        outside = sum(max(w[u], 0) for u in order[k:])
+        h = mask_of(order[:k])
+        if all(w[v] > outside for v in order[:k]) and s_forest_by_cycles(g, h, inst.s_set):
+            return h
+    return 0
+
+
+def test_forced_set_is_held_by_every_maximum():
+    """On 500 random instances (`_dominant_case`), `forced_set` equals the
+    prefix definition, and every maximum-weight S-forest, listed by brute
+    force, holds it.  Most instances have a forced set."""
+    rng = random.Random(76)
+    nonempty = 0
+    for trial in range(500):
+        inst, _ = _dominant_case(rng)
+        g, s = inst.graph, inst.s_set
+        forests = {m: inst.weight_of(m) for m in range(1 << g.n) if s_forest_by_cycles(g, m, s)}
+        top = max(forests.values())
+        h = dp.forced_set(inst)
+        assert h == _forced_by_definition(inst), trial
+        assert all(m & h == h for m, w in forests.items() if w == top), trial
+        nonempty += h != 0
+    assert nonempty > 400, nonempty
+
+
+def test_forced_set_pinned_cases(monkeypatch):
+    tested = []
+    monkeypatch.setattr(dp, "is_s_forest", lambda g, x, s: tested.append(x) or is_s_forest(g, x, s))
+    # Unit weights force nothing, even on an S-forest, and test no prefix:
+    # only all of V outweighs its (empty) outside, and it is not tried.
+    assert dp.forced_set(Instance(path(6), 0b111111, (1,) * 6)) == 0 and tested == []
+    # The hub reduction forces the hub and the terminals, or with deletable
+    # terminals the hub alone.
+    nmc = NmcInstance(path(5), (0, 4), (1, 2, 3, 2, 1))
+    inst, hub = reduce_to_sfvs(nmc)
+    assert dp.forced_set(inst) == mask_of([0, 4, hub])
+    inst, hub = reduce_to_sfvs(nmc, deletable_terminals=True)
+    assert dp.forced_set(inst) == 1 << hub
+    # Zero and negative weights are never forced.
+    edgeless = Graph(4, [])
+    assert dp.forced_set(Instance(edgeless, 0b1111, (0, -2, 0, -1))) == 0
+    assert dp.forced_set(Instance(edgeless, 0b1111, (5, 0, -1, 0))) == 0b0001
+    # {0, 1, 2} outweighs the rest, but its triangle runs through S = {0}:
+    # the longest prefix that is an S-forest is {0, 1}.
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    tested.clear()
+    assert dp.forced_set(Instance(g, 0b00001, (50, 40, 30, 1, 1))) == 0b00011
+    assert tested == [0b00111, 0b00011]
+
+
+def test_solve_with_forced_set_matches_brute_force():
+    """On 1500 random binary layouts with dominant weights (`_dominant_case`),
+    most of them with a forced set, `solve` drops the rows that cannot hold
+    it and still reaches the brute-force optimum."""
+    rng = random.Random(77)
+    nonempty = 0
+    for trial in range(1500):
+        inst, lay = _dominant_case(rng)
+        assert solve(inst, lay).weight == brute_force_sfvs(inst)[0], trial
+        nonempty += dp.forced_set(inst) != 0
+    assert nonempty > 1200, nonempty
 
 
 def test_cut_values_read_only_the_boundary(monkeypatch):

@@ -70,11 +70,11 @@ none, and the key route skips the search for it.  It tells such rows by
 their fingerprint: the row's profile (below) without its blocks.  That
 leaves four parts: the blocks' trees (`tree_of`); the matched candidates
 (`x_cands`); the attachment types, sorted, each as its blocks, their
-trees and the OR of its far labels; and each block's class key
-N(block & near_bnd) & cvx, named by its d=1 representative (`classes`).
-The four parts fix the keys.  Each p-subset head is the d=1 class of the
-unmatched rest, the union of the unmatched blocks' boundary parts, so its
-class key is the OR of theirs.  Labels are numbered once per node, so
+trees and the OR of its far labels; and each block's d=1 class key
+N(block & near_bnd) & cvx (`classes`).  The four parts fix the keys.
+Each p-subset head is the d=1 class of the unmatched rest, the union of
+the unmatched blocks' boundary parts, so its class key is the OR of
+theirs.  Labels are numbered once per node, so
 equal parts name equal labels.  Everything else `_bucket_keys` reads is a
 node constant.  Two rows with one fingerprint thus have one key set, and
 a row whose fingerprint an earlier row at the node had is dropped
@@ -130,25 +130,36 @@ the same keys one candidate at a time.
 
 Buckets are plain tuples of ints.  Every candidate set an index can name
 (a matched component or S-vertex on the near side, a far-side set or
-singleton) is a label with one bit per node.  The far labels are numbered
-when the key route starts at a node, grouped by their reach into the side,
-and a profile scans those groups, not the candidates; near labels are
-numbered as rows meet them.  A profile holds each attachment type's far
-labels as the OR of their bits, and `_bucket_keys` splits that mask into
-single labels.  A signature group is the OR of its label bits, and a
-bucket key is the class of the unmatched rest followed by the group masks
-in an order fixed by the set of groups.  Keys are compared only for
-equality, and any one-to-one numbering keeps equal keys equal.  On the key
-route a solution stays exactly when one of its keys is not yet seen.  That
-is the minimum entry of each bucket, without holding the buckets.
+singleton) is a label with one bit per node.  A label is the key of the
+candidate's class (`NecFamily.class_of`) shifted left by two, with the
+candidate's kind in the low bits, and a bucket key starts with the d=1
+class key of the unmatched rest.  The index names classes by their
+canonical representatives, but keys and representatives are in
+bijection: a key is the class's neighbor counts toward the other side,
+clamped at d, which every member shares and no other class has.  So
+every fingerprint and bucket key maps one-to-one to the one named by
+representatives, equal keys stay equal, and the kept rows are those
+that naming keeps; no representative is ever worked out.  The far labels
+are numbered when the key route starts at a node, grouped by their reach
+into the side, and a profile scans those groups, not the candidates; near
+labels are numbered as rows meet them.  A profile holds each attachment
+type's far labels as the OR of their bits, and `_bucket_keys` splits
+that mask into single labels.  A signature group is the OR of its label
+bits, and a bucket key is the class of the unmatched rest followed by
+the group masks in an order fixed by the set of groups.  Keys are
+compared only for equality, and any one-to-one numbering keeps equal
+keys equal.  On the key route a solution stays exactly when one of its
+keys is not yet seen.  That is the minimum entry of each bucket, without
+holding the buckets.
 
 The work per node and per row follows the cut's boundary (the side's
 vertices with a neighbor across the cut), not the number of vertices.
-Only boundary vertices decide a class, so representatives are looked up
-from the boundary part of a set.  The far-side candidates and their reach
-into the side are read from the class keys of the far families, which
-already hold them.  A row's block structure (its components, its trees,
-and its excess, the number of edges its S-contraction has beyond a
+Only boundary vertices decide a class, so class keys are looked up from
+the boundary part of a set.  The far-side candidates and their reach into
+the side are read from the class keys of the far families, which already
+hold them, and the far singletons from the far vertices that have a
+neighbor on the side.  A row's block structure (its components, its
+trees, and its excess, the number of edges its S-contraction has beyond a
 forest) is carried from the child rows through `BlockStore`, which joins
 two rows along the edges between them and keeps the boundary parts of
 the pieces on the boundary, sorted: at the node that joins a row, its
@@ -188,9 +199,9 @@ from .graphs import CheckError, Instance, bits, components_masks, is_s_forest, l
 from .layouts import RootedLayout, boundaries, mim_bipartite, mim_cut  # noqa: F401
 from .nec import NecFamily, compute_reps, layout_families  # noqa: F401
 
-# Candidate labels: a representative set shifted left by two, with its kind
-# (matched component, matched S-vertex, far-side set, far-side singleton) in
-# the low bits.
+# Candidate labels: a class key shifted left by two, with its kind (matched
+# component, matched S-vertex, far-side set, far-side singleton) in the low
+# bits.
 _XN, _XS, _YN, _YS = range(4)
 
 
@@ -280,18 +291,22 @@ class BlockStore:
         self.boundary = boundaries(inst.graph, layout)
         self.known: Dict[int, Structure] = {0: Structure((), (), 0)}
         # crossing[y]: the vertices below y's right child with a neighbor
-        # below its left child.
+        # below its left child; neighbors[y]: the neighbors of those below y.
         self.crossing: List[int] = []
+        self.neighbors: List[int] = []
+        nbs = self.neighbors
         for y in layout.postorder():
             crossing = 0
             if layout.is_leaf(y):
                 v = 1 << layout.leaf_vertex[y]
                 listed = (v,) if v & self.boundary[y] else ()
                 self.known[v] = Structure(() if v & self.s else listed, listed, 0)
+                nbs.append(adj[layout.leaf_vertex[y]])
             else:
                 for u in bits(self.boundary[layout.right[y]]):
                     if adj[u] & layout.below[layout.left[y]]:
                         crossing |= 1 << u
+                nbs.append(nbs[layout.left[y]] | nbs[layout.right[y]])
             self.crossing.append(crossing)
         # neighbors of a vertex set, cached until `forget`
         self._reach = cache(lambda piece: reduce(or_, [adj[v] for v in bits(piece)], 0))
@@ -330,15 +345,18 @@ class NodeContext:
 
     `near_bnd` holds the side's vertices with a neighbor across the cut.
     Only they decide a class of either near family, so a set and its part
-    in `near_bnd` have one representative.
+    in `near_bnd` have one class key.
 
     `far_cands` holds (label, ext, e_bad) for every far-side candidate a
-    cover can name: the nonempty representatives of `fam_y2`, then the
-    single-vertex representatives of `fam_y1`.  `ext` is the set of the
-    side's vertices with a neighbor in the candidate and `e_bad` those with
-    two or more.  Both are read from the far families' class keys, which
-    are seen from the node side: a d=2 key is `ext | e_bad << n`, and a d=1
-    key is `ext`.  A singleton has no `e_bad`."""
+    cover can name: one per nonempty class of `fam_y2`, in no set order,
+    then one per d=1 far class whose least member is a single vertex, by
+    that vertex.  `ext` is the set of the side's vertices with a neighbor
+    in the candidate and `e_bad` those with two or more; the label holds
+    the class key (see `_XN`).  A far class key is seen from the node
+    side: a d=2 key is `ext | e_bad << n`.  The far singletons' classes are
+    the distinct nonzero N(u) & vx over far vertices u, and a singleton has
+    no `e_bad`, so its d=1 key is `ext`.  Only far vertices with a neighbor
+    on the side give one, and that neighbor lies on `near_bnd`."""
 
     node: int
     vx: int
@@ -363,24 +381,32 @@ def build_context(
     """Cut data of one layout node.  `families` is `layout_families` of the
     layout and `blocks` the store of row structures, which `solve` builds
     once and shares."""
-    g = inst.graph
+    g, adj = inst.graph, inst.graph.adj
     near1, near2, far1, far2 = families
     vx = layout.below[node]
     cvx = g.vertices & ~vx
-    fam_y1, fam_y2 = far1[node], far2[node]
+    bnd = blocks.boundary[node]
     low = (1 << g.n) - 1
-    far_cands = [(u << 2 | _YN, key & low, key >> g.n) for key, u in fam_y2.reps.items() if key]
-    far_cands += [(u << 2 | _YS, key, 0) for key, u in fam_y1.reps.items() if u.bit_count() == 1]
+    far_cands = [(key << 2 | _YN, key & low, key >> g.n) for key in far2[node].keys if key]
+    # The far vertices with a neighbor on the side, which lies on its
+    # boundary, least first; each names the d=1 class of its singleton.
+    far_bnd = blocks.neighbors[node] & cvx
+    singles: Dict[int, None] = {}
+    while far_bnd:
+        u = far_bnd & -far_bnd
+        singles[adj[u.bit_length() - 1] & bnd] = None
+        far_bnd ^= u
+    far_cands += [(ext << 2 | _YS, ext, 0) for ext in singles]
     return NodeContext(
         node,
         vx,
         cvx,
-        mim_bipartite(g, blocks.boundary[node], cvx),
+        mim_bipartite(g, bnd, cvx),
         near1[node],
         near2[node],
-        fam_y1,
-        fam_y2,
-        blocks.boundary[node],
+        far1[node],
+        far2[node],
+        bnd,
         blocks,
         tuple(far_cands),
     )
@@ -448,7 +474,7 @@ class _Profile(NamedTuple):
     # those blocks, the OR of the label bits of the far-side candidates
     # with that attachment
     types: Tuple[Tuple[int, Tuple[int, ...], int], ...]
-    classes: Tuple[int, ...]  # each block's d=1 representative
+    classes: Tuple[int, ...]  # each block's d=1 class key
 
 
 def _profile(
@@ -489,15 +515,15 @@ def _profile(
             t += 1
 
     fam1, fam2 = ctx.fam_x1, ctx.fam_x2
-    comp_reps = [fam2.rep_of(c) for c in comps]
-    single_reps = [fam1.rep_of(1 << v) for v in singles]
+    comp_keys = [fam2.class_of(c) for c in comps]
+    single_keys = [fam1.class_of(1 << v) for v in singles]
     x_cands: List[Tuple[int, int]] = []
-    for bi, rep in enumerate(comp_reps):
-        if comp_reps.count(rep) == 1:
-            x_cands.append((_label_bit(labels, rep << 2 | _XN), bi))
-    for si, rep in enumerate(single_reps):
-        if single_reps.count(rep) == 1:
-            x_cands.append((_label_bit(labels, rep << 2 | _XS), nc + si))
+    for bi, key in enumerate(comp_keys):
+        if comp_keys.count(key) == 1:
+            x_cands.append((_label_bit(labels, key << 2 | _XN), bi))
+    for si, key in enumerate(single_keys):
+        if single_keys.count(key) == 1:
+            x_cands.append((_label_bit(labels, key << 2 | _XS), nc + si))
 
     # hit << 1 | singleton flag -> label mask.  A far set is out when a
     # matched S-vertex sees it twice; a far singleton when it sees a
@@ -536,7 +562,7 @@ def _profile(
         trees = {tree_of[bj] for bj in bits(att)}
         if len(trees) == att.bit_count():  # two hooks into one tree close a cycle
             types.append((att, tuple(trees), label_mask))
-    classes = (*[fam1.rep_of(c) for c in comps], *single_reps)
+    classes = (*[fam1.class_of(c) for c in comps], *single_keys)
     return _Profile(tuple(blocks), tuple(tree_of), tuple(x_cands), tuple(types), classes)
 
 
@@ -600,7 +626,7 @@ def _bucket_keys(ctx: NodeContext, x: int, prof: _Profile, keys: Set[BucketKey])
                 t = tree_of[bi]
                 tmask |= 1 << t
                 by_tree[t] = by_tree.get(t, 0) | bit
-            head = (fam1.rep_of(x_bnd & ~vc_mask), *sorted(by_tree.values()))
+            head = (fam1.class_of(x_bnd & ~vc_mask), *sorted(by_tree.values()))
             ps.append((used, tmask, by_tree, head))
     clashes = [
         sum(1 << k for k, (att_k, trees_k, _) in enumerate(types)
@@ -818,14 +844,18 @@ def _signature(x: int, st: Structure, bnd: int, left: int) -> tuple:
     `bnd` whose left child holds `left`: x & bnd, and the boundary parts of
     x's boundary components and trees, sorted.  Joined at this node, x
     carries exactly those; with all of it below one child, it carries the
-    child's parts, which are cut down here.  Storing them back cut down
-    would be unsound: structures are kept by set alone, and `reduce_table`
-    asks for them lazily, best first, so x can be cut down before this
-    node joins it with a row of the other child, a join that reads the
-    vertices of x whose only outside neighbors lie below that child."""
-    if 0 < x & left < x:
-        return x & bnd, st.comps, st.trees
-    return x & bnd, _boundary_parts(st.comps, bnd), _boundary_parts(st.trees, bnd)
+    child's parts.  When those trees lie inside `bnd`, so do the
+    components, each inside a tree, and the parts are already cut down;
+    otherwise they are cut down here.  Storing them back cut down would be
+    unsound: structures are kept by set alone, and `reduce_table` asks for
+    them lazily, best first, so x can be cut down before this node joins
+    it with a row of the other child, a join that reads the vertices of x
+    whose only outside neighbors lie below that child."""
+    if not 0 < x & left < x:
+        for t in st.trees:
+            if t & ~bnd:
+                return x & bnd, _boundary_parts(st.comps, bnd), _boundary_parts(st.trees, bnd)
+    return x & bnd, st.comps, st.trees
 
 
 def _first_per_signature(ctx: NodeContext, rows: Iterable[int]) -> Iterator[int]:

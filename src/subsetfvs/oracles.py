@@ -385,15 +385,27 @@ def _reach(g: Graph, side: int, u_set: int) -> Tuple[int, int]:
     return ext, bad
 
 
+def _far_label(g: Graph, ctx: NodeContext, u_set: int, kind: int) -> int:
+    """Label of a far-side candidate: its class key, ext | e_bad << n from
+    `_reach`, shifted left by two, with its kind in the low bits."""
+    ext, bad = _reach(g, ctx.vx, u_set)
+    return (ext | bad << g.n) << 2 | kind
+
+
 def far_candidates(g: Graph, ctx: NodeContext) -> List[Tuple[int, int, int]]:
     """(label, ext, e_bad) of every far-side candidate an index can name,
     from the definition: each nonempty d=2 far representative, then each
-    nonzero entry of `ys_pool`, with ext and e_bad counted from adjacency.
-    `dp` reads the same list, as `ctx.far_cands`, from the far families'
-    class keys."""
-    cands = [(u << 2 | _YN, *_reach(g, ctx.vx, u)) for u in ctx.fam_y2.reps.values() if u]
-    cands += [(u << 2 | _YS, *_reach(g, ctx.vx, u)) for u in ys_pool(ctx) if u]
-    return cands
+    nonzero entry of `ys_pool`, with ext and e_bad counted from adjacency
+    and the label from `_far_label`.  `dp` reads the same candidates, as
+    `ctx.far_cands`, from the far families' class keys and the far
+    vertices' neighborhoods."""
+    pools = ((_YN, ctx.fam_y2.reps.values()), (_YS, ys_pool(ctx)))
+    return [
+        (_far_label(g, ctx, u, kind), *_reach(g, ctx.vx, u))
+        for kind, pool in pools
+        for u in pool
+        if u
+    ]
 
 
 def index_count(ctx: NodeContext) -> int:
@@ -533,8 +545,8 @@ def profile_solution(
 ) -> Optional[_Profile]:
     """Reference for `dp._profile`, built from scratch: the
     components of x minus S by breadth-first search, the trees and the
-    forbidden cycles by union-find over every block, and the class
-    representatives and the blocks' d=1 classes from whole blocks.  As in
+    forbidden cycles by union-find over every block, and the class keys
+    and the blocks' d=1 classes from whole blocks, through `class_of`.  As in
     `dp`, the profile keeps the blocks with a vertex that has a neighbor
     across the cut, each as its boundary part (`block & near_bnd`),
     and each attachment type holds the OR of its label bits; tree ids are
@@ -570,8 +582,8 @@ def profile_solution(
                 return None
             parent[ra] = rb
 
-    comp_reps = [ctx.fam_x2.rep_of(c) for c in comps]
-    single_reps = [ctx.fam_x1.rep_of(1 << v) for v in singles]
+    comp_keys = [ctx.fam_x2.class_of(c) for c in comps]
+    single_keys = [ctx.fam_x1.class_of(1 << v) for v in singles]
     x_cands: List[Tuple[int, int]] = []  # label bit, index among the kept blocks
     kept: List[int] = []
     for bi, block in enumerate(blocks):
@@ -580,11 +592,11 @@ def profile_solution(
             ext |= g.adj[v]
         if not ext & ctx.cvx:
             continue
-        reps = comp_reps if bi < nc else single_reps
-        rep = reps[bi if bi < nc else bi - nc]
-        if rep and reps.count(rep) == 1:
+        keys = comp_keys if bi < nc else single_keys
+        key = keys[bi if bi < nc else bi - nc]
+        if key and keys.count(key) == 1:
             kind = _XN if bi < nc else _XS
-            x_cands.append((_label_bit(labels, rep << 2 | kind), len(kept)))
+            x_cands.append((_label_bit(labels, key << 2 | kind), len(kept)))
         kept.append(bi)
     tree_of = tuple(find(bi) for bi in kept)
 
@@ -608,7 +620,7 @@ def profile_solution(
         known = by_att.get(att, (tuple(trees), 0))
         by_att[att] = (known[0], known[1] | _label_bit(labels, label))
     types = tuple(sorted((att, trees, label_mask) for att, (trees, label_mask) in by_att.items()))
-    classes = tuple(ctx.fam_x1.rep_of(blocks[bi]) for bi in kept)
+    classes = tuple(ctx.fam_x1.class_of(blocks[bi]) for bi in kept)
     parts = tuple(blocks[bi] & ctx.near_bnd for bi in kept)
     return _Profile(parts, tree_of, tuple(x_cands), types, classes)
 
@@ -949,12 +961,13 @@ def bucket_keys_by_candidate(
     grown one far-side candidate at a time, or None when the solution can
     never be extended.
 
-    Each candidate label (a representative set shifted left by two, with
-    its kind in the low bits, as in `dp`) gets the next free bit from
-    `labels`.  A key is the class of the unmatched rest followed by the
-    sorted label masks of the groups.  Candidates with equal attachment sets
-    exclude each other, a lone hook on a block excludes every other hook on
-    it, and a candidate hooking two blocks of one tree closes a cycle.
+    Each candidate label (a class key shifted left by two, with its kind
+    in the low bits, as in `dp`) gets the next free bit from `labels`; a
+    far candidate's key comes from `_reach` (`_far_label`).  A key is the
+    class key of the unmatched rest followed by the sorted label masks of
+    the groups.  Candidates with equal attachment sets exclude each other,
+    a lone hook on a block excludes every other hook on it, and a
+    candidate hooking two blocks of one tree closes a cycle.
     """
     g, s = inst.graph, inst.s_set
     comps = components_masks(g, x & ~s)
@@ -993,15 +1006,15 @@ def bucket_keys_by_candidate(
             parent[ra] = rb
     tree_of = [find(b) for b in range(nb)]
 
-    comp_reps = [ctx.fam_x2.rep_of(c) for c in comps]
-    single_reps = [ctx.fam_x1.rep_of(1 << v) for v in singles]
+    comp_keys = [ctx.fam_x2.class_of(c) for c in comps]
+    single_keys = [ctx.fam_x1.class_of(1 << v) for v in singles]
     x_cands: List[Tuple[int, int]] = []  # label bit, block index
-    for bi, rep in enumerate(comp_reps):
-        if rep and comp_reps.count(rep) == 1:
-            x_cands.append((label_bit(rep << 2 | _XN), bi))
-    for si, rep in enumerate(single_reps):
-        if rep and single_reps.count(rep) == 1:
-            x_cands.append((label_bit(rep << 2 | _XS), nc + si))
+    for bi, key in enumerate(comp_keys):
+        if key and comp_keys.count(key) == 1:
+            x_cands.append((label_bit(key << 2 | _XN), bi))
+    for si, key in enumerate(single_keys):
+        if key and single_keys.count(key) == 1:
+            x_cands.append((label_bit(key << 2 | _XS), nc + si))
 
     y_cands: List[Tuple[int, int, Tuple[int, ...]]] = []  # label bit, attachment, trees
 
@@ -1019,11 +1032,11 @@ def bucket_keys_by_candidate(
         if u_set:
             hit, bad = _reach(g, x, u_set)
             if not bad & s:
-                add_hook(u_set << 2 | _YN, hit)
+                add_hook(_far_label(g, ctx, u_set, _YN), hit)
     for u_set in ys_pool(ctx):
         au = g.adj[u_set.bit_length() - 1] if u_set else 0
         if u_set and not any((au & c).bit_count() > 1 for c in comps):
-            add_hook(u_set << 2 | _YS, _reach(g, x, u_set)[0])
+            add_hook(_far_label(g, ctx, u_set, _YS), _reach(g, x, u_set)[0])
 
     cap_side = 2 * ctx.mim
     p_subs = []  # matched blocks, class of the unmatched rest, (tree, label) per member
@@ -1034,7 +1047,7 @@ def bucket_keys_by_candidate(
                 used |= 1 << bi
                 vc_mask |= blocks[bi]
             members = tuple((tree_of[bi], bit) for bit, bi in sub)
-            p_subs.append((used, ctx.fam_x1.rep_of(x & ~vc_mask), members))
+            p_subs.append((used, ctx.fam_x1.class_of(x & ~vc_mask), members))
 
     keys: Set[Tuple[int, ...]] = set()
 

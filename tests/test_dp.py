@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from subsetfvs import dp, layouts
+from subsetfvs import dp, layouts, nec
 from subsetfvs.graphs import (
     CheckError,
     Graph,
@@ -491,6 +491,32 @@ def test_reduced_tables_match_golden_digests(monkeypatch):
     assert _golden_digests() == GOLDEN_ROUTED_TABLES
     _force_key_route(monkeypatch)
     assert _golden_digests() == GOLDEN_TABLES
+
+
+def test_solve_computes_no_representative(monkeypatch):
+    """`solve` names classes by their keys and never works out a
+    representative.  With every representative computation of `nec`
+    raising, the golden cases (sfvs, fvs and an nmc hub case) give their
+    golden tables and the brute-force optimum, and so does sfvs-n10 with
+    every node on the completion route, the signature pass alone or the
+    key route."""
+
+    def no_reps(*args):
+        raise AssertionError("a representative was computed")
+
+    for name in ("compute_reps", "join", "coarsen"):
+        monkeypatch.setattr(nec, name, no_reps)
+    assert _golden_digests() == GOLDEN_ROUTED_TABLES
+    cases = list(_golden_cases())
+    for name, inst, lay in cases:
+        assert solve(inst, lay).weight == brute_force_sfvs(inst)[0], name
+    _, inst, lay = cases[0]
+    want = brute_force_sfvs(inst)[0]
+    for completion, signature in ((True, False), (False, True), (False, False)):
+        with monkeypatch.context() as m:
+            m.setattr(dp, "completion_route", lambda ctx, rows: completion)
+            m.setattr(dp, "signature_route", lambda ctx, survivors: signature)
+            assert solve(inst, lay).weight == want, (completion, signature)
 
 
 # -------------------------------------------------------------- bucket keys
@@ -1056,11 +1082,14 @@ def _reach_by_adjacency(g, side, u_set):
 
 
 def test_far_candidates_match_adjacency_definition():
-    """`far_cands`, read from the far families' class keys, equals in order
-    the nonempty d=2 far representatives, then the nonempty entries of the
-    oracle's `ys_pool`, each with ext and e_bad counted from adjacency.  The
-    oracle's `xs_pool` is the sorted d=1 class of every near singleton.  On
-    random graphs over caterpillars and random binary layouts, two interval
+    """`far_cands`, read from the far families' class keys and the far
+    vertices' neighborhoods, holds one candidate per nonempty d=2 far
+    representative, then, in order, one per nonempty entry of the oracle's
+    `ys_pool`, each with ext and e_bad counted from adjacency and labelled
+    by its class key `ext | e_bad << n`.  The d=2 candidates may come in
+    any order, since labels are only compared for equality.  The oracle's
+    `xs_pool` is the sorted d=1 class of every near singleton.  On random
+    graphs over caterpillars and random binary layouts, two interval
     layouts and the nmc hub case."""
     rng = random.Random(8)
     cases = []
@@ -1084,11 +1113,17 @@ def test_far_candidates_match_adjacency_definition():
             ctx = node_context(inst, lay, x)
             want_x = sorted({ctx.fam_x1.rep_of(1 << v) for v in bits(ctx.vx)}, key=lex_key)
             assert list(xs_pool(ctx)) == want_x
-            want = [(u << 2 | dp._YN, u) for u in ctx.fam_y2.reps.values() if u]
-            want += [(u << 2 | dp._YS, u) for u in ys_pool(ctx) if u]
-            assert list(ctx.far_cands) == [
-                (label, *_reach_by_adjacency(g, ctx.vx, u)) for label, u in want
-            ], (x, lay.below[x])
+            want = []
+            for kind, pool in ((dp._YN, ctx.fam_y2.reps.values()), (dp._YS, ys_pool(ctx))):
+                for u in pool:
+                    if u:
+                        ext, bad = _reach_by_adjacency(g, ctx.vx, u)
+                        want.append(((ext | bad << g.n) << 2 | kind, ext, bad))
+            sets = sum(1 for u in ctx.fam_y2.reps.values() if u)
+            got = list(ctx.far_cands)
+            assert len(got) == len(want), (x, lay.below[x])
+            assert sorted(got[:sets]) == sorted(want[:sets]), (x, lay.below[x])
+            assert got[sets:] == want[sets:], (x, lay.below[x])
             nodes += 1
     assert nodes > 300
 
@@ -1227,8 +1262,9 @@ def test_profile_skip_searches_rows_that_differ_only_in_block_classes(monkeypatc
     assert ctx.near_bnd == 0b1111
     table = {0b0011: 2, 0b1100: 2}
     profs = {x: _profile_solution(inst, ctx, x, {}) for x in table}
-    assert [profs[x][1:] for x in table] == [((0, 0), (), (), (1, 1)), ((0, 0), (), (), (4, 4))]
-    for x, classes in ((0b0011, 1), (0b1100, 4)):
+    c0, c2 = ctx.fam_x1.class_of(0b0001), ctx.fam_x1.class_of(0b0100)
+    assert [profs[x][1:] for x in table] == [((0, 0), (), (), (c0, c0)), ((0, 0), (), (), (c2, c2))]
+    for x, classes in ((0b0011, c0), (0b1100, c2)):
         keys = set()
         _bucket_keys(ctx, x, profs[x], keys)
         assert keys == {(classes,)}
@@ -1301,9 +1337,12 @@ def test_profile_skip_matches_full_keep_rule(monkeypatch, key_route):
             assert searched < survivors, name
 
 
-def _show(label):
-    kind = ("xn", "xs", "yn", "ys")[label & 3]
-    return kind + "".join(str(v) for v in bits(label >> 2))
+def _show(ctx, label):
+    """A label as its kind and the vertices of its class's representative,
+    read from the family the kind names."""
+    kind = label & 3
+    fam = (ctx.fam_x2, ctx.fam_x1, ctx.fam_y2, ctx.fam_y1)[kind]
+    return ("xn", "xs", "yn", "ys")[kind] + "".join(str(v) for v in bits(fam.reps[label >> 2]))
 
 
 def test_bucket_keys_pinned_small_profile():
@@ -1321,11 +1360,15 @@ def test_bucket_keys_pinned_small_profile():
     prof = _profile_solution(inst, ctx, 0b0011, labels)
     names = {bit: label for label, bit in labels.items()}
     assert sorted(
-        (att, sorted(_show(names[1 << b]) for b in bits(label_mask)))
+        (att, sorted(_show(ctx, names[1 << b]) for b in bits(label_mask)))
         for att, _, label_mask in prof.types
     ) == [(0b01, ["yn3", "ys3"]), (0b11, ["yn2", "yn23", "ys2"])]
+    # x_rest is shown as its class's representative
     got = {
-        (x_rest, frozenset(frozenset(map(_show, grp)) for grp in groups))
+        (
+            ctx.fam_x1.reps[x_rest],
+            frozenset(frozenset(_show(ctx, label) for label in grp) for grp in groups),
+        )
         for x_rest, groups in _keys_by_type(inst, ctx, 0b0011, {})
     }
 

@@ -96,6 +96,14 @@ def test_rep_of_raises_check_error_on_a_missing_class():
         fam.rep_of(0b001)
 
 
+def test_class_of_raises_check_error_on_a_missing_class():
+    g = Graph(3, [(0, 2), (1, 2)])
+    fam = compute_reps(g, 0b011, 1)
+    fam.keys.clear()
+    with pytest.raises(CheckError, match="class missing"):
+        fam.class_of(0b001)
+
+
 def test_key_lookup_consistency():
     g = Graph(4, [(0, 2), (0, 3), (1, 2)])
     fam = compute_reps(g, 0b0011, 2)
@@ -218,17 +226,21 @@ def random_subsets(rng, side, count):
 
 def assert_layout_pass_matches(g, lay, rng):
     """At every node, near and far side, d in {1, 2}: the layout pass gives
-    the keys and representatives of compute_reps, in order, and the same
-    rep_of."""
+    the key set and the class count of compute_reps, and the same class_of
+    on random subsets.  The pass keeps keys only and works out no
+    representative, so comparing representatives would compare
+    compute_reps with itself."""
     near1, near2, far1, far2 = layout_families(g, lay)
     for d, near, far in ((1, near1, far1), (2, near2, far2)):
         for x in lay.postorder():
             for fam, side in ((near[x], lay.below[x]), (far[x], g.vertices & ~lay.below[x])):
+                assert "reps" not in vars(fam)
                 ref = compute_reps(g, side, d)
-                assert fam.side == side
-                assert list(fam.reps.items()) == list(ref.reps.items())
+                assert (fam.side, fam.d, fam.out) == (side, d, g.vertices & ~side)
+                assert fam.keys == set(ref.reps)
+                assert fam.class_count == ref.class_count
                 for sub in random_subsets(rng, side, 8):
-                    assert fam.rep_of(sub) == ref.rep_of(sub)
+                    assert fam.class_of(sub) == ref.class_of(sub)
 
 
 def test_leaf_far_family_is_read_off_the_neighborhood():
@@ -237,8 +249,8 @@ def test_leaf_far_family_is_read_off_the_neighborhood():
     the empty set, v's least neighbor and v's two least neighbors, in that
     order.  Pinned for vertices with 0, 1 and 3 neighbors.  At every leaf
     of a caterpillar (the first leaf a left child) and of a balanced layout
-    (leaves on both sides), keys, representatives and order equal
-    compute_reps at d = 2, and the d = 1 family equals it at d = 1."""
+    (leaves on both sides), the keys equal those of compute_reps at d = 2,
+    and the d = 1 family's those at d = 1."""
     g = Graph(6, [(1, 2), (4, 2), (4, 3), (4, 5)])
     n = g.n
     pinned = {
@@ -254,9 +266,10 @@ def test_leaf_far_family_is_read_off_the_neighborhood():
             v = lay.leaf_vertex[x]
             side = g.vertices & ~(1 << v)
             assert (far2[x].side, far2[x].out) == (side, 1 << v)
-            assert list(far2[x].reps.items()) == list(compute_reps(g, side, 2).reps.items())
-            assert list(far1[x].reps.items()) == list(compute_reps(g, side, 1).reps.items())
+            assert far2[x].keys == compute_reps(g, side, 2).keys
+            assert far1[x].keys == compute_reps(g, side, 1).keys
             if v in pinned:
+                assert far2[x].keys == set(pinned[v]), v
                 assert list(far2[x].reps.items()) == list(pinned[v].items()), v
 
 
@@ -287,6 +300,8 @@ def test_layout_pass_matches_compute_reps_on_interval_graphs():
         ]
         g = Graph(n, edges)
         assert_layout_pass_matches(g, interval_layout(intervals, g), rng)
+    # a balanced layout over the last graph's intervals, by left end
+    assert_layout_pass_matches(g, split_layout(sorted(range(n), key=intervals.__getitem__)), rng)
 
 
 def test_reps_iterate_in_size_lex_order():
@@ -341,7 +356,7 @@ def assert_coarsened(g, lay, rng, samples):
     for x in lay.postorder():
         for fam1, fam2 in ((near1[x], near2[x]), (far1[x], far2[x])):
             assert fam1.d == 1 and fam1.side == fam2.side
-            assert fam1.class_count == len({key & low for key in fam2.reps})
+            assert fam1.class_count == len({key & low for key in fam2.keys})
             for sub in random_subsets(rng, fam1.side, samples):
                 rep = fam1.rep_of(sub)
                 assert neighbor_counts(g, fam1.side, 1, rep) == neighbor_counts(g, fam1.side, 1, sub)

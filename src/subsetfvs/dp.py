@@ -17,8 +17,8 @@ multiway cut prices the hub and the terminals above the total, so they
 are forced.  `solve` gives a forced leaf the one row that holds its
 vertex, and keeps of each merged table only the rows x with
 x | (H beyond the node) an S-forest (`_holding`), before `reduce_table`
-and `trace` see it.  That is read by `_joined` from x's stored structure
-and the pieces of the forced vertices beyond the node.  On a hub
+and `trace` see it.  That is read by `_completes` from x's stored
+structure and the pieces of the forced vertices beyond the node.  On a hub
 instance it drops the rows that join two terminals in one tree, which
 the hub would close into a cycle at the root.  The reduction thus
 represents the table it gets, and the per-node audits check that same
@@ -35,11 +35,14 @@ S-forests are closed under taking subsets, so a far set outside F is
 completed by no row, before or after the reduction.  The kept rows thus
 represent the merged table, and there are at most |F| of them.  F is grown
 one far vertex at a time and carries each Y's components of Y \\ S and
-trees.  Whether a row x completes Y is then read from the join formula
-(`_joined`, below), with no search: both have excess 0, so x | Y is an
-S-forest exactly when the edges between them with an end in S, plus the
-merges Y's components make among x's boundary components, minus the
-merges Y's trees make among x's boundary trees, sum to 0.
+trees.  Whether a row x completes Y is then one more join (`_completes`),
+of Y's pieces with x's stored ones, with no search: both have excess 0,
+so by the join formula (`_joined`, below) x | Y is an S-forest exactly
+when the edges between them with an end in S, plus the merges Y's
+components make among x's components, minus the merges Y's trees make
+among x's trees, sum to 0.  Only the far vertices that meet x have such
+edges; they are found once per row, and a Y that meets none of them is
+completed without a join.
 
 The signature route keeps the first row per boundary signature: x &
 near_bnd, and the boundary parts of x's boundary components and trees,
@@ -168,15 +171,16 @@ are a function of its boundary signature, so the key route sees only the
 signature route's survivors and profiles no repeated signature.  A row can still become an
 S-forest exactly when its excess is 0, so `reduce_table`'s signature pass
 skips the others and every root row is an S-forest.  The join formula is
-coded once, in `_joined`, which `BlockStore` and `_far_forests` call;
-`_incomplete` sums its terms per (row, far set) pair through `_merges`.
+coded once, in `_joined`: `BlockStore` calls it per child pair,
+`_far_forests` per far vertex, and `_completes` per (row, far set) pair,
+for the completion route and for `_holding` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, product, starmap
+from itertools import combinations, filterfalse, product, starmap
 from operator import add, or_
 from typing import (
     Callable,
@@ -704,8 +708,16 @@ def signature_route(ctx: NodeContext, survivors: int) -> bool:
 FarForest = Tuple[int, List[int], List[int]]  # Y, its components of Y \ S, its trees
 
 
-def _far_forests(ctx: NodeContext, inst: Instance) -> List[FarForest]:
-    """Every far S-forest Y, with its components of Y \\ S and its trees.
+def _s_nbs(inst: Instance, far: int) -> Dict[int, int]:
+    """Per vertex v of `far`, least first, its neighbors along edges with an
+    end in S: all of them when v is in S, else those in S."""
+    adj, s = inst.graph.adj, inst.s_set
+    return {v: adj[v] if s >> v & 1 else adj[v] & s for v in bits(far)}
+
+
+def _far_forests(inst: Instance, s_nbs: Dict[int, int]) -> List[FarForest]:
+    """Every S-forest Y over the far vertices, the keys of `s_nbs`
+    (`_s_nbs`), with its components of Y \\ S and its trees.
 
     Grown one far vertex at a time, since every subset of an S-forest is
     one.  Adding a vertex v to Y is a join (`_joined`) of Y's pieces with
@@ -713,11 +725,10 @@ def _far_forests(ctx: NodeContext, inst: Instance) -> List[FarForest]:
     the joined excess is 0."""
     adj, s = inst.graph.adj, inst.s_set
     forests: List[FarForest] = [(0, [], [])]
-    for v in bits(ctx.cvx):
+    for v, s_nb in s_nbs.items():
         bit = 1 << v
         leaf = ((), (bit,), 0) if s & bit else ((bit,), (bit,), 0)
         reach = {bit: adj[v]}.__getitem__  # {v} is its own one piece
-        s_nb = adj[v] if s & bit else adj[v] & s  # v's neighbors along edges with an end in S
         grown = []
         for y, comps, trees in forests:
             comps, trees, excess = _joined((comps, trees, 0), leaf, (s_nb & y).bit_count(), reach)
@@ -727,82 +738,27 @@ def _far_forests(ctx: NodeContext, inst: Instance) -> List[FarForest]:
     return forests
 
 
-def _merges(atts: List[int]) -> int:
-    """Merges made by joining pieces, with these attachments, to the pieces
-    of the other side: a merge term of `_joined`.  An attachment is the set
-    of other-side pieces a piece meets, as bits.  Glued by `_glue`, the
-    attachments fall into groups of other-side pieces, and each group
-    leaves one piece of all those it involves: the pieces involved, plus
-    the attachments, minus the groups left."""
-    if len(atts) < 2:  # the common case, one group at most
-        return atts[0].bit_count() if atts else 0
-    groups: List[int] = []
-    for a in atts:
-        groups = _glue(groups, a, a)
-    return sum(map(int.bit_count, groups)) + len(atts) - len(groups)
-
-
-# The far vertices that meet a row, and per such v: e_v, x's components, x's trees
-Meets = Tuple[int, Dict[int, Tuple[int, int, int]]]
-
-
-def _meets(ctx: NodeContext, inst: Instance, x: int, st: Structure) -> Meets:
-    """How the far vertices meet the row x of structure `st`.  A far vertex
-    meets x only in x & near_bnd, so each is read once per row."""
-    adj, s, bnd = inst.graph.adj, inst.s_set, ctx.near_bnd
-    xb = x & bnd
-    comps = [c for c in st.comps if c & bnd]
-    trees = [t for t in st.trees if t & bnd]
-    touch = 0
-    meets: Dict[int, Tuple[int, int, int]] = {}
-    for v in bits(ctx.cvx):
-        hit = adj[v] & xb
-        if hit:
-            touch |= 1 << v
-            in_s = s >> v & 1
-            meets[v] = (
-                (hit if in_s else hit & s).bit_count(),
-                0 if in_s else sum(1 << i for i, c in enumerate(comps) if c & hit),
-                sum(1 << i for i, t in enumerate(trees) if t & hit),
-            )
-    return touch, meets
-
-
-def _incomplete(met: Meets, forests: Iterable[FarForest]) -> List[FarForest]:
-    """The far S-forests among `forests` that a row of excess 0, met by the
-    far vertices as `met` (`_meets`) says, does not complete to an S-forest.
-
-    By the join formula (`_joined`), the excess of x | Y is the sum over v
-    in Y of e_v, the edges from v to x with an end in S, plus the merges
-    Y's components of Y \\ S make among x's boundary components, minus the
-    merges Y's trees make among x's boundary trees (`_merges` counts both).
-    A far set that meets x nowhere is completed."""
-    touch, meets = met
-    rest = []
-    for f in forests:
-        y, ycomps, ytrees = f
-        if not y & touch:
-            continue
-        excess = 0
-        tree_atts = []
-        for p in ytrees:
-            att = 0
-            for v in bits(p & touch):
-                e, _, t = meets[v]
-                excess += e
-                att |= t
-            if att:
-                tree_atts.append(att)
-        comp_atts = []
-        for p in ycomps:
-            att = 0
-            for v in bits(p & touch):
-                att |= meets[v][1]
-            if att:
-                comp_atts.append(att)
-        if excess + _merges(comp_atts) != _merges(tree_atts):
-            rest.append(f)
-    return rest
+def _completes(
+    st: Structure,
+    x: int,
+    y: int,
+    pieces: Tuple[Sequence[int], Sequence[int]],
+    s_nbs: Dict[int, int],
+    reach: Callable[[int], int],
+) -> bool:
+    """Whether x | Y is an S-forest, for a set x of structure `st` and
+    excess 0 and a disjoint S-forest Y with `pieces`, its components of
+    Y \\ S and its trees: exactly when the join formula (`_joined`) gives
+    x | Y excess 0.  x's stored pieces suffice: Y meets x only in vertices
+    with a neighbor beyond the node, which every stored part keeps.  `y`
+    holds the vertices of Y whose edges to x are counted, through their
+    `s_nbs` (`_s_nbs`): all of Y, or only those with a neighbor in x, since
+    no other vertex has an edge to x.  `reach` gives a piece's neighbors.
+    A Y that meets x nowhere is completed."""
+    s_edges = 0
+    for v in bits(y):
+        s_edges += (s_nbs[v] & x).bit_count()
+    return not _joined(st, (*pieces, 0), s_edges, reach)[2]
 
 
 def _least(forests: List[FarForest]) -> List[FarForest]:
@@ -823,18 +779,36 @@ def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Iterable[int]) 
     among the far S-forests.  A row thus completes an open one exactly when
     it completes a least one, with no open proper subset; and such a
     subset, if any, lies one vertex below.  Each row is tried on the least
-    open ones, and only a kept row on them all, both from one `_meets`."""
-    of, node = ctx.blocks.of, ctx.node
-    open_ys = _far_forests(ctx, inst)
+    open ones, and only a kept row on them all.  Each pair is decided by
+    `_completes`, which counts the edges of the far vertices that meet the
+    row (`touch`), read once per row; a far set that meets none of them is
+    completed."""
+    of, node, reach = ctx.blocks.of, ctx.node, ctx.blocks._reach
+    adj, bnd = inst.graph.adj, ctx.near_bnd
+    s_nbs = _s_nbs(inst, ctx.cvx)
+    # per far vertex, its bit and its neighbors on the side, which lie on
+    # the boundary
+    far_nbs = [(1 << v, adj[v] & bnd) for v in s_nbs]
+    open_ys = _far_forests(inst, s_nbs)
     least = open_ys[:1]  # the empty set
     keep = []
     for x in rows:
         if not open_ys:
             break
-        met = _meets(ctx, inst, x, of(node, x))
-        if len(_incomplete(met, least)) < len(least):
+        st = of(node, x)
+        touch = 0
+        for bit, nb in far_nbs:
+            if nb & x:
+                touch |= bit
+
+        def completes(f: FarForest) -> bool:
+            y, comps, trees = f
+            met = y & touch
+            return not met or _completes(st, x, met, (comps, trees), s_nbs, reach)
+
+        if any(map(completes, least)):
             keep.append(x)
-            open_ys = _incomplete(met, open_ys)
+            open_ys = list(filterfalse(completes, open_ys))
             least = _least(open_ys)
     return keep
 
@@ -974,25 +948,25 @@ def _holding(inst: Instance, blocks: BlockStore, node: int, far: int, table: Tab
     """The rows x of `table` with x | far an S-forest, for `far` the forced
     vertices beyond `node`: the rows that can still be part of a maximum.
 
-    `far` is a subset of the forced set, so an S-forest of excess 0; its
-    pieces are joined to x's stored ones by `_joined`.  Only vertices with
-    a neighbor in `far` (`touch`) can add an edge with an end in S or glue
-    two pieces, so a row that avoids them keeps its own excess."""
+    `far` is a subset of the forced set, so an S-forest of excess 0, and
+    `_completes` decides each row from x's stored structure and far's
+    pieces.  Only the side's vertices with a neighbor in `far` (`touch`) can
+    add an edge with an end in S or glue two pieces, so a row that avoids
+    them keeps its own excess; only the far vertices with a neighbor on the
+    side (`met`) have edges to count."""
     g, s = inst.graph, inst.s_set
-    adj, side, reach = g.adj, blocks.layout.below[node], blocks._reach
-    far_st = (components_masks(g, far & ~s), components_masks(g, far), 0)
+    side, reach = blocks.layout.below[node], blocks._reach
+    pieces = (components_masks(g, far & ~s), components_masks(g, far))
     touch = reach(far) & side
-    # per far vertex, its neighbors on the side along edges with an end in S
-    s_nbs = [m for m in ((adj[v] if s >> v & 1 else adj[v] & s) & side for v in bits(far)) if m]
+    met = far & blocks.neighbors[node]
+    s_nbs = _s_nbs(inst, met)
     kept: Table = {}
     for x, wx in table.items():
         st = blocks.of(node, x)
         if st.excess:
             continue
-        if x & touch:
-            s_edges = sum((m & x).bit_count() for m in s_nbs)
-            if _joined(st, far_st, s_edges, reach)[2]:
-                continue
+        if x & touch and not _completes(st, x, met, pieces, s_nbs, reach):
+            continue
         kept[x] = wx
     return kept
 

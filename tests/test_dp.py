@@ -943,9 +943,9 @@ def _far_subsets(cvx):
 def test_completion_pairs_match_definition(monkeypatch):
     """At every completion-route node, `_far_forests` lists exactly the far
     sets Y with G[Y] an S-forest, and for every merged row x of excess 0
-    and every such Y, `_incomplete` leaves Y open exactly when x | Y is not
-    an S-forest (`is_s_forest`): the decision read from carried structures
-    is the definition.  Covers the golden cases, the nmc hub case on
+    and every such Y, `_completes` holds exactly when x | Y is an S-forest
+    (`is_s_forest`): the decision read from carried structures is the
+    definition.  Covers the golden cases, the nmc hub case on
     `_dense_layout(3)`, 30 random binary layouts (n <= 12) and the n = 85
     interval case, where the route is forced at every node whose far side
     has at most 8 vertices."""
@@ -965,14 +965,19 @@ def test_completion_pairs_match_definition(monkeypatch):
         def watch(node, ctx, merged, reduced):
             if not dp.completion_route(ctx, len(merged)):
                 return
-            forests = dp._far_forests(ctx, inst)
+            s_nbs = dp._s_nbs(inst, ctx.cvx)
+            forests = dp._far_forests(inst, s_nbs)
             ys = [y for y, _, _ in forests]
             assert sorted(ys) == [y for y in sorted(_far_subsets(ctx.cvx)) if is_s_forest(g, y, s)]
             for x in merged:
                 st = ctx.blocks.of(node, x)
                 if st.excess:
                     continue
-                left = {y for y, _, _ in dp._incomplete(dp._meets(ctx, inst, x, st), forests)}
+                left = {
+                    y
+                    for y, comps, trees in forests
+                    if not dp._completes(st, x, y, (comps, trees), s_nbs, ctx.blocks._reach)
+                }
                 for y in ys:
                     assert (y not in left) == is_s_forest(g, x | y, s), (node, x, y)
                 checked["pairs"] += len(ys)
@@ -986,47 +991,6 @@ def test_completion_pairs_match_definition(monkeypatch):
             solve(inst, lay, trace=watch)
     assert checked["open"] > 0 and checked["pairs"] > checked["open"], checked
     assert checked["nodes"] > 80 and checked["forced"] == 9, checked
-
-
-def _merges_by_union_find(atts):
-    """Pieces that some attachment meets, plus the attachments, minus the
-    connected groups they form, one union-find node per piece and per
-    attachment."""
-    parent = {}
-
-    def find(u):
-        while parent[u] != u:
-            u = parent[u]
-        return u
-
-    for j, att in enumerate(atts):
-        parent[("att", j)] = ("att", j)
-        for i in bits(att):
-            parent.setdefault(i, i)
-            parent[find(i)] = find(("att", j))
-    return len(parent) - len({find(u) for u in parent})
-
-
-def test_merges_match_union_find_count():
-    """`dp._merges` on random attachment lists (0 to 6 attachments, masks
-    over up to 8 pieces, each often sharing a piece with the one before, so
-    that overlaps chain) equals the union-find count of the pieces involved
-    plus the attachments minus the groups left."""
-    assert dp._merges([0b0011, 0b0110, 0b1100]) == _merges_by_union_find([0b0011, 0b0110, 0b1100]) == 6
-    assert dp._merges([0b01, 0b10]) == 2 and dp._merges([]) == 0
-    rng = random.Random(5)
-    lengths = set()
-    for _ in range(3000):
-        k = rng.randint(1, 8)
-        atts = []
-        for _ in range(rng.randint(0, 6)):
-            att = mask_of(rng.sample(range(k), rng.randint(1, min(3, k))))
-            if atts and rng.random() < 0.5:
-                att |= 1 << rng.choice(list(bits(atts[-1])))
-            atts.append(att)
-        assert dp._merges(atts) == _merges_by_union_find(atts), atts
-        lengths.add(len(atts))
-    assert lengths == set(range(7))
 
 
 def test_reduced_tables_represent_at_n85():

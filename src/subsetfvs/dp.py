@@ -197,11 +197,11 @@ from typing import (
 )
 
 from .graphs import CheckError, Instance, bits, components_masks, is_s_forest, lex_order, mask_of
-# compute_reps and mim_cut are unused here but stay names of this module: the
-# tracer in perfbench/tracing.py wraps dp.compute_reps, dp.build_context and
-# dp.mim_cut.
+# mim_cut and compute_reps are unused here, and solve never calls them, but
+# they stay names of this module: perfbench/tracing.py wraps them by name.
 from .layouts import RootedLayout, boundaries, mim_bipartite, mim_cut  # noqa: F401
-from .nec import NecFamily, compute_reps, layout_families  # noqa: F401
+from .nec import NecFamily, layout_families
+from .nec import side_family as compute_reps  # noqa: F401
 
 # Candidate labels: a class key shifted left by two, with its kind (matched
 # component, matched S-vertex, far-side set, far-side singleton) in the low

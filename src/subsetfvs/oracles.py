@@ -4,7 +4,8 @@ Everything here reaches the answer by a route independent of the dynamic
 program: subset enumeration with a connectivity-based cycle test, a direct
 contraction construction for crossing forests (the block partitions and
 block graphs of the paper's proofs), the d-neighbor equivalence read off
-neighbor counts by definition, and a semantic completion check that
+neighbor counts by definition (with each class's least member, found by
+scanning the side's boundary), and a semantic completion check that
 compares tables against every possible far side.  Like the solver, it
 needs only the standard library.
 
@@ -22,11 +23,13 @@ runs in `dp.solve`.
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import combinations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, Instance, bits, components_masks, is_forest, is_s_forest, mask_of
+from .graphs import CheckError, Graph, Instance, bits, components_masks, is_forest, is_s_forest
+from .graphs import mask_of
 from .dp import _XN, _XS, _YN, _YS, BlockStore, NodeContext, Structure, Table, _label_bit, _Profile
 from .dp import build_context
 from .layouts import RootedLayout, mim_bipartite
@@ -171,6 +174,46 @@ def neighbor_counts(g: Graph, a: int, d: int, x: int) -> Tuple[int, ...]:
 def same_class(g: Graph, a: int, d: int, x: int, y: int) -> bool:
     """Direct d-equivalence test over side a; no family required."""
     return neighbor_counts(g, a, d, x) == neighbor_counts(g, a, d, y)
+
+
+_REPS: "weakref.WeakKeyDictionary[NecFamily, Dict[int, int]]" = weakref.WeakKeyDictionary()
+
+
+def reps(fam: NecFamily) -> Dict[int, int]:
+    """Each class's canonical representative, keyed by the class's key: its
+    least member, first by size, then by the lexicographic order of the
+    sorted vertex list, in that order of the representatives.
+
+    Read off the definition: subsets of the side's boundary (its vertices
+    with a neighbor in `fam.out`) are scanned in (size, lex) order, and the
+    first met per key is kept.  A least member lies in the boundary, since
+    dropping a vertex off it keeps the key and makes the set smaller.
+    Raises CheckError when a subset's key is missing from the family, or a
+    key of the family has no member.  Worked out once per family.
+    """
+    got = _REPS.get(fam)
+    if got is not None:
+        return got
+    g = fam.graph
+    boundary = [v for v in bits(fam.side) if g.adj[v] & fam.out]
+    got = {}
+    for size in range(len(boundary) + 1):
+        for combo in combinations(boundary, size):
+            x = mask_of(combo)
+            key = fam.key_of(x)
+            if key not in got:
+                if key not in fam.keys:
+                    raise CheckError("equivalence class missing from the family")
+                got[key] = x
+                if len(got) == len(fam.keys):
+                    _REPS[fam] = got
+                    return got
+    raise CheckError("family key with no member on the side")
+
+
+def rep_of(fam: NecFamily, x: int) -> int:
+    """Canonical representative of the class of x, a subset of the side."""
+    return reps(fam)[fam.class_of(x)]
 
 
 def _connected(g: Graph, inside: int, a: int, b: int) -> bool:
@@ -357,7 +400,7 @@ class IndexTuple(NamedTuple):
 
 
 def _singleton_pool(fam: NecFamily, side: int) -> Tuple[int, ...]:
-    return tuple(sorted({fam.rep_of(1 << v) for v in bits(side)}, key=lex_key))
+    return tuple(sorted({rep_of(fam, 1 << v) for v in bits(side)}, key=lex_key))
 
 
 def xs_pool(ctx: NodeContext) -> Tuple[int, ...]:
@@ -399,7 +442,7 @@ def far_candidates(g: Graph, ctx: NodeContext) -> List[Tuple[int, int, int]]:
     and the label from `_far_label`.  `dp` reads the same candidates, as
     `ctx.far_cands`, from the far families' class keys and the far
     vertices' neighborhoods."""
-    pools = ((_YN, ctx.fam_y2.reps.values()), (_YS, ys_pool(ctx)))
+    pools = ((_YN, reps(ctx.fam_y2).values()), (_YS, ys_pool(ctx)))
     return [
         (_far_label(g, ctx, u, kind), *_reach(g, ctx.vx, u))
         for kind, pool in pools
@@ -436,11 +479,11 @@ def enumerate_indices(ctx: NodeContext) -> Iterator[IndexTuple]:
     and only the joint size bound of 4 * mim applies.
     """
     budget = 4 * ctx.mim
-    p_ns = ctx.fam_x2.reps.values()
+    p_ns = reps(ctx.fam_x2).values()
     p_s = xs_pool(ctx)
-    q_ns = ctx.fam_y2.reps.values()
+    q_ns = reps(ctx.fam_y2).values()
     q_s = ys_pool(ctx)
-    for x_rest in ctx.fam_x1.reps.values():
+    for x_rest in reps(ctx.fam_x1).values():
         for k1 in range(min(budget, len(p_ns)) + 1):
             for c1 in combinations(p_ns, k1):
                 for k2 in range(min(budget - k1, len(p_s)) + 1):
@@ -869,19 +912,19 @@ def build_index_from_cover(
     matched = 0
     for tag, b in cover:
         if tag == "xn":
-            xvc_ns.add(ctx.fam_x2.rep_of(b))
+            xvc_ns.add(rep_of(ctx.fam_x2, b))
             matched |= b
         elif tag == "xs":
-            xvc_s.add(ctx.fam_x1.rep_of(b))
+            xvc_s.add(rep_of(ctx.fam_x1, b))
             matched |= b
         elif tag == "yn":
-            yvc_ns.add(ctx.fam_y2.rep_of(b))
+            yvc_ns.add(rep_of(ctx.fam_y2, b))
         else:
-            yvc_s.add(ctx.fam_y1.rep_of(b))
+            yvc_s.add(rep_of(ctx.fam_y1, b))
     return IndexTuple(
         frozenset(xvc_ns),
         frozenset(xvc_s),
-        ctx.fam_x1.rep_of(x & ~matched),
+        rep_of(ctx.fam_x1, x & ~matched),
         frozenset(yvc_ns),
         frozenset(yvc_s),
     )
@@ -1028,7 +1071,7 @@ def bucket_keys_by_candidate(
         if att and len(trees) == att.bit_count():
             y_cands.append((label_bit(label), att, tuple(trees)))
 
-    for u_set in ctx.fam_y2.reps.values():
+    for u_set in reps(ctx.fam_y2).values():
         if u_set:
             hit, bad = _reach(g, x, u_set)
             if not bad & s:

@@ -14,7 +14,7 @@ from subsetfvs.cli import main
 from subsetfvs.graphs import Graph, Instance, bits, is_forest, is_s_forest, mask_of
 from subsetfvs.layouts import cut_rank, layout_from_order, mim_bipartite, mim_cut
 from subsetfvs.multiway import NmcInstance, separates, solve_nmc
-from subsetfvs.nec import compute_reps
+from subsetfvs.nec import side_family
 from subsetfvs.dp import solve
 from subsetfvs.oracles import (
     brute_force_fvs,
@@ -181,12 +181,12 @@ def test_criterion_6_class_count_bounds(capsys):
         rw = cut_rank(g, a, "gf2")
         rwq = cut_rank(g, a, "rational")
         m = mim_cut(g, a)
-        assert compute_reps(g, a, 1).class_count == compute_reps(g, g.vertices & ~a, 1).class_count
+        assert side_family(g, a, 1).class_count == side_family(g, g.vertices & ~a, 1).class_count
         if m == 0 or size <= 1:
             continue
         checked += 1
         for d in (1, 2):
-            cnt = compute_reps(g, a, d).class_count
+            cnt = side_family(g, a, d).class_count
             k = d * m
             ok = (
                 cnt <= 2 ** (d * rw * rw)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from subsetfvs import dp, layouts, nec
+from subsetfvs import dp, layouts, oracles
 from subsetfvs.graphs import (
     CheckError,
     Graph,
@@ -50,6 +50,8 @@ from subsetfvs.oracles import (
     lex_key,
     node_context,
     profile_solution,
+    rep_of,
+    reps,
     s_forest_by_cycles,
     xs_pool,
     ys_pool,
@@ -200,7 +202,7 @@ def test_far_singleton_with_two_component_neighbors_rejected():
     inst = Instance(triangle(), 0b100, (1, 1, 1))
     ctx = context_for(inst, 0b011)
     i = IndexTuple(
-        frozenset(), frozenset(), ctx.fam_x1.rep_of(0b011), frozenset(), frozenset({0b100})
+        frozenset(), frozenset(), rep_of(ctx.fam_x1, 0b011), frozenset(), frozenset({0b100})
     )
     assert not is_partial_solution(inst, ctx, 0b011, i)
 
@@ -210,7 +212,7 @@ def test_rest_class_must_match():
     ctx = context_for(inst, 0b011)
     # {1} has a crossing neighbor, so it is not 1-equivalent to the empty rest
     assert not is_partial_solution(inst, ctx, 0b010, EMPTY_INDEX)
-    good = EMPTY_INDEX._replace(x_rest=ctx.fam_x1.rep_of(0b010))
+    good = EMPTY_INDEX._replace(x_rest=rep_of(ctx.fam_x1, 0b010))
     assert is_partial_solution(inst, ctx, 0b010, good)
 
 
@@ -495,17 +497,16 @@ def test_reduced_tables_match_golden_digests(monkeypatch):
 
 def test_solve_computes_no_representative(monkeypatch):
     """`solve` names classes by their keys and never works out a
-    representative.  With every representative computation of `nec`
-    raising, the golden cases (sfvs, fvs and an nmc hub case) give their
-    golden tables and the brute-force optimum, and so does sfvs-n10 with
-    every node on the completion route, the signature pass alone or the
-    key route."""
+    representative.  With `oracles.reps`, where every representative is
+    worked out, raising, the golden cases (sfvs, fvs and an nmc hub case)
+    give their golden tables and the brute-force optimum, and so does
+    sfvs-n10 with every node on the completion route, the signature pass
+    alone or the key route."""
 
     def no_reps(*args):
         raise AssertionError("a representative was computed")
 
-    for name in ("compute_reps", "join", "coarsen"):
-        monkeypatch.setattr(nec, name, no_reps)
+    monkeypatch.setattr(oracles, "reps", no_reps)
     assert _golden_digests() == GOLDEN_ROUTED_TABLES
     cases = list(_golden_cases())
     for name, inst, lay in cases:
@@ -1075,15 +1076,15 @@ def test_far_candidates_match_adjacency_definition():
             if lay.is_leaf(x):
                 continue
             ctx = node_context(inst, lay, x)
-            want_x = sorted({ctx.fam_x1.rep_of(1 << v) for v in bits(ctx.vx)}, key=lex_key)
+            want_x = sorted({rep_of(ctx.fam_x1, 1 << v) for v in bits(ctx.vx)}, key=lex_key)
             assert list(xs_pool(ctx)) == want_x
             want = []
-            for kind, pool in ((dp._YN, ctx.fam_y2.reps.values()), (dp._YS, ys_pool(ctx))):
+            for kind, pool in ((dp._YN, reps(ctx.fam_y2).values()), (dp._YS, ys_pool(ctx))):
                 for u in pool:
                     if u:
                         ext, bad = _reach_by_adjacency(g, ctx.vx, u)
                         want.append(((ext | bad << g.n) << 2 | kind, ext, bad))
-            sets = sum(1 for u in ctx.fam_y2.reps.values() if u)
+            sets = sum(1 for u in reps(ctx.fam_y2).values() if u)
             got = list(ctx.far_cands)
             assert len(got) == len(want), (x, lay.below[x])
             assert sorted(got[:sets]) == sorted(want[:sets]), (x, lay.below[x])
@@ -1306,7 +1307,7 @@ def _show(ctx, label):
     read from the family the kind names."""
     kind = label & 3
     fam = (ctx.fam_x2, ctx.fam_x1, ctx.fam_y2, ctx.fam_y1)[kind]
-    return ("xn", "xs", "yn", "ys")[kind] + "".join(str(v) for v in bits(fam.reps[label >> 2]))
+    return ("xn", "xs", "yn", "ys")[kind] + "".join(str(v) for v in bits(reps(fam)[label >> 2]))
 
 
 def test_bucket_keys_pinned_small_profile():
@@ -1330,7 +1331,7 @@ def test_bucket_keys_pinned_small_profile():
     # x_rest is shown as its class's representative
     got = {
         (
-            ctx.fam_x1.reps[x_rest],
+            reps(ctx.fam_x1)[x_rest],
             frozenset(frozenset(_show(ctx, label) for label in grp) for grp in groups),
         )
         for x_rest, groups in _keys_by_type(inst, ctx, 0b0011, {})

@@ -14,8 +14,8 @@ from subsetfvs.layouts import (
     mim_cut,
     parse_layout,
 )
-from subsetfvs.nec import compute_reps, join, layout_families
-from subsetfvs.oracles import lex_key, neighbor_counts, same_class
+from subsetfvs.nec import layout_families, side_family
+from subsetfvs.oracles import lex_key, neighbor_counts, rep_of, reps, same_class
 
 
 def classes_by_definition(g, a, d):
@@ -52,53 +52,62 @@ def test_same_class_clamping():
 
 def test_empty_outside_single_class():
     g = Graph(3, [(0, 1), (1, 2)])
-    fam = compute_reps(g, g.vertices, 2)
-    assert list(fam.reps.values()) == [0]
+    fam = side_family(g, g.vertices, 2)
+    assert list(reps(fam).values()) == [0]
     assert fam.class_count == 1
     # complement side: only the empty subset exists
-    fam0 = compute_reps(g, 0, 1)
-    assert list(fam0.reps.values()) == [0]
+    fam0 = side_family(g, 0, 1)
+    assert list(reps(fam0).values()) == [0]
 
 
 def test_no_external_edges_single_class():
     g = Graph(4, [(0, 1)])
-    fam = compute_reps(g, 0b0011, 1)
-    assert list(fam.reps.values()) == [0]
+    fam = side_family(g, 0b0011, 1)
+    assert list(reps(fam).values()) == [0]
     assert fam.class_count == 1
 
 
 def test_two_vertices_one_external_neighbor():
     # a = {0,1}, both adjacent only to external 2
     g = Graph(3, [(0, 2), (1, 2)])
-    fam = compute_reps(g, 0b011, 1)
-    assert set(fam.reps.values()) == {0, 0b001}
+    fam = side_family(g, 0b011, 1)
+    assert set(reps(fam).values()) == {0, 0b001}
     assert fam.class_count == 2
-    assert fam.rep_of(0) == 0
-    assert fam.rep_of(0b010) == 0b001  # same clamped key, {0} is lex-smaller
-    assert fam.rep_of(0b011) == 0b001  # count saturates at d=1
-    fam2 = compute_reps(g, 0b011, 2)
-    assert fam2.rep_of(0b011) == 0b011
+    assert rep_of(fam, 0) == 0
+    assert rep_of(fam, 0b010) == 0b001  # same clamped key, {0} is lex-smaller
+    assert rep_of(fam, 0b011) == 0b001  # count saturates at d=1
+    fam2 = side_family(g, 0b011, 2)
+    assert rep_of(fam2, 0b011) == 0b011
     assert fam2.class_count == 3
 
 
-def test_rep_of_rejects_outsiders():
+def test_class_of_rejects_outsiders():
     g = Graph(3, [(0, 2), (1, 2)])
-    fam = compute_reps(g, 0b011, 1)
+    fam = side_family(g, 0b011, 1)
     with pytest.raises(ValueError):
-        fam.rep_of(0b100)
+        fam.class_of(0b100)
+    with pytest.raises(ValueError):
+        rep_of(fam, 0b100)
 
 
-def test_rep_of_raises_check_error_on_a_missing_class():
+def test_reps_raise_check_error_on_a_key_without_member():
+    # side {0} meets its one outside neighbor 2 at most once, so no subset
+    # of the side has the key "2 seen twice"
     g = Graph(3, [(0, 2), (1, 2)])
-    fam = compute_reps(g, 0b011, 1)
-    fam.reps.clear()
+    fam = side_family(g, 0b001, 2)
+    fam.keys.add(0b100 | 0b100 << g.n)
+    with pytest.raises(CheckError, match="no member"):
+        reps(fam)
+    # and a subset whose key the family lacks
+    fam = side_family(g, 0b001, 2)
+    fam.keys.discard(0)
     with pytest.raises(CheckError, match="class missing"):
-        fam.rep_of(0b001)
+        reps(fam)
 
 
 def test_class_of_raises_check_error_on_a_missing_class():
     g = Graph(3, [(0, 2), (1, 2)])
-    fam = compute_reps(g, 0b011, 1)
+    fam = side_family(g, 0b011, 1)
     fam.keys.clear()
     with pytest.raises(CheckError, match="class missing"):
         fam.class_of(0b001)
@@ -106,11 +115,11 @@ def test_class_of_raises_check_error_on_a_missing_class():
 
 def test_key_lookup_consistency():
     g = Graph(4, [(0, 2), (0, 3), (1, 2)])
-    fam = compute_reps(g, 0b0011, 2)
+    fam = side_family(g, 0b0011, 2)
     for x in range(4):
         if x & ~0b0011:
             continue
-        r = fam.rep_of(x)
+        r = rep_of(fam, x)
         assert fam.key_of(r) == fam.key_of(x)
 
 
@@ -124,18 +133,18 @@ def test_representatives_match_definition_exhaustively():
         g = Graph(n, edges)
         a = rng.randrange(1 << n)
         for d in (1, 2):
-            fam = compute_reps(g, a, d)
+            fam = side_family(g, a, d)
             groups = classes_by_definition(g, a, d)
             assert fam.class_count == len(groups)
             expected = {
                 min(members, key=lambda m: (m.bit_count(), lex_key(m)))
                 for members in groups.values()
             }
-            assert set(fam.reps.values()) == expected
+            assert set(reps(fam).values()) == expected
             for members in groups.values():
                 want = min(members, key=lambda m: (m.bit_count(), lex_key(m)))
                 for m in members:
-                    assert fam.rep_of(m) == want
+                    assert rep_of(fam, m) == want
 
 
 def test_nec_one_symmetry():
@@ -146,8 +155,8 @@ def test_nec_one_symmetry():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = Graph(n, edges)
         a = rng.randrange(1 << n)
-        fa = compute_reps(g, a, 1)
-        fb = compute_reps(g, g.vertices & ~a, 1)
+        fa = side_family(g, a, 1)
+        fb = side_family(g, g.vertices & ~a, 1)
         assert fa.class_count == fb.class_count
 
 
@@ -163,7 +172,7 @@ def test_class_count_bounds():
         rwq = cut_rank(g, a, "rational")
         m = mim_cut(g, a)
         for d in (1, 2):
-            cnt = compute_reps(g, a, d).class_count
+            cnt = side_family(g, a, d).class_count
             assert cnt <= 2 ** (d * rw * rw)
             assert cnt <= (d * rwq + 1) ** rwq
             if size > 1 and m > 0:
@@ -180,7 +189,7 @@ def test_class_count_bounds():
     a = 0b0011
     size = a.bit_count()
     assert mim_cut(g, a) == 1
-    fam = compute_reps(g, a, 1)
+    fam = side_family(g, a, 1)
     assert fam.class_count == len(classes_by_definition(g, a, 1)) == 3
     assert fam.class_count == size + 1 > size**1
 
@@ -189,17 +198,9 @@ def test_compute_reps_rejects_other_d():
     g = Graph(3, [(0, 1), (1, 2)])
     for d in (0, 3):
         with pytest.raises(ValueError):
-            compute_reps(g, 0b011, d)
-
-
-def test_join_rejects_overlapping_sides():
-    g = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="overlap"):
-        join(compute_reps(g, 0b011, 2), compute_reps(g, 0b110, 2))
-    # d = 1 families come from `coarsen`, never from a join
-    for da, db in ((1, 2), (2, 1), (1, 1)):
-        with pytest.raises(ValueError, match="d = 2"):
-            join(compute_reps(g, 0b001, da), compute_reps(g, 0b110, db))
+            side_family(g, 0b011, d)
+    with pytest.raises(ValueError, match="out of range"):
+        side_family(g, 0b1000, 1)
 
 
 def split_layout(order, rng=None):
@@ -226,18 +227,16 @@ def random_subsets(rng, side, count):
 
 def assert_layout_pass_matches(g, lay, rng):
     """At every node, near and far side, d in {1, 2}: the layout pass gives
-    the key set and the class count of compute_reps, and the same class_of
-    on random subsets.  The pass keeps keys only and works out no
-    representative, so comparing representatives would compare
-    compute_reps with itself."""
+    the key set and the class count of side_family, whose keys all have a
+    member by definition (`oracles.reps` finds one per key), and the same
+    class_of on random subsets."""
     near1, near2, far1, far2 = layout_families(g, lay)
     for d, near, far in ((1, near1, far1), (2, near2, far2)):
         for x in lay.postorder():
             for fam, side in ((near[x], lay.below[x]), (far[x], g.vertices & ~lay.below[x])):
-                assert "reps" not in vars(fam)
-                ref = compute_reps(g, side, d)
+                ref = side_family(g, side, d)
                 assert (fam.side, fam.d, fam.out) == (side, d, g.vertices & ~side)
-                assert fam.keys == set(ref.reps)
+                assert fam.keys == set(reps(ref))
                 assert fam.class_count == ref.class_count
                 for sub in random_subsets(rng, side, 8):
                     assert fam.class_of(sub) == ref.class_of(sub)
@@ -249,7 +248,7 @@ def test_leaf_far_family_is_read_off_the_neighborhood():
     the empty set, v's least neighbor and v's two least neighbors, in that
     order.  Pinned for vertices with 0, 1 and 3 neighbors.  At every leaf
     of a caterpillar (the first leaf a left child) and of a balanced layout
-    (leaves on both sides), the keys equal those of compute_reps at d = 2,
+    (leaves on both sides), the keys equal those of side_family at d = 2,
     and the d = 1 family's those at d = 1."""
     g = Graph(6, [(1, 2), (4, 2), (4, 3), (4, 5)])
     n = g.n
@@ -266,11 +265,11 @@ def test_leaf_far_family_is_read_off_the_neighborhood():
             v = lay.leaf_vertex[x]
             side = g.vertices & ~(1 << v)
             assert (far2[x].side, far2[x].out) == (side, 1 << v)
-            assert far2[x].keys == compute_reps(g, side, 2).keys
-            assert far1[x].keys == compute_reps(g, side, 1).keys
+            assert far2[x].keys == side_family(g, side, 2).keys
+            assert far1[x].keys == side_family(g, side, 1).keys
             if v in pinned:
                 assert far2[x].keys == set(pinned[v]), v
-                assert list(far2[x].reps.items()) == list(pinned[v].items()), v
+                assert list(reps(far2[x]).items()) == list(pinned[v].items()), v
 
 
 def test_layout_pass_matches_compute_reps_on_random_graphs():
@@ -307,10 +306,8 @@ def test_layout_pass_matches_compute_reps_on_interval_graphs():
 def test_reps_iterate_in_size_lex_order():
     """Iterating a family's reps meets the representatives in (size, lex)
     order, so a reader that walks the keys meets each class's minimum first:
-    compute_reps on both sides of every layout node (the vertices below it
-    and the rest), d in {1, 2}, and on random sides.  The layout families
-    themselves are not walked: their reps are compute_reps's own, and
-    `assert_layout_pass_matches` checks their keys."""
+    side_family on both sides of every layout node (the vertices below it
+    and the rest), d in {1, 2}, and on random sides."""
     rng = random.Random(909)
     cases = []
     for _ in range(25):
@@ -323,12 +320,12 @@ def test_reps_iterate_in_size_lex_order():
     families = 0
     for g, lay in cases:
         sides = [m for x in lay.postorder() for m in (lay.below[x], g.vertices & ~lay.below[x])]
-        fams = [compute_reps(g, side, d) for side in sides for d in (1, 2)]
+        fams = [side_family(g, side, d) for side in sides for d in (1, 2)]
         for d in (1, 2):
-            fams += [compute_reps(g, rng.randrange(1 << g.n), d) for _ in range(3)]
+            fams += [side_family(g, rng.randrange(1 << g.n), d) for _ in range(3)]
         for fam in fams:
-            reps = list(fam.reps.values())
-            assert reps == sorted(reps, key=lambda r: (r.bit_count(), lex_key(r)))
+            got = list(reps(fam).values())
+            assert got == sorted(got, key=lambda r: (r.bit_count(), lex_key(r)))
             families += 1
     assert families > 500
 
@@ -361,7 +358,7 @@ def assert_coarsened(g, lay, rng, samples):
             assert fam1.d == 1 and fam1.side == fam2.side
             assert fam1.class_count == len({key & low for key in fam2.keys})
             for sub in random_subsets(rng, fam1.side, samples):
-                rep = fam1.rep_of(sub)
+                rep = rep_of(fam1, sub)
                 assert neighbor_counts(g, fam1.side, 1, rep) == neighbor_counts(g, fam1.side, 1, sub)
                 assert (rep.bit_count(), lex_key(rep)) <= (sub.bit_count(), lex_key(sub))
 
@@ -380,3 +377,47 @@ def test_coarsened_families_on_random_binary_layouts():
         order = list(range(n))
         rng.shuffle(order)
         assert_coarsened(Graph(n, edges), split_layout(order, rng), rng, 6)
+
+
+def assert_least_members_are_small(g, lay):
+    """The lemma behind the class-count bound: at every node, near and far
+    side, d in {1, 2}, each class's least member has the class's key, lies
+    in the side's boundary (its vertices with a neighbor across the cut)
+    and has at most d * mim vertices.  Returns the families checked and the
+    largest representative met."""
+    near1, near2, far1, far2 = layout_families(g, lay)
+    families = largest = 0
+    for x in lay.postorder():
+        m = mim_cut(g, lay.below[x])
+        for d, fams in ((1, (near1[x], far1[x])), (2, (near2[x], far2[x]))):
+            for fam in fams:
+                boundary = mask_of(v for v in bits(fam.side) if g.adj[v] & fam.out)
+                for key, rep in reps(fam).items():
+                    assert fam.class_of(rep) == key
+                    assert rep & ~boundary == 0
+                    assert rep.bit_count() <= d * m, (x, d, m, rep)
+                    largest = max(largest, rep.bit_count())
+                families += 1
+    return families, largest
+
+
+def test_least_members_within_d_mim_on_an_n85_interval_certificate_layout():
+    g, lay = random_interval_graph(random.Random(85), 85)
+    families, largest = assert_least_members_are_small(g, lay)
+    assert families == 4 * lay.node_count
+    assert largest == 2
+
+
+def test_least_members_within_d_mim_on_random_binary_layouts():
+    rng = random.Random(121)
+    families = largest = 0
+    for _ in range(15):
+        n = rng.randint(2, 14)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        order = list(range(n))
+        rng.shuffle(order)
+        got = assert_least_members_are_small(Graph(n, edges), split_layout(order, rng))
+        families += got[0]
+        largest = max(largest, got[1])
+    assert families > 800
+    assert largest == 6

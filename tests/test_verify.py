@@ -22,6 +22,7 @@ from subsetfvs.oracles import (
     is_partial_solution,
     lies_on_cycle,
     node_context,
+    rep_of,
     s_forest_by_cycles,
     scontraction_conditions,
 )
@@ -314,7 +315,7 @@ def test_complement_rejects_unmatched_far_vertex_near_rest():
     inst = Instance(Graph(3, [(0, 1), (1, 2)]), 0b111, (1, 1, 1))
     lay = layout_from_order([0, 1, 2])
     ctx = node_context(inst, lay, 0)
-    i = EMPTY_INDEX._replace(x_rest=ctx.fam_x1.rep_of(0b001))
+    i = EMPTY_INDEX._replace(x_rest=rep_of(ctx.fam_x1, 0b001))
     assert not is_complement_solution(inst, ctx, 0b010, BlockPartition((), ()), i)
 
 
@@ -326,7 +327,7 @@ def test_complement_allows_untracked_cycle_inside_one_block():
     lay = layout_from_order([0, 1, 2, 3, 4])
     ctx = node_context(inst, lay, 0)
     p = BlockPartition((0b11110,), (False,))
-    i = EMPTY_INDEX._replace(yvc_ns=frozenset({ctx.fam_y2.rep_of(0b11110)}))
+    i = EMPTY_INDEX._replace(yvc_ns=frozenset({rep_of(ctx.fam_y2, 0b11110)}))
     assert is_complement_solution(inst, ctx, 0b11110, p, i)
 
 
@@ -338,5 +339,5 @@ def test_complement_requires_unique_far_matches():
     # blocks {1} and {2} share their 2-neighbor class; one far set cannot
     # pick between them
     p = BlockPartition((0b010, 0b100), (False, False))
-    i = EMPTY_INDEX._replace(yvc_ns=frozenset({ctx.fam_y2.rep_of(0b010)}))
+    i = EMPTY_INDEX._replace(yvc_ns=frozenset({rep_of(ctx.fam_y2, 0b010)}))
     assert not is_complement_solution(inst, ctx, 0b110, p, i)

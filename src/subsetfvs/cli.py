@@ -173,10 +173,7 @@ def _run_solve(args) -> int:
 
     w_gf2, _ = width(g, layout, "gf2")
     w_rat, _ = width(g, layout, "rational")
-    if args.problem == "nmc":
-        # The nmc solve runs on this layout extended by a hub vertex, so its
-        # node cuts are not the ones reported here.
-        w_mim, _ = width(g, layout, "mim")
+    w_mim, _ = width(g, layout, "mim")
 
     started = time.perf_counter()
     if args.problem == "nmc":
@@ -190,11 +187,7 @@ def _run_solve(args) -> int:
         if args.s is not None:
             s_set = mask_of(_name_list(args.s, ids))
         inst = Instance(g, s_set, tuple(weights))
-        # The solve works out the mim of every internal node's cut; a leaf's
-        # cut has mim 1 exactly when its vertex has a neighbor.
-        cut_mims = [int(g.edge_count > 0)]
-        res = solve(inst, layout, trace=lambda x, ctx, m, r: cut_mims.append(ctx.mim))
-        w_mim = max(cut_mims)
+        res = solve(inst, layout)
         deletion = res.deletion
         objective = res.weight
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -179,7 +179,7 @@ for the completion route and for `_holding` alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations, filterfalse, product, starmap
 from operator import add, or_
 from typing import (
@@ -288,12 +288,13 @@ class BlockStore:
     """
 
     def __init__(self, inst: Instance, layout: RootedLayout):
-        adj = inst.graph.adj
-        self.adj = adj
-        self.s = inst.s_set
+        adj, s = inst.graph.adj, inst.s_set
         self.layout = layout
         self.boundary = boundaries(inst.graph, layout)
         self.known: Dict[int, Structure] = {0: Structure((), (), 0)}
+        # s_nbs[v]: v's neighbors along edges with an end in S, all of them
+        # when v is in S, else those in S.
+        self.s_nbs = [nb if s >> v & 1 else nb & s for v, nb in enumerate(adj)]
         # crossing[y]: the vertices below y's right child with a neighbor
         # below its left child; neighbors[y]: the neighbors of those below y.
         self.crossing: List[int] = []
@@ -304,7 +305,7 @@ class BlockStore:
             if layout.is_leaf(y):
                 v = 1 << layout.leaf_vertex[y]
                 listed = (v,) if v & self.boundary[y] else ()
-                self.known[v] = Structure(() if v & self.s else listed, listed, 0)
+                self.known[v] = Structure(() if v & s else listed, listed, 0)
                 nbs.append(adj[layout.leaf_vertex[y]])
             else:
                 for u in bits(self.boundary[layout.right[y]]):
@@ -322,12 +323,11 @@ class BlockStore:
         got = known.get(x)
         if got is not None:
             return got
-        adj, s, crossing = self.adj, self.s, self.crossing[node]
+        s_nbs, crossing = self.s_nbs, self.crossing[node]
         left = x & self.layout.below[self.layout.left[node]]
         s_edges = 0
         for u in bits(x & crossing):
-            seen = adj[u] & left
-            s_edges += (seen if s >> u & 1 else seen & s).bit_count()
+            s_edges += (s_nbs[u] & left).bit_count()
         comps, trees, excess = _joined(known[left], known[x ^ left], s_edges, self._reach)
         bnd = self.boundary[node]
         got = known[x] = Structure(_boundary_parts(comps, bnd), _boundary_parts(trees, bnd), excess)
@@ -360,12 +360,14 @@ class NodeContext:
     side: a d=2 key is `ext | e_bad << n`.  The far singletons' classes are
     the distinct nonzero N(u) & vx over far vertices u, and a singleton has
     no `e_bad`, so its d=1 key is `ext`.  Only far vertices with a neighbor
-    on the side give one, and that neighbor lies on `near_bnd`."""
+    on the side give one, and that neighbor lies on `near_bnd`.
+
+    `mim`, the cut's induced-matching value, is searched on first read and
+    kept.  Only the key route reads it, to cap each side of a cover."""
 
     node: int
     vx: int
     cvx: int
-    mim: int
     fam_x1: NecFamily
     fam_x2: NecFamily
     fam_y1: NecFamily
@@ -373,6 +375,10 @@ class NodeContext:
     near_bnd: int
     blocks: BlockStore
     far_cands: Tuple[Tuple[int, int, int], ...]
+
+    @cached_property
+    def mim(self) -> int:
+        return mim_bipartite(self.fam_x2.graph, self.near_bnd, self.cvx)
 
 
 def build_context(
@@ -405,7 +411,6 @@ def build_context(
         node,
         vx,
         cvx,
-        mim_bipartite(g, bnd, cvx),
         near1[node],
         near2[node],
         far1[node],
@@ -708,16 +713,9 @@ def signature_route(ctx: NodeContext, survivors: int) -> bool:
 FarForest = Tuple[int, List[int], List[int]]  # Y, its components of Y \ S, its trees
 
 
-def _s_nbs(inst: Instance, far: int) -> Dict[int, int]:
-    """Per vertex v of `far`, least first, its neighbors along edges with an
-    end in S: all of them when v is in S, else those in S."""
-    adj, s = inst.graph.adj, inst.s_set
-    return {v: adj[v] if s >> v & 1 else adj[v] & s for v in bits(far)}
-
-
-def _far_forests(inst: Instance, s_nbs: Dict[int, int]) -> List[FarForest]:
-    """Every S-forest Y over the far vertices, the keys of `s_nbs`
-    (`_s_nbs`), with its components of Y \\ S and its trees.
+def _far_forests(inst: Instance, far: int, s_nbs: Sequence[int]) -> List[FarForest]:
+    """Every S-forest Y over the vertices of `far`, with its components of
+    Y \\ S and its trees; `s_nbs` is `BlockStore.s_nbs`.
 
     Grown one far vertex at a time, since every subset of an S-forest is
     one.  Adding a vertex v to Y is a join (`_joined`) of Y's pieces with
@@ -725,8 +723,8 @@ def _far_forests(inst: Instance, s_nbs: Dict[int, int]) -> List[FarForest]:
     the joined excess is 0."""
     adj, s = inst.graph.adj, inst.s_set
     forests: List[FarForest] = [(0, [], [])]
-    for v, s_nb in s_nbs.items():
-        bit = 1 << v
+    for v in bits(far):
+        bit, s_nb = 1 << v, s_nbs[v]
         leaf = ((), (bit,), 0) if s & bit else ((bit,), (bit,), 0)
         reach = {bit: adj[v]}.__getitem__  # {v} is its own one piece
         grown = []
@@ -743,7 +741,7 @@ def _completes(
     x: int,
     y: int,
     pieces: Tuple[Sequence[int], Sequence[int]],
-    s_nbs: Dict[int, int],
+    s_nbs: Sequence[int],
     reach: Callable[[int], int],
 ) -> bool:
     """Whether x | Y is an S-forest, for a set x of structure `st` and
@@ -752,9 +750,9 @@ def _completes(
     x | Y excess 0.  x's stored pieces suffice: Y meets x only in vertices
     with a neighbor beyond the node, which every stored part keeps.  `y`
     holds the vertices of Y whose edges to x are counted, through their
-    `s_nbs` (`_s_nbs`): all of Y, or only those with a neighbor in x, since
-    no other vertex has an edge to x.  `reach` gives a piece's neighbors.
-    A Y that meets x nowhere is completed."""
+    `s_nbs` (`BlockStore.s_nbs`): all of Y, or only those with a neighbor
+    in x, since no other vertex has an edge to x.  `reach` gives a piece's
+    neighbors.  A Y that meets x nowhere is completed."""
     s_edges = 0
     for v in bits(y):
         s_edges += (s_nbs[v] & x).bit_count()
@@ -785,11 +783,11 @@ def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Iterable[int]) 
     completed."""
     of, node, reach = ctx.blocks.of, ctx.node, ctx.blocks._reach
     adj, bnd = inst.graph.adj, ctx.near_bnd
-    s_nbs = _s_nbs(inst, ctx.cvx)
+    s_nbs = ctx.blocks.s_nbs
     # per far vertex, its bit and its neighbors on the side, which lie on
     # the boundary
-    far_nbs = [(1 << v, adj[v] & bnd) for v in s_nbs]
-    open_ys = _far_forests(inst, s_nbs)
+    far_nbs = [(1 << v, adj[v] & bnd) for v in bits(ctx.cvx)]
+    open_ys = _far_forests(inst, ctx.cvx, s_nbs)
     least = open_ys[:1]  # the empty set
     keep = []
     for x in rows:
@@ -959,13 +957,12 @@ def _holding(inst: Instance, blocks: BlockStore, node: int, far: int, table: Tab
     pieces = (components_masks(g, far & ~s), components_masks(g, far))
     touch = reach(far) & side
     met = far & blocks.neighbors[node]
-    s_nbs = _s_nbs(inst, met)
     kept: Table = {}
     for x, wx in table.items():
         st = blocks.of(node, x)
         if st.excess:
             continue
-        if x & touch and not _completes(st, x, met, pieces, s_nbs, reach):
+        if x & touch and not _completes(st, x, met, pieces, blocks.s_nbs, reach):
             continue
         kept[x] = wx
     return kept

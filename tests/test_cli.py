@@ -132,20 +132,35 @@ def test_solve_nmc_path(tmp_path, capsys):
     assert report["sforest_weight"] == 2
 
 
-def test_mim_width_is_computed_once_per_node(tmp_path, capsys, monkeypatch):
-    """The reported mim width equals `width(..., "mim")`.  On sfvs and fvs
-    it comes from the solve, which computes mim once per internal node; nmc
-    solves on a layout with a hub added, so it keeps its own width pass.
-    Every mim computation, `mim_cut` included, goes through a module's
-    `mim_bipartite`, so counting those counts each one once."""
-    calls = []
+def test_mim_is_searched_once_per_layout_node_and_key_route_node(tmp_path, capsys, monkeypatch):
+    """On every problem the reported mim width is `width(..., "mim")`: the
+    width pass searches each layout node's cut once, through
+    `layouts.mim_bipartite`.  The solve searches a cut only where the key
+    route reads its mim, once per such node, through `dp.mim_bipartite`.
+    Every mim computation, `mim_cut` included, goes through one of the two,
+    so counting those counts each one once."""
+    calls = {dp: 0, layouts: 0, "key nodes": 0}
     for mod in (dp, layouts):
         orig = mod.mim_bipartite
-        monkeypatch.setattr(mod, "mim_bipartite", lambda g, a, b, orig=orig: calls.append(a) or orig(g, a, b))
+
+        def counted(g, a, b, mod=mod, orig=orig):
+            calls[mod] += 1
+            return orig(g, a, b)
+
+        monkeypatch.setattr(mod, "mim_bipartite", counted)
+    keep_by_keys = dp._keep_by_keys
+
+    def key_route(*args):
+        calls["key nodes"] += 1
+        return keep_by_keys(*args)
+
+    monkeypatch.setattr(dp, "_keep_by_keys", key_route)
     rng = random.Random(41)
     graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])]
     for n in (5, 7, 9):
         graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]))
+    graphs.append(Graph(10, rng.sample([(u, v) for u in range(10) for v in range(u + 1, 10)], 40)))
+    key_nodes = 0
     for g in graphs:
         names = [f"v{i}" for i in range(g.n)]
         gr = write(tmp_path, "g.gr", write_graph_file(g, [1] * g.n, 1, names))
@@ -159,12 +174,14 @@ def test_mim_width_is_computed_once_per_node(tmp_path, capsys, monkeypatch):
         if apart:
             runs.append(["--problem", "nmc", "--terminals", ",".join(names[v] for v in apart[0])])
         for extra in runs:
-            calls.clear()
+            calls.update({dp: 0, layouts: 0, "key nodes": 0})
             code, report = run_json(tmp_path, capsys, ["solve", "--graph", gr, "--layout", lf] + extra)
             assert code == 0
             assert report["width"]["mim"] == want, (g.n, extra)
-            if extra[1] != "nmc":
-                assert len(calls) == g.n - 1
+            assert calls[layouts] == lay.node_count, (g.n, extra)
+            assert calls[dp] == calls["key nodes"], (g.n, extra)
+            key_nodes += calls["key nodes"]
+    assert key_nodes > 0
 
 
 def test_solve_with_oracle_and_layout_file(tmp_path, capsys):

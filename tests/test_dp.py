@@ -966,8 +966,8 @@ def test_completion_pairs_match_definition(monkeypatch):
         def watch(node, ctx, merged, reduced):
             if not dp.completion_route(ctx, len(merged)):
                 return
-            s_nbs = dp._s_nbs(inst, ctx.cvx)
-            forests = dp._far_forests(inst, s_nbs)
+            s_nbs = ctx.blocks.s_nbs
+            forests = dp._far_forests(inst, ctx.cvx, s_nbs)
             ys = [y for y, _, _ in forests]
             assert sorted(ys) == [y for y in sorted(_far_subsets(ctx.cvx)) if is_s_forest(g, y, s)]
             for x in merged:
@@ -1577,10 +1577,12 @@ def test_cut_values_read_only_the_boundary(monkeypatch):
     """On an n = 400 path over the id-order caterpillar, every cut boundary
     holds at most one vertex.  The width report (all three kinds), the
     interval certificate check and the solve pass only that boundary to the
-    two-sided cut functions, never the node's whole side."""
+    two-sided cut functions, never the node's whole side.  The solve
+    searches a cut's mim only at key-route nodes."""
     n = 400
     g = path(n)
     sides = []
+    key_nodes = []
     for mod, name in (
         (layouts, "rank_bipartite"),
         (layouts, "mim_bipartite"),
@@ -1589,10 +1591,56 @@ def test_cut_values_read_only_the_boundary(monkeypatch):
     ):
         orig = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda g, a, b, *rest, orig=orig: sides.append(a) or orig(g, a, b, *rest))
+    keep_by_keys = dp._keep_by_keys
+    monkeypatch.setattr(dp, "_keep_by_keys", lambda *args: key_nodes.append(1) or keep_by_keys(*args))
     lay = layout_from_order(range(n))
     for kind in ("gf2", "rational", "mim"):
         assert width(g, lay, kind)[0] == 1
     assert interval_layout([(v, v + 1) for v in range(n)], g) == lay
     assert solve(Instance(g, g.vertices, (1,) * n), lay) == SolveResult(n, g.vertices, 0)
-    assert len(sides) == 4 * lay.node_count + n - 1
+    assert len(sides) == 4 * lay.node_count + len(key_nodes)
     assert max(a.bit_count() for a in sides) <= 2
+
+
+def test_node_mim_matches_width_and_is_searched_once(monkeypatch):
+    """On random graphs (n <= 14) over shuffled caterpillars, balanced
+    layouts and their hub extensions (`extend_layout`, the hub joined to
+    up to three vertices), `ctx.mim` read in a trace at every internal
+    node equals that node's value in `width(g, lay, "mim")`, and the solve
+    searches each node's cut at most once, however often the key route
+    and the trace read it."""
+    rng = random.Random(32)
+    calls = []
+    orig = dp.mim_bipartite
+    monkeypatch.setattr(dp, "mim_bipartite", lambda g, a, b: calls.append(a) or orig(g, a, b))
+
+    def nest(part):
+        mid = len(part) // 2
+        return part[0] if len(part) == 1 else f"({nest(part[:mid])},{nest(part[mid:])})"
+
+    checked, widest = 0, 0
+    for _ in range(16):
+        n = rng.randint(2, 14)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        names = [f"v{v}" for v in range(n)]
+        order = rng.sample(range(n), n)
+        hub_edges = edges + [(v, n) for v in rng.sample(range(n), min(3, n))]
+        balanced = parse_layout(nest([names[v] for v in order]), names)
+        for base in (layout_from_order(order), balanced):
+            for g, lay in ((Graph(n, edges), base), (Graph(n + 1, hub_edges), extend_layout(base, n))):
+                want = width(g, lay, "mim")[1]
+                s = mask_of(v for v in range(g.n) if rng.random() < 0.4)
+                inst = Instance(g, s, tuple(rng.randint(1, 3) for _ in range(g.n)))
+                seen = []
+
+                def watch(node, ctx, merged, reduced):
+                    assert ctx.mim == ctx.mim == want[node], node
+                    seen.append(node)
+
+                calls.clear()
+                solve(inst, lay, trace=watch)
+                assert len(calls) == len(seen) == lay.node_count - lay.n
+                checked += len(seen)
+                widest = max(widest, max(want))
+    assert checked > 300 and widest >= 3, (checked, widest)

@@ -46,7 +46,8 @@ completed without a join.
 
 The signature route keeps the first row per boundary signature: x &
 near_bnd, and the boundary parts of x's boundary components and trees,
-sorted (see below for the boundary).  It is exact because a row meets a
+sorted (see below for the boundary).  At excess 0 that is the row's stored
+structure, so the pass keys on it.  It is exact because a row meets a
 completion only through the cut.  By the join formula (`_joined`), the
 excess of x | Y, for a far set Y, is the excess of x plus that of Y plus
 one per edge between x and Y with an end in S, plus the merges that those
@@ -56,8 +57,8 @@ the pieces' boundary parts.  So for rows of excess 0, whether x | Y is an
 S-forest depends on x only through its signature.  For each Y, the first
 row in best-first order that completes Y is then the first row of its
 signature, and is kept.  So the completion route keeps the same rows
-whether it starts from the survivors or from all rows of excess 0, and
-the key route does too (see below).
+whether it starts from the survivors or from all rows of excess 0, and the
+key route does too (see below).
 
 The key route keeps one maximum-weight member per bucket, with the same
 ties.  Two solutions share a bucket when they admit the same index (a
@@ -163,17 +164,17 @@ the side are read from the class keys of the far families, which already
 hold them, and the far singletons from the far vertices that have a
 neighbor on the side.  A row's block structure (its components, its
 trees, and its excess, the number of edges its S-contraction has beyond a
-forest) is carried from the child rows through `BlockStore`, which joins
-two rows along the edges between them and keeps the boundary parts of
-the pieces on the boundary, sorted: at the node that joins a row, its
-signature is its structure as stored.  For the same reason a row's keys
-are a function of its boundary signature, so the key route sees only the
-signature route's survivors and profiles no repeated signature.  A row can still become an
-S-forest exactly when its excess is 0, so `reduce_table`'s signature pass
-skips the others and every root row is an S-forest.  The join formula is
-coded once, in `_joined`: `BlockStore` calls it per child pair,
-`_far_forests` per far vertex, and `_completes` per (row, far set) pair,
-for the completion route and for `_holding` alike.
+forest) is carried from the child rows through `BlockStore`, one dict
+per node.  There a row's structure holds the boundary parts of its pieces
+on the node's boundary, sorted, so it is the row's signature at the node.
+For the same reason a row's keys are a function of its boundary
+signature, so the key route sees only the signature route's survivors
+and profiles no repeated signature.  A row can still become an S-forest
+exactly when its excess is 0, so `reduce_table`'s signature pass skips
+the others and every root row is an S-forest.  The join formula is coded
+once, in `_joined`: `BlockStore` calls it per child pair, `_far_forests`
+per far vertex, and `_completes` per (row, far set) pair, for the
+completion route and for `_holding` alike.
 """
 
 from __future__ import annotations
@@ -213,9 +214,9 @@ class Structure(NamedTuple):
     """Block structure of a vertex set x below a layout node, as far as a
     merge further up can still change it.
 
-    The pieces listed are those with a vertex on the boundary (a vertex with
-    a neighbor outside the node) of the node that built the structure, as
-    their boundary parts, sorted: no later edge reaches the rest of x.
+    The pieces listed are those with a vertex on the node's boundary (a
+    vertex with a neighbor outside the node), as their boundary parts,
+    sorted: no later edge reaches the rest of x.
     `excess` is over all of x.  It counts the edges of x's
     S-contraction (a node per component of x \\ S and per S-vertex, an
     edge per edge of x with an end in S) beyond a forest: edges minus nodes
@@ -271,27 +272,23 @@ def _boundary_parts(pieces: Iterable[int], bnd: int) -> Tuple[int, ...]:
 
 
 class BlockStore:
-    """Block structures of vertex sets below the nodes of one layout.
+    """Block structures of vertex sets below the nodes of one layout, one
+    dict per node, each piece stored as its part on that node's boundary.
 
     A leaf's set is one vertex or none.  An internal node's set is joined
     from its parts below the two children by `_joined`, along the edges
-    from the right part to the left one.  Pieces are stored as their
-    boundary parts at the node that joins the set, sorted.  That is exact:
-    a join reads a piece only in vertices with a neighbor across the child
-    cut, which lie on the boundary of every node below that holds them.
-    The structure is kept by set alone: asked at an ancestor of that node,
-    its parts may hold vertices that have left the boundary since, and
-    readers cut them down to their own.  `solve` asks for the rows of each
-    merged table, whose parts (child rows, leaf sets) are known, so each
-    row is joined straight from them; it then forgets the rows no live
-    table holds.
-    """
+    from the right part to the left one, or is the structure of the one
+    child it lies below, cut down.  That is exact: a join reads a piece
+    only in vertices with a neighbor across the child cut, which lie on
+    the child's boundary.  `solve` asks for the rows of each merged table,
+    whose parts are in the children's dicts, and `keep` then drops what
+    no live table holds."""
 
     def __init__(self, inst: Instance, layout: RootedLayout):
         adj, s = inst.graph.adj, inst.s_set
         self.layout = layout
         self.boundary = boundaries(inst.graph, layout)
-        self.known: Dict[int, Structure] = {0: Structure((), (), 0)}
+        self.known: List[Dict[int, Structure]] = [{0: Structure((), (), 0)} for _ in self.boundary]
         # s_nbs[v]: v's neighbors along edges with an end in S, all of them
         # when v is in S, else those in S.
         self.s_nbs = [nb if s >> v & 1 else nb & s for v, nb in enumerate(adj)]
@@ -305,7 +302,7 @@ class BlockStore:
             if layout.is_leaf(y):
                 v = 1 << layout.leaf_vertex[y]
                 listed = (v,) if v & self.boundary[y] else ()
-                self.known[v] = Structure(() if v & s else listed, listed, 0)
+                self.known[y][v] = Structure(() if v & s else listed, listed, 0)
                 nbs.append(adj[layout.leaf_vertex[y]])
             else:
                 for u in bits(self.boundary[layout.right[y]]):
@@ -313,32 +310,46 @@ class BlockStore:
                         crossing |= 1 << u
                 nbs.append(nbs[layout.left[y]] | nbs[layout.right[y]])
             self.crossing.append(crossing)
-        # neighbors of a vertex set, cached until `forget`
+        # neighbors of a vertex set, cached until `keep`
         self._reach = cache(lambda piece: reduce(or_, [adj[v] for v in bits(piece)], 0))
 
     def of(self, node: int, x: int) -> Structure:
         """Block structure of a vertex set x below `node`: the known one, or
-        joined from x's two parts below the children, which must be known."""
+        built from x's parts in the children's dicts, which must hold them.
+        A set wholly below one child keeps the child's structure when its
+        trees, which cover x & the child's boundary, lie inside the node's
+        boundary, and is cut down otherwise."""
         known = self.known
-        got = known.get(x)
+        got = known[node].get(x)
         if got is not None:
             return got
-        s_nbs, crossing = self.s_nbs, self.crossing[node]
-        left = x & self.layout.below[self.layout.left[node]]
-        s_edges = 0
-        for u in bits(x & crossing):
-            s_edges += (s_nbs[u] & left).bit_count()
-        comps, trees, excess = _joined(known[left], known[x ^ left], s_edges, self._reach)
-        bnd = self.boundary[node]
-        got = known[x] = Structure(_boundary_parts(comps, bnd), _boundary_parts(trees, bnd), excess)
+        lay, bnd, s_nbs = self.layout, self.boundary[node], self.s_nbs
+        lc, rc = lay.left[node], lay.right[node]
+        left = x & lay.below[lc]
+        if left == x or not left:
+            child = lc if left else rc
+            got = known[child][x]
+            if not x & self.boundary[child] & ~bnd:
+                known[node][x] = got
+                return got
+            comps, trees, excess = got
+        else:
+            s_edges = 0
+            for u in bits(x & self.crossing[node]):
+                s_edges += (s_nbs[u] & left).bit_count()
+            comps, trees, excess = _joined(known[lc][left], known[rc][x ^ left], s_edges, self._reach)
+        got = known[node][x] = Structure(_boundary_parts(comps, bnd), _boundary_parts(trees, bnd), excess)
         return got
 
-    def forget(self, masks: Iterable[int]) -> None:
-        """Drop the structures of these sets but a leaf's, and the neighbor cache."""
-        known = self.known
-        for m in masks:
-            if m & (m - 1):
-                known.pop(m, None)
+    def keep(self, node: int, rows: Iterable[int]) -> None:
+        """Keep the structures of `rows` alone at `node`, built if need be,
+        drop those of its inner children, and clear the neighbor cache.  A
+        leaf keeps its two."""
+        lay, known = self.layout, self.known
+        known[node] = {m: self.of(node, m) for m in rows}
+        for child in (lay.left[node], lay.right[node]):
+            if not lay.is_leaf(child):
+                known[child] = {}
         self._reach.cache_clear()
 
 
@@ -495,33 +506,29 @@ def _profile(
     groups: List[_FarGroup],
 ) -> _Profile:
     """Profile of an extendable solution x with S-part `xs_mask` and
-    structure `st`.
+    structure `st` at the node.
 
-    Only the blocks on the boundary enter the profile: no index can match
-    or hook the others.  Candidate labels get their bits from `labels`, the
-    far ones through `groups`, which is `_far_groups(ctx, labels)`.  The
-    surviving members of the far groups are grouped further by the set
-    they hit in x, so their attachment (the blocks they see) and its trees
-    are worked out once per distinct hit, and candidates with one
-    attachment set form one attachment type, its labels ORed into one
-    mask.  A type that hooks one tree twice would close a cycle and is
-    dropped.  The types are sorted, so the profile without its blocks,
-    `prof[1:]`, is the fingerprint the key route compares (see the module
-    docstring).
+    Only the blocks on the boundary enter the profile, as the boundary parts
+    `st` stores: no index can match or hook the others.  Candidate labels
+    get their bits from `labels`, the far ones through `groups`, which is
+    `_far_groups(ctx, labels)`.  The surviving members of the far groups
+    are grouped further by the set they hit in x, so their attachment (the
+    blocks they see) and its trees are worked out once per distinct hit,
+    and candidates with one attachment set form one attachment type, its
+    labels ORed into one mask.  A type that hooks one tree twice would
+    close a cycle and is dropped.  The types are sorted, so the profile
+    without its blocks, `prof[1:]`, is the fingerprint the key route
+    compares (see the module docstring).
     """
-    bnd = ctx.near_bnd
-    comps = [c & bnd for c in st.comps if c & bnd]
-    singles = list(bits(xs_mask & bnd))
+    comps = st.comps
+    singles = list(bits(xs_mask & ctx.near_bnd))
     nc = len(comps)
-    blocks = comps + [1 << v for v in singles]
+    blocks = list(comps) + [1 << v for v in singles]
     tree_of = [0] * len(blocks)
-    t = 0
-    for tree in st.trees:
-        if tree & bnd:
-            for bj, block in enumerate(blocks):
-                if block & tree:
-                    tree_of[bj] = t
-            t += 1
+    for t, tree in enumerate(st.trees):
+        for bj, block in enumerate(blocks):
+            if block & tree:
+                tree_of[bj] = t
 
     fam1, fam2 = ctx.fam_x1, ctx.fam_x2
     comp_keys = [fam2.class_of(c) for c in comps]
@@ -747,12 +754,13 @@ def _completes(
     """Whether x | Y is an S-forest, for a set x of structure `st` and
     excess 0 and a disjoint S-forest Y with `pieces`, its components of
     Y \\ S and its trees: exactly when the join formula (`_joined`) gives
-    x | Y excess 0.  x's stored pieces suffice: Y meets x only in vertices
-    with a neighbor beyond the node, which every stored part keeps.  `y`
-    holds the vertices of Y whose edges to x are counted, through their
-    `s_nbs` (`BlockStore.s_nbs`): all of Y, or only those with a neighbor
-    in x, since no other vertex has an edge to x.  `reach` gives a piece's
-    neighbors.  A Y that meets x nowhere is completed."""
+    x | Y excess 0.  x's stored pieces, its boundary parts at the node,
+    suffice: Y meets x only in vertices with a neighbor beyond the node,
+    which lie on the boundary.  `y` holds the vertices of Y whose edges to
+    x are counted, through their `s_nbs` (`BlockStore.s_nbs`): all of Y, or
+    only those with a neighbor in x, since no other vertex has an edge to
+    x.  `reach` gives a piece's neighbors.  A Y that meets x nowhere is
+    completed."""
     s_edges = 0
     for v in bits(y):
         s_edges += (s_nbs[v] & x).bit_count()
@@ -811,40 +819,19 @@ def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Iterable[int]) 
     return keep
 
 
-def _signature(x: int, st: Structure, bnd: int, left: int) -> tuple:
-    """Boundary signature of x, of structure `st`, at the node of boundary
-    `bnd` whose left child holds `left`: x & bnd, and the boundary parts of
-    x's boundary components and trees, sorted.  Joined at this node, x
-    carries exactly those; with all of it below one child, it carries the
-    child's parts.  When those trees lie inside `bnd`, so do the
-    components, each inside a tree, and the parts are already cut down;
-    otherwise they are cut down here.  Storing them back cut down would be
-    unsound: structures are kept by set alone, and `reduce_table` asks for
-    them lazily, best first, so x can be cut down before this node joins
-    it with a row of the other child, a join that reads the vertices of x
-    whose only outside neighbors lie below that child."""
-    if not 0 < x & left < x:
-        for t in st.trees:
-            if t & ~bnd:
-                return x & bnd, _boundary_parts(st.comps, bnd), _boundary_parts(st.trees, bnd)
-    return x & bnd, st.comps, st.trees
-
-
 def _first_per_signature(ctx: NodeContext, rows: Iterable[int]) -> Iterator[int]:
-    """The rows of excess 0, best first, whose `_signature` no earlier such
-    row had; rows of nonzero excess are skipped.  Lazy, so a caller that
-    stops early builds no more structures."""
-    of, node, bnd = ctx.blocks.of, ctx.node, ctx.near_bnd
-    lay = ctx.blocks.layout
-    left = lay.below[lay.left[node]]
-    seen: Set[tuple] = set()
+    """The rows of excess 0, best first, whose stored structure no earlier
+    such row had; rows of nonzero excess are skipped.  Lazy, so a caller
+    that stops early builds no more structures.
+
+    At excess 0 the structure is the boundary signature: its trees are the
+    boundary parts of x's trees, so their OR is x & near_bnd."""
+    of, node = ctx.blocks.of, ctx.node
+    seen: Set[Structure] = set()
     for mask in rows:
         st = of(node, mask)
-        if st.excess:
-            continue
-        sig = _signature(mask, st, bnd, left)
-        if sig not in seen:
-            seen.add(sig)
+        if not st.excess and st not in seen:
+            seen.add(st)
             yield mask
 
 
@@ -855,8 +842,8 @@ def _keep_by_keys(ctx: NodeContext, inst: Instance, rows: Sequence[int]) -> List
     A bucket key is the class of the unmatched rest followed by the label
     masks of the signature's groups, in an order fixed by the set of groups
     (see `_bucket_keys`).  A row meets a completion only through the
-    boundary, so its keys are a function of its boundary signature (see
-    `_signature`).  Every input of the profile and of the keys
+    boundary, so its keys are a function of its boundary signature, its
+    stored structure.  Every input of the profile and of the keys
     reads only that much.  Far-side hits lie in x & near_bnd, since a
     vertex with a far neighbor is on the boundary.  Representatives come
     from a block's boundary part, the unmatched rest from x & near_bnd, and
@@ -1012,17 +999,15 @@ def solve(
             tables[x] = row if forced >> v & 1 else {0: 0, **row}
             continue
         ctx = build_context(inst, layout, x, families, blocks)
-        children = tables.pop(layout.left[x]), tables.pop(layout.right[x])
-        product = merged = merge_tables(*children)
+        merged = merge_tables(tables.pop(layout.left[x]), tables.pop(layout.right[x]))
         far = forced & ~layout.below[x]
         if far:
-            merged = _holding(inst, blocks, x, far, product)
+            merged = _holding(inst, blocks, x, far, merged)
         reduced = reduce_table(merged, ctx, inst)
         if trace is not None:
             trace(x, ctx, merged, reduced)
         tables[x] = reduced
-        # Keep the structures of live rows only.
-        blocks.forget(m for t in (product, *children) for m in t if m not in reduced)
+        blocks.keep(x, reduced)
 
     # Every root row has excess 0, so each is an S-forest; the winner is
     # checked from scratch all the same.

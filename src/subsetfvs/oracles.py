@@ -358,22 +358,23 @@ def best(inst: Instance, table: Table, y: int):
 class _ScratchStore(BlockStore):
     """A `BlockStore` that builds the structure of any set below a node
     from the leaves up, for contexts built outside a solve.  `solve` asks
-    only for sets whose two parts are known, which `BlockStore.of` joins."""
+    only for sets whose parts its children's dicts hold, which
+    `BlockStore.of` builds from."""
 
     def of(self, node: int, x: int) -> Structure:
-        # Preorder down to the nodes whose part of x is known, then join
-        # those parts children first.  A leaf's sets are always known.
+        # Preorder down to the nodes whose dict holds their part of x, then
+        # build those parts children first.  A leaf's dict holds both sets.
         lay, known = self.layout, self.known
         walk = []
         todo = [node]
         while todo:
             y = todo.pop()
-            if x & lay.below[y] not in known:
+            if x & lay.below[y] not in known[y]:
                 walk.append(y)
                 todo += (lay.left[y], lay.right[y])
         for y in reversed(walk):
             super().of(y, x & lay.below[y])
-        return known[x]
+        return known[node][x]
 
 
 def node_context(inst: Instance, layout: RootedLayout, node: int) -> NodeContext:

@@ -3,6 +3,8 @@ merging and the full bottom-up solve."""
 
 import hashlib
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -779,14 +781,20 @@ def _signature_by_definition(g, s, bnd, x):
     return x & bnd, parts(components_masks(g, x & ~s)), parts(components_masks(g, x))
 
 
+def _stored_signature(st):
+    """The boundary signature a stored structure of excess 0 is: the OR of
+    its trees (x & the boundary), its components and its trees."""
+    return reduce(or_, st.trees, 0), st.comps, st.trees
+
+
 def test_carried_signature_matches_definition():
-    """At every internal node, the boundary signature `reduce_table` reads
-    off each merged row's carried structure (`dp._signature`) equals the
-    one from scratch, for every row of excess 0.  A row joined at the node
-    carries its boundary parts as they are; a row that passes up unjoined
-    carries a child's and is cut down.  Covers the golden cases, an n = 85
-    interval graph, a balanced layout and 30 random binary layouts; rows
-    pass up unjoined from inner children on both sides."""
+    """At every internal node, each merged row of excess 0 has as its
+    stored structure the boundary signature from scratch.  A row joined at
+    the node is cut to the boundary there; a row that passes up unjoined
+    keeps a child's structure or is cut down at the node.  Covers the
+    golden cases, an n = 85 interval graph, a balanced layout and 30
+    random binary layouts; rows pass up unjoined from inner children on
+    both sides."""
     rng = random.Random(31)
     cases = [(inst, lay) for _, inst, lay in _golden_cases()]
     cases += [_interval_case(1, 85), _balanced_case(1, 12)]
@@ -801,13 +809,12 @@ def test_carried_signature_matches_definition():
 
         def watch(node, ctx, merged, reduced):
             nonlocal checked
-            bnd, left = ctx.near_bnd, lay.below[lay.left[node]]
             for x in merged:
                 st = ctx.blocks.of(node, x)
                 if st.excess:
                     continue
-                want = _signature_by_definition(g, s, bnd, x)
-                assert dp._signature(x, st, bnd, left) == want, (node, x)
+                want = _signature_by_definition(g, s, ctx.near_bnd, x)
+                assert _stored_signature(st) == want, (node, x)
                 checked += 1
                 for side, child in (("left", lay.left[node]), ("right", lay.right[node])):
                     if x and not x & ~lay.below[child] and not lay.is_leaf(child):
@@ -822,8 +829,8 @@ def test_scratch_structures_match_definition():
     a node from the leaves up, a walk no solve takes.  At every internal
     node of a balanced layout and of 30 random binary layouts (random S),
     random subsets of the side, sets no table holds, get the excess from
-    scratch and, at excess 0, the boundary signature from scratch
-    (`dp._signature`).  Some subsets lie below one inner child, so their
+    scratch and, at excess 0, the boundary signature from scratch as their
+    stored structure.  Some subsets lie below one inner child, so their
     structure is joined below the node and cut down there."""
     rng = random.Random(41)
     cases = [_balanced_case(1, 12)]
@@ -850,9 +857,48 @@ def test_scratch_structures_match_definition():
                     checked["dead"] += 1
                     continue
                 want = _signature_by_definition(g, s, bnd, x)
-                assert dp._signature(x, st, bnd, left) == want, (node, x)
+                assert _stored_signature(st) == want, (node, x)
                 checked["excess 0"] += 1
     assert min(checked.values()) > 100, checked
+
+
+def test_store_holds_only_live_rows():
+    """The store keeps the structures of live rows only, each at its node.
+    At every `trace` call, each inner child's dict holds exactly the rows
+    of the child's reduced table.  After the solve, every inner node below
+    the root holds none, the root holds the root table's rows and each
+    leaf holds its two sets.  Covers a caterpillar (sfvs-n10), a balanced
+    layout, 30 random binary layouts (random S) and an nmc hub layout,
+    whose root is the hub's; inner children on both sides are checked."""
+    rng = random.Random(53)
+    _, inst, lay = next(_golden_cases())
+    cases = [(inst, lay), _balanced_case(1, 12), _hub_case(*_golden_layout(13, 14))]
+    for _ in range(30):
+        inst, lay = _random_binary_case(rng, rng.randint(2, 12))
+        s = mask_of(v for v in range(inst.n) if rng.random() < 0.4)
+        cases.append((Instance(inst.graph, s, inst.weights), lay))
+    checked = {"left": 0, "right": 0}
+    for inst, lay in cases:
+        tables, stores = {}, []
+
+        def watch(node, ctx, merged, reduced):
+            for side, child in (("left", lay.left[node]), ("right", lay.right[node])):
+                if not lay.is_leaf(child):
+                    assert ctx.blocks.known[child].keys() == tables.pop(child).keys(), (node, child)
+                    checked[side] += 1
+            tables[node] = reduced
+            stores.append(ctx.blocks)
+
+        solve(inst, lay, trace=watch)
+        known = stores[-1].known
+        for node in lay.postorder():
+            if lay.is_leaf(node):
+                assert known[node].keys() == {0, 1 << lay.leaf_vertex[node]}, node
+            elif node == lay.root:
+                assert known[node].keys() == tables[node].keys()
+            else:
+                assert known[node] == {}, node
+    assert min(checked.values()) > 30, checked
 
 
 def test_both_routes_represent_the_merged_table():

@@ -25,8 +25,11 @@ from .layouts import (
     parse_layout,
     permutation_layout,
     serialize_layout,
-    width,
+    widths,
 )
+# width is unused here, but it stays a name of this module:
+# perfbench/tracing.py wraps it by name.
+from .layouts import width  # noqa: F401
 from .dp import solve
 from .multiway import NmcInstance, solve_nmc
 
@@ -171,9 +174,7 @@ def _run_solve(args) -> int:
             print(f"error: n={g.n} exceeds the oracle limit {limit}", file=sys.stderr)
             return 3
 
-    w_gf2, _ = width(g, layout, "gf2")
-    w_rat, _ = width(g, layout, "rational")
-    w_mim, _ = width(g, layout, "mim")
+    cut_widths = {kind: top for kind, (top, _) in widths(g, layout).items()}
 
     started = time.perf_counter()
     if args.problem == "nmc":
@@ -209,7 +210,7 @@ def _run_solve(args) -> int:
         "problem": args.problem,
         "n": g.n,
         "m": g.edge_count,
-        "width": {"gf2": w_gf2, "rational": w_rat, "mim": w_mim},
+        "width": cut_widths,
         "objective_weight": objective,
         "deletion_set": [names[v] for v in bits(deletion)],
         "sforest_weight": sum(weights[v] for v in bits(kept)),

@@ -165,16 +165,19 @@ hold them, and the far singletons from the far vertices that have a
 neighbor on the side.  A row's block structure (its components, its
 trees, and its excess, the number of edges its S-contraction has beyond a
 forest) is carried from the child rows through `BlockStore`, one dict
-per node.  There a row's structure holds the boundary parts of its pieces
-on the node's boundary, sorted, so it is the row's signature at the node.
-For the same reason a row's keys are a function of its boundary
-signature, so the key route sees only the signature route's survivors
-and profiles no repeated signature.  A row can still become an S-forest
-exactly when its excess is 0, so `reduce_table`'s signature pass skips
-the others and every root row is an S-forest.  The join formula is coded
-once, in `_joined`: `BlockStore` calls it per child pair, `_far_forests`
-per far vertex, and `_completes` per (row, far set) pair, for the
-completion route and for `_holding` alike.
+per node.  `solve` builds every merged row's structure in the merge, in
+one loop over the pairs of child rows (`BlockStore.join`), and every
+later reader only looks it up.  A row's structure holds the boundary
+parts of its pieces on the node's boundary, sorted, so it is the row's
+signature at the node.  For the same reason a row's keys are a function
+of its boundary signature, so the key route sees only the signature
+route's survivors and profiles no repeated signature.  A row can still
+become an S-forest exactly when its excess is 0, so a row of nonzero
+excess is stored with its excess and its pieces uncut, `reduce_table`
+drops it before its sort, and every root row is an S-forest.  The join
+formula is coded once, in `_joined`: `BlockStore.join` calls it per child
+pair, `_far_forests` per far vertex, and `_completes` per (row, far set)
+pair, for the completion route and for `_holding` alike.
 """
 
 from __future__ import annotations
@@ -275,20 +278,22 @@ class BlockStore:
     """Block structures of vertex sets below the nodes of one layout, one
     dict per node, each piece stored as its part on that node's boundary.
 
-    A leaf's set is one vertex or none.  An internal node's set is joined
-    from its parts below the two children by `_joined`, along the edges
-    from the right part to the left one, or is the structure of the one
-    child it lies below, cut down.  That is exact: a join reads a piece
-    only in vertices with a neighbor across the child cut, which lie on
-    the child's boundary.  `solve` asks for the rows of each merged table,
-    whose parts are in the children's dicts, and `keep` then drops what
-    no live table holds."""
+    A leaf's set is one vertex or none.  An internal node's sets are built
+    by `join`, each from its parts below the two children by `_joined`,
+    along the edges from the right part to the left one, and cut to the
+    node's boundary.  That is exact: a join reads a piece only in vertices
+    with a neighbor across the child cut, which lie on the child's
+    boundary.  A set of nonzero excess can never be extended, so it keeps
+    its pieces as joined, uncut and unsorted; only its excess is read in a
+    solve.  `solve` joins each node's two child tables, so every merged
+    row's structure is built there, and `keep` then drops what no live
+    table holds."""
 
     def __init__(self, inst: Instance, layout: RootedLayout):
         adj, s = inst.graph.adj, inst.s_set
         self.layout = layout
         self.boundary = boundaries(inst.graph, layout)
-        self.known: List[Dict[int, Structure]] = [{0: Structure((), (), 0)} for _ in self.boundary]
+        self.known: List[Dict[int, Structure]] = [{} for _ in self.boundary]
         # s_nbs[v]: v's neighbors along edges with an end in S, all of them
         # when v is in S, else those in S.
         self.s_nbs = [nb if s >> v & 1 else nb & s for v, nb in enumerate(adj)]
@@ -302,7 +307,7 @@ class BlockStore:
             if layout.is_leaf(y):
                 v = 1 << layout.leaf_vertex[y]
                 listed = (v,) if v & self.boundary[y] else ()
-                self.known[y][v] = Structure(() if v & s else listed, listed, 0)
+                self.known[y] = {0: Structure((), (), 0), v: Structure(() if v & s else listed, listed, 0)}
                 nbs.append(adj[layout.leaf_vertex[y]])
             else:
                 for u in bits(self.boundary[layout.right[y]]):
@@ -314,39 +319,55 @@ class BlockStore:
         self._reach = cache(lambda piece: reduce(or_, [adj[v] for v in bits(piece)], 0))
 
     def of(self, node: int, x: int) -> Structure:
-        """Block structure of a vertex set x below `node`: the known one, or
-        built from x's parts in the children's dicts, which must hold them.
-        A set wholly below one child keeps the child's structure when its
-        trees, which cover x & the child's boundary, lie inside the node's
-        boundary, and is cut down otherwise."""
-        known = self.known
-        got = known[node].get(x)
-        if got is not None:
-            return got
-        lay, bnd, s_nbs = self.layout, self.boundary[node], self.s_nbs
+        """Block structure of a vertex set x below `node`, as `join` stored it."""
+        return self.known[node][x]
+
+    def join(self, node: int, lefts: Iterable[int], rights: Iterable[int]) -> None:
+        """Store at `node` the structure of l | r for every set l in
+        `lefts`, below the left child, and r in `rights`, below the right
+        one; the children's dicts must hold them.  A right set's edges into
+        the left side and its pieces' neighbors are read once, for all its
+        pairs.  A set wholly below one child keeps the child's structure
+        when it is dead or when its trees, which cover the set's part of
+        the child's boundary, lie inside the node's boundary, and is cut
+        down otherwise."""
+        lay, s_nbs, reach = self.layout, self.s_nbs, self._reach
         lc, rc = lay.left[node], lay.right[node]
-        left = x & lay.below[lc]
-        if left == x or not left:
-            child = lc if left else rc
-            got = known[child][x]
-            if not x & self.boundary[child] & ~bnd:
-                known[node][x] = got
-                return got
-            comps, trees, excess = got
-        else:
-            s_edges = 0
-            for u in bits(x & self.crossing[node]):
-                s_edges += (s_nbs[u] & left).bit_count()
-            comps, trees, excess = _joined(known[lc][left], known[rc][x ^ left], s_edges, self._reach)
-        got = known[node][x] = Structure(_boundary_parts(comps, bnd), _boundary_parts(trees, bnd), excess)
-        return got
+        bnd, side, crossing = self.boundary[node], lay.below[lc], self.crossing[node]
+        # the children's boundary vertices that leave the boundary here
+        drop = (self.boundary[lc] | self.boundary[rc]) & ~bnd
+        out, left_of, right_of = self.known[node], self.known[lc], self.known[rc]
+        lefts = [(l, left_of[l]) for l in lefts]
+        for r in rights:
+            b = right_of[r]
+            # the S-edges from each vertex of r into the left side
+            to_left = [nb for u in bits(r & crossing) if (nb := s_nbs[u] & side)]
+            reach_of = {piece: reach(piece) for piece in (*b.comps, *b.trees)}.__getitem__
+            for l, a in lefts:
+                x = l | r
+                if l and r:
+                    s_edges = 0
+                    for nb in to_left:
+                        s_edges += (nb & l).bit_count()
+                    comps, trees, excess = _joined(a, b, s_edges, reach_of)
+                else:
+                    st = a if l else b
+                    if st.excess or not x & drop:
+                        out[x] = st
+                        continue
+                    comps, trees, excess = st
+                if excess:
+                    out[x] = Structure(comps, trees, excess)
+                else:
+                    out[x] = Structure(_boundary_parts(comps, bnd), _boundary_parts(trees, bnd), 0)
 
     def keep(self, node: int, rows: Iterable[int]) -> None:
-        """Keep the structures of `rows` alone at `node`, built if need be,
-        drop those of its inner children, and clear the neighbor cache.  A
-        leaf keeps its two."""
+        """Keep the structures of `rows` alone at `node`, drop those of its
+        inner children, and clear the neighbor cache.  A leaf keeps its
+        two."""
         lay, known = self.layout, self.known
-        known[node] = {m: self.of(node, m) for m in rows}
+        here = known[node]
+        known[node] = {m: here[m] for m in rows}
         for child in (lay.left[node], lay.right[node]):
             if not lay.is_leaf(child):
                 known[child] = {}
@@ -400,7 +421,7 @@ def build_context(
     blocks: BlockStore,
 ) -> NodeContext:
     """Cut data of one layout node.  `families` is `layout_families` of the
-    layout and `blocks` the store of row structures, which `solve` builds
+    layout and `blocks` the store of row structures, which `solve` makes
     once and shares."""
     g, adj = inst.graph, inst.graph.adj
     near1, near2, far1, far2 = families
@@ -820,9 +841,9 @@ def _keep_by_completions(ctx: NodeContext, inst: Instance, rows: Iterable[int]) 
 
 
 def _first_per_signature(ctx: NodeContext, rows: Iterable[int]) -> Iterator[int]:
-    """The rows of excess 0, best first, whose stored structure no earlier
-    such row had; rows of nonzero excess are skipped.  Lazy, so a caller
-    that stops early builds no more structures.
+    """The rows, best first, whose stored structure no earlier row had; the
+    rows have excess 0.  Lazy, so a caller that stops early compares no
+    more structures.
 
     At excess 0 the structure is the boundary signature: its trees are the
     boundary parts of x's trees, so their OR is x & near_bnd."""
@@ -830,7 +851,7 @@ def _first_per_signature(ctx: NodeContext, rows: Iterable[int]) -> Iterator[int]
     seen: Set[Structure] = set()
     for mask in rows:
         st = of(node, mask)
-        if not st.excess and st not in seen:
+        if st not in seen:
             seen.add(st)
             yield mask
 
@@ -881,15 +902,17 @@ def reduce_table(table: Table, ctx: NodeContext, inst: Instance) -> Table:
     merged row reaches; ties fall to the lexicographically smallest vertex
     set.  The result lists its rows best first, by (-weight, lex_order).
 
-    Rows go best first, by (-weight, lex_order), through one pass: a row
-    whose excess is not 0 can never be extended and is skipped, and of the
-    rest the first row per boundary signature survives.  When
+    A row whose excess is not 0 can never be extended and is dropped
+    first.  The rest go best first, by (-weight, lex_order), through one
+    pass that keeps the first row per boundary signature.  When
     `completion_route` holds, the completion route refines the survivors.
     Otherwise they are the table when `signature_route` holds, and the key
     route refines them when it does not.  Either refinement keeps what it
     would keep from all the rows of excess 0 (see the module docstring)."""
-    # Stable sorts: by weight, heaviest first, keeping lex_order among ties.
-    order = sorted(table, key=lex_order)
+    # Rows of nonzero excess go first.  Then stable sorts: by weight,
+    # heaviest first, keeping lex_order among ties.
+    of, node = ctx.blocks.of, ctx.node
+    order = sorted([m for m in table if not of(node, m).excess], key=lex_order)
     order.sort(key=table.__getitem__, reverse=True)
     rows = _first_per_signature(ctx, order)
     if completion_route(ctx, len(table)):
@@ -999,7 +1022,9 @@ def solve(
             tables[x] = row if forced >> v & 1 else {0: 0, **row}
             continue
         ctx = build_context(inst, layout, x, families, blocks)
-        merged = merge_tables(tables.pop(layout.left[x]), tables.pop(layout.right[x]))
+        left, right = tables.pop(layout.left[x]), tables.pop(layout.right[x])
+        blocks.join(x, left, right)
+        merged = merge_tables(left, right)
         far = forced & ~layout.below[x]
         if far:
             merged = _holding(inst, blocks, x, far, merged)

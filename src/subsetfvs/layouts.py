@@ -6,14 +6,17 @@ Three cut values are supported: GF(2) rank and rational rank of the
 cross-adjacency matrix, and the maximum induced matching size of the
 crossing bipartite graph.  Only a side's boundary (see `boundaries`) adds to
 any of them, so each is computed on two sides (a, b); `cut_rank` and
-`mim_cut` take b to be the complement of a.
+`mim_cut` take b to be the complement of a.  `width` gives one kind over a
+layout, and `widths` any of them in one pass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import or_
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, bits
 
@@ -142,35 +145,41 @@ def _rational_rank(rows: List[List[int]]) -> int:
     return rank
 
 
+def _distinct_rows(g: Graph, a: int, b: int) -> List[int]:
+    """The distinct nonzero rows of the adjacency matrix rows(a) x cols(b),
+    packed as bitmasks that keep b's vertex ids as column positions."""
+    return list({g.adj[v] & b for v in bits(a)} - {0})
+
+
+def _rational_rank_of(rows: List[int], gf2: int) -> int:
+    """Rank over the rationals of distinct nonzero 0/1 rows whose GF(2)
+    rank is `gf2`: that rank when it equals the row count (see
+    `rank_bipartite`), else by elimination over the columns a row touches."""
+    if gf2 == len(rows):
+        return gf2
+    cols = list(bits(reduce(or_, rows, 0)))
+    return _rational_rank([[row >> u & 1 for u in cols] for row in rows])
+
+
 def rank_bipartite(g: Graph, a: int, b: int, field: str = "gf2") -> int:
     """Rank of the adjacency matrix rows(a) x cols(b).
 
-    The rational rank skips elimination when the distinct nonzero rows are
-    independent over GF(2).  For a 0/1 matrix, rank over GF(2) <= rank over
-    the rationals <= the number of distinct nonzero rows.  The second holds
-    because repeated and zero rows add nothing.  For the first, take rows
-    independent over GF(2) and suppose some rational combination of them
-    is 0.  Scale the coefficients to coprime integers: at least one is odd.
-    Reduced mod 2 they give a nontrivial GF(2) combination that is 0, a
-    contradiction.  So when the GF(2) rank of the distinct rows equals
-    their count, the rational rank is that count too.
+    Zero and repeated rows add nothing to the rank over either field, so
+    both ranks are read from the distinct nonzero rows.  The rational rank
+    skips elimination when those rows are independent over GF(2).  For a
+    0/1 matrix, rank over GF(2) <= rank over the rationals <= the number of
+    distinct nonzero rows.  The second holds for the reason above.  For the
+    first, take rows independent over GF(2) and suppose some rational
+    combination of them is 0.  Scale the coefficients to coprime integers:
+    at least one is odd.  Reduced mod 2 they give a nontrivial GF(2)
+    combination that is 0, a contradiction.  So when the GF(2) rank of the
+    distinct rows equals their count, the rational rank is that count too.
     """
-    if field == "gf2":
-        # The rows keep b's vertex ids as column positions: packing them
-        # densely would only relabel columns in order.
-        return gf2_rank([g.adj[v] & b for v in bits(a)])
-    if field == "rational":
-        # Zero and repeated rows add nothing to the rank, nor do columns no
-        # row touches.
-        packed = list({g.adj[v] & b for v in bits(a)} - {0})
-        if gf2_rank(packed) == len(packed):
-            return len(packed)
-        touched = 0
-        for row in packed:
-            touched |= row
-        cols = list(bits(touched))
-        return _rational_rank([[row >> u & 1 for u in cols] for row in packed])
-    raise ValueError(f"unknown field {field!r}")
+    if field not in ("gf2", "rational"):
+        raise ValueError(f"unknown field {field!r}")
+    rows = _distinct_rows(g, a, b)
+    gf2 = gf2_rank(rows)
+    return gf2 if field == "gf2" else _rational_rank_of(rows, gf2)
 
 
 def cut_rank(g: Graph, a: int, field: str = "gf2") -> int:
@@ -187,12 +196,16 @@ def mim_bipartite(g: Graph, a: int, b: int) -> int:
     So the search chooses among the distinct nonzero neighborhoods.  Every
     subset of a valid choice is valid, so adding them in index order reaches
     every choice; a branch stops once its size plus the neighborhoods left
-    cannot beat the best found.
+    cannot beat the best found.  A chain of neighborhoods under inclusion
+    admits no two (`mim_bipartite_at_most_one`), so it is answered before
+    the search, which would try every pair of a chain.
     """
     if a & b:
         raise ValueError("sides overlap")
-    nbhs = sorted({g.adj[v] & b for v in bits(a)} - {0})
+    nbhs = sorted(_distinct_rows(g, a, b))
     k = len(nbhs)
+    if _is_chain(nbhs):
+        return min(k, 1)
     best = 0
     # Depth first, smallest index first, with an explicit stack of (next
     # index to try, union of the chosen neighborhoods, each chosen one's
@@ -238,20 +251,44 @@ def boundaries(g: Graph, layout: RootedLayout) -> List[int]:
     return out
 
 
+CUT_KINDS = ("gf2", "rational", "mim")
+
+
+def widths(
+    g: Graph, layout: RootedLayout, kinds: Sequence[str] = CUT_KINDS
+) -> Dict[str, Tuple[int, Tuple[int, ...]]]:
+    """Per kind in `kinds`, what `width` gives, from one pass over the
+    cuts: the boundaries are found once, and each cut's distinct nonzero
+    rows once, for both ranks.  The GF(2) rank of those rows decides
+    whether the rational rank needs elimination (`rank_bipartite`).  The
+    mim is searched once per node, and only when asked for."""
+    if layout.n != g.n:
+        raise ValueError("layout and graph disagree on the vertex count")
+    for kind in kinds:
+        if kind not in CUT_KINDS:
+            raise ValueError(f"unknown cut kind {kind!r}")
+    bnd = boundaries(g, layout)
+    values: Dict[str, List[int]] = {kind: [] for kind in kinds}
+    gf2s, rationals, mims = (values.get(kind) for kind in CUT_KINDS)
+    for x in layout.postorder():
+        a, b = bnd[x], g.vertices & ~layout.below[x]
+        if mims is not None:
+            mims.append(mim_bipartite(g, a, b))
+        if gf2s is not None or rationals is not None:
+            rows = _distinct_rows(g, a, b)
+            gf2 = gf2_rank(rows)
+            if gf2s is not None:
+                gf2s.append(gf2)
+            if rationals is not None:
+                rationals.append(_rational_rank_of(rows, gf2))
+    return {kind: (max(vals), tuple(vals)) for kind, vals in values.items()}
+
+
 def width(g: Graph, layout: RootedLayout, kind: str = "gf2") -> Tuple[int, Tuple[int, ...]]:
     """Maximum cut value over all layout nodes, and the value of every
     node's cut, indexed by node id.  Each node's value is read from its
     boundary rows alone."""
-    if layout.n != g.n:
-        raise ValueError("layout and graph disagree on the vertex count")
-    if kind not in ("gf2", "rational", "mim"):
-        raise ValueError(f"unknown cut kind {kind!r}")
-    bnd = boundaries(g, layout)
-    values = []
-    for x in layout.postorder():
-        a, b = bnd[x], g.vertices & ~layout.below[x]
-        values.append(mim_bipartite(g, a, b) if kind == "mim" else rank_bipartite(g, a, b, kind))
-    return max(values), tuple(values)
+    return widths(g, layout, (kind,))[kind]
 
 
 def mim_bipartite_at_most_one(g: Graph, a: int, b: int) -> bool:
@@ -262,7 +299,13 @@ def mim_bipartite_at_most_one(g: Graph, a: int, b: int) -> bool:
     give the induced matching {u x, v y} for x in N(u) \\ N(v) and y in
     N(v) \\ N(u); in a chain, of any two crossing edges one end sees both
     far ends, so no two edges form an induced matching."""
-    chain = sorted({g.adj[v] & b for v in bits(a)} - {0}, key=int.bit_count)
+    return _is_chain(_distinct_rows(g, a, b))
+
+
+def _is_chain(sets: List[int]) -> bool:
+    """Whether distinct sets form a chain under inclusion: sorted by size,
+    each lies inside the next."""
+    chain = sorted(sets, key=int.bit_count)
     return all(not p & ~q for p, q in zip(chain, chain[1:]))
 
 

@@ -357,13 +357,13 @@ def best(inst: Instance, table: Table, y: int):
 
 class _ScratchStore(BlockStore):
     """A `BlockStore` that builds the structure of any set below a node
-    from the leaves up, for contexts built outside a solve.  `solve` asks
-    only for sets whose parts its children's dicts hold, which
-    `BlockStore.of` builds from."""
+    from the leaves up, for contexts built outside a solve: each part is
+    joined from its children's parts by `BlockStore.join`, as one-row
+    tables."""
 
     def of(self, node: int, x: int) -> Structure:
         # Preorder down to the nodes whose dict holds their part of x, then
-        # build those parts children first.  A leaf's dict holds both sets.
+        # join those parts children first.  A leaf's dict holds both sets.
         lay, known = self.layout, self.known
         walk = []
         todo = [node]
@@ -373,7 +373,7 @@ class _ScratchStore(BlockStore):
                 walk.append(y)
                 todo += (lay.left[y], lay.right[y])
         for y in reversed(walk):
-            super().of(y, x & lay.below[y])
+            self.join(y, (x & lay.below[lay.left[y]],), (x & lay.below[lay.right[y]],))
         return known[node][x]
 
 

@@ -374,15 +374,18 @@ def test_reduce_ignores_insertion_order():
         inst = Instance(Graph(n, edges), rng.randrange(1 << n), weights)
         order = list(range(n))
         rng.shuffle(order)
-        calls = []
-        solve(inst, layout_from_order(order), trace=lambda node, ctx, m, r: calls.append((ctx, m, r)))
-        for ctx, merged, reduced in calls:
+
+        # A node's structures live in the store until its parent's merge,
+        # so each node's table is reduced again inside the trace.
+        def watch(node, ctx, merged, reduced):
             items = list(merged.items())
             for _ in range(3):
                 rng.shuffle(items)
                 again = reduce_table(dict(items), ctx, inst)
                 assert list(again.items()) == list(reduced.items())
             assert list(reduced) == sorted(reduced, key=lambda m: (-reduced[m], lex_order(m)))
+
+        solve(inst, layout_from_order(order), trace=watch)
 
 
 def test_reduce_tie_keeps_lexicographically_smallest_twin():
@@ -568,14 +571,16 @@ def test_bucket_keys_match_per_candidate_reference(key_route):
     def compare(cases):
         checked = 0
         for name, inst, lay in cases:
-            calls = []
-            solve(inst, lay, trace=lambda node, ctx, merged, reduced: calls.append((ctx, merged)))
-            for ctx, merged in calls:
+
+            def watch(node, ctx, merged, reduced):
+                nonlocal checked
                 labels, ref_labels = {}, {}
                 for x in merged:
                     got = _keys_by_type(inst, ctx, x, labels)
                     assert got == _keys_by_candidate(inst, ctx, x, ref_labels), (name, ctx.node, x)
                     checked += got is not None
+
+            solve(inst, lay, trace=watch)
         return checked
 
     assert compare(_golden_cases()) > 3000
@@ -822,6 +827,55 @@ def test_carried_signature_matches_definition():
 
         solve(inst, lay, trace=watch)
     assert checked > 5000 and min(unjoined.values()) > 100, (checked, unjoined)
+
+
+def test_merge_stores_every_pair_by_definition():
+    """The merge stores, at every internal node, the structure of every
+    union of a left child row and a right child row, and nothing else.
+    Each stored structure of excess 0 is the row's boundary signature from
+    scratch; every other one holds the row's excess from scratch.  Covers
+    the golden cases, the cases of `test_routes_agree_past_brute_force`
+    (as routed) and two balanced layouts, whose inner right children pass
+    rows up unjoined.  Rows pass up unjoined from inner children on both
+    sides, and some of them have a piece that leaves the boundary at the
+    node, so their stored structure is cut down there."""
+    cases = [(inst, lay) for _, inst, lay in _golden_cases()]
+    cases += [_permutation_case(1, 24), _interval_case(1, 85), _permutation_case(1, 28)]
+    cases += [_balanced_case(1, 12), _balanced_case(2, 14)]
+    checked = {"excess 0": 0, "dead": 0, "left unjoined": 0, "right unjoined": 0, "cut": 0}
+    for inst, lay in cases:
+        g, s = inst.graph, inst.s_set
+        forced = dp.forced_set(inst)
+        tables = {}
+
+        def rows(node):
+            if not lay.is_leaf(node):
+                return tables.pop(node)
+            v = lay.leaf_vertex[node]
+            return {1 << v} if forced >> v & 1 else {0, 1 << v}
+
+        def watch(node, ctx, merged, reduced):
+            lc, rc = lay.left[node], lay.right[node]
+            lefts, rights = rows(lc), rows(rc)
+            tables[node] = set(reduced)
+            stored = ctx.blocks.known[node]
+            assert stored.keys() == {l | r for l in lefts for r in rights}, node
+            for x, st in stored.items():
+                if st.excess:
+                    assert st.excess == _excess_by_definition(g, s, x), (node, x)
+                    checked["dead"] += 1
+                    continue
+                assert _excess_by_definition(g, s, x) == 0, (node, x)
+                want = _signature_by_definition(g, s, ctx.near_bnd, x)
+                assert _stored_signature(st) == want, (node, x)
+                checked["excess 0"] += 1
+                for side, child in (("left", lc), ("right", rc)):
+                    if x and not x & ~lay.below[child] and not lay.is_leaf(child):
+                        checked[f"{side} unjoined"] += 1
+                        checked["cut"] += bool(x & ctx.blocks.boundary[child] & ~ctx.near_bnd)
+
+        solve(inst, lay, trace=watch)
+    assert min(checked.values()) > 100, checked
 
 
 def test_scratch_structures_match_definition():
@@ -1322,7 +1376,8 @@ def test_profile_skip_matches_full_keep_rule(monkeypatch, key_route):
             nonlocal searched, survivors, enumerated
             want, count = _literal_keep(inst, ctx, merged)
             assert list(reduced.items()) == list(want.items()), (name, node)
-            order = sorted(merged, key=lambda m: (-merged[m], lex_order(m)))
+            live = [m for m in merged if not ctx.blocks.of(node, m).excess]
+            order = sorted(live, key=lambda m: (-merged[m], lex_order(m)))
             first = list(dp._first_per_signature(ctx, order))
             survivors += len(first)
             searched += len(calls)
@@ -1623,20 +1678,16 @@ def test_cut_values_read_only_the_boundary(monkeypatch):
     """On an n = 400 path over the id-order caterpillar, every cut boundary
     holds at most one vertex.  The width report (all three kinds), the
     interval certificate check and the solve pass only that boundary to the
-    two-sided cut functions, never the node's whole side.  The solve
-    searches a cut's mim only at key-route nodes."""
+    two-sided cut functions, never the node's whole side.  Every one of
+    them reads a cut's rows through `layouts._distinct_rows`, once per
+    call, so each kind's pass reads each cut once.  The solve searches a
+    cut's mim only at key-route nodes."""
     n = 400
     g = path(n)
     sides = []
     key_nodes = []
-    for mod, name in (
-        (layouts, "rank_bipartite"),
-        (layouts, "mim_bipartite"),
-        (layouts, "mim_bipartite_at_most_one"),
-        (dp, "mim_bipartite"),
-    ):
-        orig = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda g, a, b, *rest, orig=orig: sides.append(a) or orig(g, a, b, *rest))
+    orig = layouts._distinct_rows
+    monkeypatch.setattr(layouts, "_distinct_rows", lambda g, a, b: sides.append(a) or orig(g, a, b))
     keep_by_keys = dp._keep_by_keys
     monkeypatch.setattr(dp, "_keep_by_keys", lambda *args: key_nodes.append(1) or keep_by_keys(*args))
     lay = layout_from_order(range(n))

@@ -10,6 +10,7 @@ import pytest
 from subsetfvs import layouts
 from subsetfvs.graphs import Graph, bits, mask_of
 from subsetfvs.layouts import (
+    CUT_KINDS,
     RootedLayout,
     _rational_rank,
     boundaries,
@@ -25,6 +26,7 @@ from subsetfvs.layouts import (
     permutation_layout,
     serialize_layout,
     width,
+    widths,
 )
 
 
@@ -397,6 +399,84 @@ def test_width_values_match_cut_functions():
                 want = mim_cut(g, a) if kind == "mim" else cut_rank(g, a, kind)
                 assert values[x] == want, (name, kind, x)
             assert w == max(values)
+
+
+def test_widths_pass_matches_width_per_kind(monkeypatch):
+    """One `widths` pass gives every kind, in `CUT_KINDS` order, the
+    maximum and per-node values `width` gives for that kind alone: on
+    random graphs over shuffled caterpillars, balanced layouts and random
+    binary layouts, and an interval graph.  Some cut's distinct rows are
+    dependent over GF(2), so the pass runs the rational rank's elimination
+    there as well as its shortcut."""
+    eliminated = []
+    monkeypatch.setattr(layouts, "_rational_rank", lambda rows: eliminated.append(rows) or _rational_rank(rows))
+    in_pass = 0
+    for name, g, lay in _boundary_cases():
+        before = len(eliminated)
+        got = widths(g, lay)
+        in_pass += len(eliminated) - before
+        assert list(got) == list(CUT_KINDS) == ["gf2", "rational", "mim"], name
+        for kind in CUT_KINDS:
+            assert got[kind] == width(g, lay, kind), (name, kind)
+            assert widths(g, lay, (kind,)) == {kind: got[kind]}, (name, kind)
+    assert in_pass > 0
+
+
+def test_width_of_one_kind_computes_no_other(monkeypatch):
+    """A pass asked for some kinds computes no other: `width` of a rank
+    searches no induced matching, the GF(2) width runs no elimination, and
+    the mim width ranks nothing.  Unknown kinds are refused."""
+    calls = {"gf2": 0, "bareiss": 0, "mim": 0}
+    for name, key in (("gf2_rank", "gf2"), ("_rational_rank", "bareiss"), ("mim_bipartite", "mim")):
+        orig = getattr(layouts, name)
+
+        def counted(*args, orig=orig, key=key):
+            calls[key] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(layouts, name, counted)
+    want = {"gf2": {"gf2"}, "rational": {"gf2", "bareiss"}, "mim": {"mim"}}
+    for name, g, lay in _boundary_cases():
+        for kind in CUT_KINDS:
+            calls.update(dict.fromkeys(calls, 0))
+            width(g, lay, kind)
+            assert {key for key, count in calls.items() if count} <= want[kind], (name, kind, calls)
+            assert calls["mim"] in (0, lay.node_count), (name, kind, calls)
+    g = Graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="unknown cut kind"):
+        widths(g, layout_from_order([0, 1]), ("gf2", "boolean"))
+    with pytest.raises(ValueError, match="disagree"):
+        widths(g, layout_from_order([0]))
+
+
+def test_mim_on_chain_cuts_matches_exhaustive():
+    """A cut whose distinct crossing neighborhoods form a chain under
+    inclusion is answered before the search: 1 when some vertex crosses,
+    else 0.  On random nested bipartite graphs (each side vertex sees a
+    prefix of the far side, so the neighborhoods nest), with some side
+    vertices seeing nothing, the value equals the exhaustive search; one
+    missing far vertex in a prefix breaks the chain and raises it to 2.  A
+    chain of 300 nested neighborhoods reads 1."""
+    rng = random.Random(17)
+    values = set()
+    for _ in range(200):
+        k, m = rng.randint(1, 6), rng.randint(1, 6)
+        far = list(range(k, k + m))
+        edges = [(u, v) for u in range(k) for v in far[: rng.randint(0, m)]]
+        g = Graph(k + m, edges)
+        a = (1 << k) - 1
+        assert mim_bipartite(g, a, g.vertices & ~a) == brute_mim(g, a, g.vertices & ~a) <= 1
+        values.add(mim_bipartite(g, a, g.vertices & ~a))
+        if m >= 2:
+            # 0 sees far[1:] and the new vertex k + m sees far[0] alone:
+            # two incomparable neighborhoods
+            h = Graph(k + m + 1, [(0, v) for v in far[1:]] + [(k + m, far[0])])
+            side = 1 | 1 << (k + m)
+            assert mim_bipartite(h, side, mask_of(far)) == brute_mim(h, side, mask_of(far)) == 2
+    assert values == {0, 1}
+    k = 300
+    nested = Graph(2 * k, [(u, k + v) for u in range(k) for v in range(u + 1)])
+    assert mim_cut(nested, (1 << k) - 1) == 1
 
 
 def test_intervals_intersect():
